@@ -266,32 +266,56 @@ def _validate_element(el: CircuitElement, k: int) -> None:
     raise LayoutError(f"unknown element kind: {el.kind!r}")
 
 
-def compose_layout(layout: CircuitLayout) -> np.ndarray:
-    """Ordered product of the embedded element matrices, first element first."""
+def _ideal_blocks(elements):
+    """Coefficients ``(b00, b01, b10, b11)`` of each unbalanced beamsplitter, lazily
+    (so ``_compose`` validates an element first), as complex numbers: numpy
+    multiplies by a real scalar as by that complex number, only slower."""
+    for el in elements:
+        if el.kind == UNBALANCED_BS:
+            st, sr = math.sqrt(el.t), math.sqrt(1.0 - el.t)
+            yield complex(st), complex(sr), complex(-sr), complex(st)
+
+
+def _compose(layout: CircuitLayout, blocks, n: int = 1) -> np.ndarray:
+    """Stack of ``n`` ordered products of a layout's elements, first element first.
+
+    ``blocks`` is an iterator over the coefficients ``(b00, b01, b10, b11)``
+    of each unbalanced beamsplitter in layout order: scalars for one ideal
+    product, or ``(n, 1)`` arrays, one block per product.  The stack is
+    stored row first, ``(K, n, K)``, so row ``a`` of every product is one
+    contiguous ``(n, K)`` slice, with rows at their ``output_perm`` position
+    from the start; the result is the ``(n, K, K)`` transposed view.
+    """
     k = layout.dim
-    m = np.eye(k, dtype=complex)
+    perm = list(range(k) if layout.output_perm is None else layout.output_perm)
+    if sorted(perm) != list(range(k)):
+        raise LayoutError(f"output_perm is not a permutation of 0..{k - 1}")
+    row_of = [0, *np.argsort(perm).tolist()]  # 1-based port -> storage row
+    m = np.zeros((k, n, k), dtype=complex)
+    m[np.arange(k), :, perm] = 1.0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for el in layout.elements:
         _validate_element(el, k)
+        if el.kind == PHASE_SHIFTER:
+            m[row_of[el.ports[0]]] *= cmath.exp(1j * el.phase)
+            continue
+        a, b = row_of[el.ports[0]], row_of[el.ports[1]]
+        ra, rb = m[a], m[b]
         if el.kind == UNBALANCED_BS:
-            a, b = el.ports[0] - 1, el.ports[1] - 1
-            st = math.sqrt(el.t)
-            sr = math.sqrt(1.0 - el.t)
-            ra = m[a].copy()
-            m[a] = st * ra + sr * m[b]
-            m[b] = -sr * ra + st * m[b]
-        elif el.kind == SYMMETRIC_BS:
-            a, b = el.ports[0] - 1, el.ports[1] - 1
-            ra = m[a].copy()
-            m[a] = inv_sqrt2 * (ra + 1j * m[b])
-            m[b] = inv_sqrt2 * (1j * ra + m[b])
+            # coefficient first: numpy's complex c * x and x * c can round apart
+            b00, b01, b10, b11 = next(blocks)
+            new_a = b00 * ra + b01 * rb
+            m[b] = b10 * ra + b11 * rb
         else:
-            m[el.ports[0] - 1] *= cmath.exp(1j * el.phase)
-    if layout.output_perm is not None:
-        if sorted(layout.output_perm) != list(range(k)):
-            raise LayoutError(f"output_perm is not a permutation of 0..{k - 1}")
-        m = m[list(layout.output_perm)]
-    return m
+            new_a = inv_sqrt2 * (ra + 1j * rb)
+            m[b] = inv_sqrt2 * (1j * ra + rb)
+        m[a] = new_a
+    return m.transpose(1, 0, 2)
+
+
+def compose_layout(layout: CircuitLayout) -> np.ndarray:
+    """Ordered product of the embedded element matrices, first element first."""
+    return _compose(layout, _ideal_blocks(layout.elements))[0]
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:

@@ -31,7 +31,7 @@ from .bounds import (
     max_users_energy_advantage,
 )
 from .errors import FeasibilityError, MultiqfError, ValidityError
-from .gains import BatchGains, batch_gain_set, ideal_gain_set
+from .gains import BatchGains, batch_gain_set, gain_set, ideal_gain_set
 from .mcsim import verify_bound
 from .noise import NoiseModel, realize_batch, realize_circuit
 
@@ -273,15 +273,9 @@ def advantage_rows(
             for p_dark in p_dark_grid:
                 best_limit = 0.0
                 best_known = 0.0
+                cfg_p = dict(cfg, p_dark=p_dark)
                 for n in n_grid:
-                    params = ProtocolParams(
-                        k=k,
-                        n_bits=n,
-                        ecc=ECCParams.from_delta(cfg["delta"]),
-                        p_error=cfg["p_error"],
-                        eta=cfg["eta"],
-                        p_dark=p_dark,
-                    )
+                    params = _params(k, n, cfg_p)
                     try:
                         res = bound_last_detector(params, gains)
                     except FeasibilityError:
@@ -488,7 +482,7 @@ def cmd_verify(args) -> int:
     for k in parse_grid(args.k_grid):
         layout = circuits.optimal_tree_layout(k)
         transfer = realize_circuit(layout, model, index=0)
-        gains = batch_gain_set(transfer[None, :, :]).mean
+        gains = gain_set(transfer)
         params = ProtocolParams(
             k=k, n_bits=n_bits, ecc=ecc, p_error=args.p_error, eta=args.eta,
             p_dark=args.p_dark,

@@ -92,58 +92,61 @@ def find_last_label(transfer: np.ndarray) -> int:
 
 def l1_patterns(k: int) -> list[tuple[int, ...]]:
     """The K single-flip phase patterns."""
-    out = []
-    for j in range(k):
-        labels = [1] * k
-        labels[j] = -1
-        out.append(tuple(labels))
-    return out
+    return [tuple(-1 if i == j else 1 for i in range(k)) for j in range(k)]
 
 
-def gain_set(
-    transfer: np.ndarray,
-    last_label: int | None = None,
-    extra_patterns: tuple[tuple[int, ...], ...] = (),
-) -> GainSet:
+def _single_flip_gains(transfers: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-group and last-detector gains, per unit mu_in, of an ``(n, K, K)``
+    stack: ``(K + 1, n)`` each, row 0 for all inputs equal and row ``1 + j``
+    for input ``j`` flipped.  All-equal output amplitudes are the row sums
+    ``s``; a flip of input ``j`` makes them ``s - 2 T[:, :, j]``."""
+    n, k, _ = transfers.shape
+    s = transfers.sum(axis=2)
+    g_first, g_last = np.empty((2, k + 1, n))
+    for j in range(k + 1):
+        amp = s if j == 0 else s - 2.0 * transfers[:, :, j - 1]
+        mu = amp.real**2 + amp.imag**2
+        g_last[j] = mu[:, last]
+        g_first[j] = mu.sum(axis=1) - g_last[j]
+    return g_first, g_last
+
+
+def _last_label(last_label: int | None, transfer: np.ndarray) -> int:
+    """``last_label``, checked, or else the photon-keeping output of ``transfer``."""
+    k = transfer.shape[0]
+    last_label = find_last_label(transfer) if last_label is None else last_label
+    if not 1 <= last_label <= k:
+        raise ParameterError(f"last_label {last_label} out of range 1..{k}")
+    return last_label
+
+
+def gain_set(transfer: np.ndarray, last_label: int | None = None) -> GainSet:
     """Evaluate the four gain aggregates from the K single-flip patterns.
 
-    ``extra_patterns`` (L > 1) are added to the per-pattern table for
-    diagnostics but never enter the min/max extremization.
+    Amplitudes come from one product with the pattern columns: in an ideal
+    circuit all single-flip patterns tie, and its rounding picks the worst
+    pattern ``mcsim`` samples (``batch_gain_set`` rounds differently).
     """
     t = np.asarray(transfer, dtype=complex)
     k = t.shape[0]
-    if last_label is None:
-        last_label = find_last_label(t)
-    if not 1 <= last_label <= k:
-        raise ParameterError(f"last_label {last_label} out of range 1..{k}")
-    last = last_label - 1
-
-    patterns = l1_patterns(k)
-    cols = np.ones((k, 1 + len(patterns) + len(extra_patterns)))
-    for i, p in enumerate(patterns):
-        cols[:, 1 + i] = p
-    for i, p in enumerate(extra_patterns):
-        cols[:, 1 + len(patterns) + i] = p
+    last_label = _last_label(last_label, t)
+    cols = np.ones((k, k + 1))
+    cols[np.arange(k), np.arange(1, k + 1)] = -1.0
     mu = np.abs(t @ cols) ** 2  # per unit mu_in; gains are mu_in-independent
+    g_last = mu[last_label - 1, :, None]
+    return _mean_gain_set(k, last_label, mu.sum(axis=0)[:, None] - g_last, g_last)[0]
 
-    total = mu.sum(axis=0)
-    g_last = mu[last, :]
-    g_first = total - g_last
 
-    per_pattern = {}
-    for i, p in enumerate(patterns + list(extra_patterns)):
-        per_pattern[tuple(p)] = (float(g_first[1 + i]), float(g_last[1 + i]))
-    l1_first = g_first[1 : 1 + len(patterns)]
-    l1_last = g_last[1 : 1 + len(patterns)]
-    return GainSet(
-        k=k,
-        last_label=last_label,
-        g_e_first=float(g_first[0]),
-        g_d_first_min=float(l1_first.min()),
-        g_e_last=float(g_last[0]),
-        g_d_last_max=float(l1_last.max()),
-        per_pattern=per_pattern,
+def _mean_gain_set(k, last_label, g_first, g_last) -> tuple[GainSet, tuple]:
+    """Average of ``(K + 1, n)`` gain tables over their n realizations, each
+    extremized over its own patterns first, and those per-realization aggregates."""
+    each = (g_first[0], g_first[1:].min(axis=0), g_last[0], g_last[1:].max(axis=0))
+    per_pattern = zip(g_first[1:].mean(axis=1).tolist(), g_last[1:].mean(axis=1).tolist())
+    mean = GainSet(
+        k, last_label, *(float(a.mean()) for a in each),
+        per_pattern=dict(zip(l1_patterns(k), per_pattern)),
     )
+    return mean, each
 
 
 def ideal_gain_set(k: int) -> GainSet:
@@ -195,10 +198,6 @@ class BatchGains:
     v_last_sd: float
     per_realization: np.ndarray
 
-    @property
-    def n_realizations(self) -> int:
-        return self.per_realization.shape[0]
-
 
 def batch_gain_set(matrices: np.ndarray, last_label: int | None = None) -> BatchGains:
     """Average gain aggregates over a batch of realized transfer matrices.
@@ -211,25 +210,10 @@ def batch_gain_set(matrices: np.ndarray, last_label: int | None = None) -> Batch
     if matrices.ndim != 3:
         raise ParameterError("expected a (n, K, K) stack of matrices")
     n, k, _ = matrices.shape
-    if last_label is None:
-        last_label = find_last_label(matrices[0])
-
-    sets = [gain_set(matrices[i], last_label=last_label) for i in range(n)]
-    vis = np.array([visibilities(g) for g in sets])
-    mean_per = {}
-    for p in sets[0].per_pattern:
-        firsts = [g.per_pattern[p][0] for g in sets]
-        lasts = [g.per_pattern[p][1] for g in sets]
-        mean_per[p] = (float(np.mean(firsts)), float(np.mean(lasts)))
-    mean = GainSet(
-        k=k,
-        last_label=last_label,
-        g_e_first=float(np.mean([g.g_e_first for g in sets])),
-        g_d_first_min=float(np.mean([g.g_d_first_min for g in sets])),
-        g_e_last=float(np.mean([g.g_e_last for g in sets])),
-        g_d_last_max=float(np.mean([g.g_d_last_max for g in sets])),
-        per_pattern=mean_per,
-    )
+    last_label = _last_label(last_label, matrices[0])
+    g_first, g_last = _single_flip_gains(matrices, last_label - 1)
+    mean, each = _mean_gain_set(k, last_label, g_first, g_last)
+    vis = np.column_stack(visibilities(GainSet(k, last_label, *each, per_pattern={})))
     v_first, v_last = visibilities(mean)
     return BatchGains(
         mean=mean,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import SYMMETRIC_BS, UNBALANCED_BS, CircuitLayout, _validate_element
+from .circuits import UNBALANCED_BS, CircuitLayout, _compose
 from .errors import ParameterError
 
 
@@ -59,15 +59,12 @@ class RealizationBatch:
     def n_realizations(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
-
     def to_json(self) -> str:
+        n, k, _ = self.matrices.shape
         return json.dumps(
             {
-                "n_realizations": int(self.n_realizations),
-                "dim": int(self.dim),
+                "n_realizations": n,
+                "dim": k,
                 "re": self.matrices.real.tolist(),
                 "im": self.matrices.imag.tolist(),
             }
@@ -79,30 +76,51 @@ def _rng_for(model: NoiseModel, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((model.seed, index))))
 
 
-def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Realistic 2x2 block for an unbalanced beamsplitter of transmittance t.
+def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
+    """Realistic 2x2 blocks, ``(n_bs, n, 2, 2)``, for transmittances ``t``.
 
-    Draws four independent standard normals, in this order: the two
-    symmetric-beamsplitter transmittance errors, then the two shifter phase
-    errors.  Transmittance amplitudes are clipped to [0, 1] so the block
-    stays physical for large noise draws.
+    ``draws[j, i]`` are the four standard normals of beamsplitter ``j`` in
+    realization ``i``: the two symmetric-beamsplitter transmittance errors,
+    then the two shifter phase errors.  Transmittance amplitudes are clipped
+    to [0, 1] so the block stays physical for large noise draws.  The four
+    factors are multiplied as stacked 2x2 matmuls, which round like single ones.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"power transmittance outside [0, 1]: {t}")
-    omega = math.asin(math.sqrt(t))
-    draws = rng.standard_normal(4)
-    tau1 = min(1.0, max(0.0, (1.0 + model.sigma_t * draws[0]) / math.sqrt(2.0)))
-    tau2 = min(1.0, max(0.0, (1.0 + model.sigma_t * draws[1]) / math.sqrt(2.0)))
-    ph_a = omega + math.pi + model.sigma_p * draws[2]
-    ph_b = -omega + model.sigma_p * draws[3]
+    bad = [x for x in t if x is None or not 0.0 <= x <= 1.0]
+    if bad:
+        raise ParameterError(f"power transmittance outside [0, 1]: {bad[0]}")
+    # math.asin, not np.arcsin: the two differ in the last bit
+    omega = np.array([math.asin(math.sqrt(x)) for x in t]).reshape(-1, 1)
+    tau = np.clip((1.0 + model.sigma_t * draws[..., :2]) / math.sqrt(2.0), 0.0, 1.0)
+    ph_a = omega + math.pi + model.sigma_p * draws[..., 2]
+    ph_b = -omega + model.sigma_p * draws[..., 3]
 
-    def sym(tau: float) -> np.ndarray:
-        c = 1j * math.sqrt(1.0 - tau * tau)
-        return np.array([[tau, c], [c, tau]])
+    def sym(tau: np.ndarray) -> np.ndarray:
+        out = np.empty(tau.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = out[..., 1, 1] = tau
+        out[..., 0, 1] = out[..., 1, 0] = 1j * np.sqrt(1.0 - tau * tau)
+        return out
 
     flip = model.block_amplitude * np.array([[0.0, 1.0], [1.0, 0.0]])
-    shift = np.array([[np.exp(1j * ph_a), 0.0], [0.0, np.exp(1j * ph_b)]])
-    return flip @ sym(tau1) @ shift @ sym(tau2)
+    shift = np.zeros(ph_a.shape + (2, 2), dtype=complex)
+    shift[..., 0, 0], shift[..., 1, 1] = np.exp(1j * ph_a), np.exp(1j * ph_b)
+    return flip @ sym(tau[..., 0]) @ shift @ sym(tau[..., 1])
+
+
+def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Realistic 2x2 block for an unbalanced beamsplitter of transmittance t,
+    from four standard normals drawn from ``rng`` (see ``_noisy_blocks``)."""
+    return _noisy_blocks([t], model, rng.standard_normal((1, 1, 4)))[0, 0]
+
+
+def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
+    """Realizations ``indices`` of a layout, ``(n, K, K)``.  Realization ``i``
+    draws ``standard_normal((n_bs, 4))`` from its own stream: the same draws
+    as four at a time per unbalanced beamsplitter, in layout order."""
+    t = [el.t for el in layout.elements if el.kind == UNBALANCED_BS]
+    draws = np.stack([_rng_for(model, i).standard_normal((len(t), 4)) for i in indices], 1)
+    # (n_bs, 4, n, 1): the four coefficients of a beamsplitter over realizations
+    blocks = _noisy_blocks(t, model, draws).reshape(len(t), len(indices), 4).transpose(0, 2, 1)
+    return _compose(layout, iter(blocks[..., None]), len(indices))
 
 
 def realize_circuit(
@@ -115,28 +133,7 @@ def realize_circuit(
     values (the imperfections of the shifters internal to each block are
     already part of the block model).
     """
-    k = layout.dim
-    rng = _rng_for(model, index)
-    m = np.eye(k, dtype=complex)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for el in layout.elements:
-        _validate_element(el, k)
-        if el.kind == UNBALANCED_BS:
-            a, b = el.ports[0] - 1, el.ports[1] - 1
-            blk = noisy_block(el.t, model, rng)
-            ra = m[a].copy()
-            m[a] = blk[0, 0] * ra + blk[0, 1] * m[b]
-            m[b] = blk[1, 0] * ra + blk[1, 1] * m[b]
-        elif el.kind == SYMMETRIC_BS:
-            a, b = el.ports[0] - 1, el.ports[1] - 1
-            ra = m[a].copy()
-            m[a] = inv_sqrt2 * (ra + 1j * m[b])
-            m[b] = inv_sqrt2 * (1j * ra + m[b])
-        else:
-            m[el.ports[0] - 1] *= np.exp(1j * el.phase)
-    if layout.output_perm is not None:
-        m = m[list(layout.output_perm)]
-    return m
+    return _realize(layout, model, [index])[0]
 
 
 def realize_batch(layout: CircuitLayout, model: NoiseModel, n: int) -> RealizationBatch:
@@ -147,7 +144,4 @@ def realize_batch(layout: CircuitLayout, model: NoiseModel, n: int) -> Realizati
     """
     if n < 1:
         raise ParameterError("need at least one realization")
-    out = np.empty((n, layout.dim, layout.dim), dtype=complex)
-    for i in range(n):
-        out[i] = realize_circuit(layout, model, index=i)
-    return RealizationBatch(matrices=out)
+    return RealizationBatch(matrices=_realize(layout, model, range(n)))

@@ -136,6 +136,67 @@ class TestComposeLayout:
             a = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             assert np.linalg.norm(m @ a) == pytest.approx(np.linalg.norm(a), abs=1e-10)
 
+    def test_bad_output_perm(self):
+        lay = qc.CircuitLayout(dim=3, design="custom", elements=(), output_perm=(0, 0, 1))
+        with pytest.raises(LayoutError):
+            qc.compose_layout(lay)
+
+
+def reference_compose(layout):
+    """Element-by-element product: one in-place row update per element."""
+    k = layout.dim
+    m = np.eye(k, dtype=complex)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for el in layout.elements:
+        if el.kind == qc.UNBALANCED_BS:
+            a, b = el.ports[0] - 1, el.ports[1] - 1
+            st = math.sqrt(el.t)
+            sr = math.sqrt(1.0 - el.t)
+            ra = m[a].copy()
+            m[a] = st * ra + sr * m[b]
+            m[b] = -sr * ra + st * m[b]
+        elif el.kind == qc.SYMMETRIC_BS:
+            a, b = el.ports[0] - 1, el.ports[1] - 1
+            ra = m[a].copy()
+            m[a] = inv_sqrt2 * (ra + 1j * m[b])
+            m[b] = inv_sqrt2 * (1j * ra + m[b])
+        else:
+            m[el.ports[0] - 1] *= cmath.exp(1j * el.phase)
+    if layout.output_perm is not None:
+        m = m[list(layout.output_perm)]
+    return m
+
+
+ORACLE_K = [2, 3, 7, 16, 30]
+ORACLE_LAYOUTS = ["tree", "extendable", "reck", "clements", "mixed"]
+
+
+def oracle_layout(name, k):
+    """Layouts that between them hold every element kind and an output_perm."""
+    if name == "tree":
+        return qc.optimal_tree_layout(k)
+    if name == "extendable":
+        return qc.extendable_layout(k)
+    if name in ("reck", "clements"):
+        decompose = qc.reck_decompose if name == "reck" else qc.clements_decompose
+        return decompose(qc.dft_multiport(k))
+    # symmetric beamsplitters and phase shifters around a tree, outputs reversed
+    elements = (
+        qc.CircuitElement(qc.SYMMETRIC_BS, (1, k)),
+        qc.CircuitElement(qc.PHASE_SHIFTER, (k,), phase=0.7),
+        *qc.optimal_tree_layout(k).elements,
+        qc.CircuitElement(qc.SYMMETRIC_BS, (1, 2)),
+        qc.CircuitElement(qc.PHASE_SHIFTER, (1,), phase=-2.1),
+    )
+    return qc.CircuitLayout(k, "custom", elements, output_perm=tuple(range(k - 1, -1, -1)))
+
+
+@pytest.mark.parametrize("name", ORACLE_LAYOUTS)
+@pytest.mark.parametrize("k", ORACLE_K)
+def test_compose_matches_element_loop(name, k):
+    layout = oracle_layout(name, k)
+    assert np.array_equal(qc.compose_layout(layout), reference_compose(layout))
+
 
 class TestDecompositions:
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 12, 16])

@@ -133,6 +133,43 @@ class TestBatchGains:
             gn.batch_gain_set(np.eye(3))
 
 
+def reference_batch_gain_set(matrices):
+    """Per-realization gain sets averaged pattern by pattern."""
+    sets = [gn.gain_set(m) for m in matrices]
+    vis = np.array([gn.visibilities(g) for g in sets])
+    per_pattern = {
+        p: (np.mean([g.per_pattern[p][0] for g in sets]),
+            np.mean([g.per_pattern[p][1] for g in sets]))
+        for p in sets[0].per_pattern
+    }
+    means = {
+        name: np.mean([getattr(g, name) for g in sets])
+        for name in ("g_e_first", "g_d_first_min", "g_e_last", "g_d_last_max")
+    }
+    v_first, v_last = gn.visibilities(gn.GainSet(
+        k=sets[0].k, last_label=sets[0].last_label, per_pattern=per_pattern, **means
+    ))
+    return means, per_pattern, vis, (v_first, v_last, vis[:, 0].std(ddof=1), vis[:, 1].std(ddof=1))
+
+
+@pytest.mark.parametrize("k", [2, 7, 30])
+def test_batch_gains_match_per_realization_average(k):
+    lay = qc.optimal_tree_layout(k)
+    model = NoiseModel(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=k)
+    matrices = realize_batch(lay, model, 200).matrices
+    means, per_pattern, vis, summary = reference_batch_gain_set(matrices)
+    bg = gn.batch_gain_set(matrices)
+    rel = 1e-12
+    for name, value in means.items():
+        assert getattr(bg.mean, name) == pytest.approx(value, rel=rel, abs=0)
+    assert list(bg.mean.per_pattern) == list(per_pattern)
+    for p, pair in per_pattern.items():
+        assert bg.mean.per_pattern[p] == pytest.approx(pair, rel=rel, abs=0)
+    assert bg.per_realization == pytest.approx(vis, rel=rel, abs=0)
+    got = (bg.v_first, bg.v_last, bg.v_first_sd, bg.v_last_sd)
+    assert got == pytest.approx(summary, rel=rel, abs=0)
+
+
 class TestPatternScan:
     def test_ideal_k4_l1_vs_l2(self):
         m = design_matrix(qc.DESIGN_OPTIMAL, 4)

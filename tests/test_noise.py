@@ -7,6 +7,8 @@ from multiqf import circuits as qc
 from multiqf.errors import ParameterError
 from multiqf.noise import NoiseModel, noisy_block, realize_batch, realize_circuit
 
+from test_circuits import ORACLE_K, ORACLE_LAYOUTS, oracle_layout
+
 IDEAL_50_50 = np.array([[2**-0.5, 2**-0.5], [-(2**-0.5), 2**-0.5]])
 
 
@@ -120,3 +122,95 @@ def test_batch_json_export():
     assert data["n_realizations"] == 3 and data["dim"] == 3
     back = np.asarray(data["re"]) + 1j * np.asarray(data["im"])
     assert np.abs(back - batch.matrices).max() < 1e-15
+
+
+def reference_noisy_block(t, model, rng):
+    """One block from four scalar draws and three 2x2 matmuls."""
+    omega = math.asin(math.sqrt(t))
+    draws = rng.standard_normal(4)
+    tau1 = min(1.0, max(0.0, (1.0 + model.sigma_t * draws[0]) / math.sqrt(2.0)))
+    tau2 = min(1.0, max(0.0, (1.0 + model.sigma_t * draws[1]) / math.sqrt(2.0)))
+    ph_a = omega + math.pi + model.sigma_p * draws[2]
+    ph_b = -omega + model.sigma_p * draws[3]
+
+    def sym(tau):
+        c = 1j * math.sqrt(1.0 - tau * tau)
+        return np.array([[tau, c], [c, tau]])
+
+    flip = model.block_amplitude * np.array([[0.0, 1.0], [1.0, 0.0]])
+    shift = np.array([[np.exp(1j * ph_a), 0.0], [0.0, np.exp(1j * ph_b)]])
+    return flip @ sym(tau1) @ shift @ sym(tau2)
+
+
+def reference_realize_circuit(layout, model, index):
+    """Element-by-element realization: one block, four draws, per beamsplitter."""
+    k = layout.dim
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((model.seed, index))))
+    m = np.eye(k, dtype=complex)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for el in layout.elements:
+        if el.kind == qc.UNBALANCED_BS:
+            a, b = el.ports[0] - 1, el.ports[1] - 1
+            blk = reference_noisy_block(el.t, model, rng)
+            ra = m[a].copy()
+            m[a] = blk[0, 0] * ra + blk[0, 1] * m[b]
+            m[b] = blk[1, 0] * ra + blk[1, 1] * m[b]
+        elif el.kind == qc.SYMMETRIC_BS:
+            a, b = el.ports[0] - 1, el.ports[1] - 1
+            ra = m[a].copy()
+            m[a] = inv_sqrt2 * (ra + 1j * m[b])
+            m[b] = inv_sqrt2 * (1j * ra + m[b])
+        else:
+            m[el.ports[0] - 1] *= np.exp(1j * el.phase)
+    if layout.output_perm is not None:
+        m = m[list(layout.output_perm)]
+    return m
+
+
+NOISY = NoiseModel(sigma_t=0.02, sigma_p=0.03, bs_loss_db=-0.2, seed=17)
+
+
+@pytest.mark.parametrize("name", ORACLE_LAYOUTS)
+@pytest.mark.parametrize("k", ORACLE_K)
+def test_realizations_match_element_loop(name, k):
+    layout = oracle_layout(name, k)
+    batch = realize_batch(layout, NOISY, 4).matrices
+    for i in range(4):
+        assert np.array_equal(batch[i], reference_realize_circuit(layout, NOISY, i))
+    assert np.array_equal(realize_circuit(layout, NOISY, index=9),
+                          reference_realize_circuit(layout, NOISY, 9))
+
+
+@pytest.mark.parametrize(
+    "model", [NOISY, NoiseModel(), NoiseModel(sigma_t=0.8, sigma_p=1.0, seed=3)]
+)
+def test_block_matches_reference_block(model):
+    # the large-noise model clips tau at both ends
+    for i, t in enumerate((0.0, 1.0, 0.5, 0.3, 0.999)):
+        for j in range(20):
+            seed = (i, j)
+            got = noisy_block(t, model, np.random.default_rng(seed))
+            assert np.array_equal(got, reference_noisy_block(t, model, np.random.default_rng(seed)))
+
+
+def test_block_rows_are_successive_four_draws():
+    # realizations draw standard_normal((n_bs, 4)) at once; row j is what
+    # the j-th of n_bs calls of standard_normal(4) on the same stream gives
+    whole = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 2))))
+    stepwise = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 2))))
+    rows = whole.standard_normal((99, 4))
+    for j in range(99):
+        assert np.array_equal(rows[j], stepwise.standard_normal(4))
+
+
+def test_batch_prefix_is_smaller_batch():
+    layout = qc.optimal_tree_layout(9)
+    five = realize_batch(layout, NOISY, 5).matrices
+    three = realize_batch(layout, NOISY, 3).matrices
+    assert np.array_equal(five[:3], three)
+
+
+def test_bad_transmittance_in_layout_is_rejected():
+    bad = qc.CircuitLayout(3, "custom", (qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=1.5),))
+    with pytest.raises(ParameterError):
+        realize_circuit(bad, NOISY)
