@@ -14,7 +14,9 @@ happen after the losses.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -156,13 +158,16 @@ def qubit_cost(alpha2: float, m_pulses: int, epsilon: float = 1e-6) -> tuple[flo
         raise ParameterError("epsilon must lie in (0, 1)")
     a = float(alpha2)
     log_target = 2.0 * math.log(epsilon / 2.0)
-
-    def log_lhs(d: float) -> float:
-        return math.log(2.0) - a + (a + d) * (1.0 + math.log(a) - math.log(a + d))
+    # log of the left side at d is c0 + (a + d) * (c1 - log(a + d)), grouped
+    # as log(2) - a + (a + d) * (1 + log(a) - log(a + d)) rounds.
+    log = math.log
+    c0 = log(2.0) - a
+    c1 = 1.0 + log(a)
 
     hi = 50.0 * (1.0 + a)
     for _ in range(200):
-        if log_lhs(hi) <= log_target:
+        s = a + hi
+        if c0 + s * (c1 - log(s)) <= log_target:
             break
         hi *= 2.0
     else:
@@ -170,7 +175,8 @@ def qubit_cost(alpha2: float, m_pulses: int, epsilon: float = 1e-6) -> tuple[flo
     lo = 0.0
     while hi - lo > 1e-9 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if log_lhs(mid) <= log_target:
+        s = a + mid
+        if c0 + s * (c1 - log(s)) <= log_target:
             hi = mid
         else:
             lo = mid
@@ -278,13 +284,49 @@ def ideal_bound(params: ProtocolParams) -> BoundResult:
 # Binomial inverse CDF
 
 
-def _log_pmf_array(ks: np.ndarray, n: float, log_q: float, log_1mq: float) -> np.ndarray:
+#: From 2**53 on, consecutive integers are not all floats, so a k window
+#: there is not exact.
+_MAX_K = 2**53
+
+#: A tail mass above 1 is already wrong, and the lgamma cancellation yields
+#: such masses from n of about 4e15 on; only a mass beyond the float range,
+#: which cannot be compared with anything, is refused.
+_LOG_MASS_MAX = math.log(sys.float_info.max)
+
+#: log C(n, k) is cached in aligned blocks of k: block j covers
+#: [j * _BLOCK, (j + 1) * _BLOCK), clipped to n.  One search asks for the
+#: same (n, k) about 25 times (both thresholds and every bisection step
+#: share n = M); 64 blocks hold 128 KB.
+_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=64)
+def _log_binom_block(n: float, j: int) -> np.ndarray:
+    """(lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1) for k in block j.
+
+    The array is read-only because the cache hands it to every caller.
+    """
     lg = math.lgamma
-    lgn = lg(n + 1.0)
-    out = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        out[i] = lgn - lg(k + 1.0) - lg(n - k + 1.0) + k * log_q + (n - k) * log_1mq
+    ks = np.arange(j * _BLOCK, min((j + 1) * _BLOCK, n + 1.0), dtype=float)
+    lgk = np.fromiter(map(lg, (ks + 1.0).tolist()), float, len(ks))
+    lgnk = np.fromiter(map(lg, (n - ks + 1.0).tolist()), float, len(ks))
+    out = (lg(n + 1.0) - lgk) - lgnk
+    out.flags.writeable = False
     return out
+
+
+def _log_pmf_array(ks: np.ndarray, n: float, log_q: float, log_1mq: float) -> np.ndarray:
+    """Binomial log-pmf over ``ks``, a run of consecutive integers in [0, n].
+
+    Rounds exactly like lgn - lg(k + 1) - lg(n - k + 1) + k log q + (n - k) log(1 - q)
+    term by term; the lgamma prefix comes from the cached blocks.
+    """
+    a = int(ks[0])
+    j0, j1 = a // _BLOCK, (a + len(ks) - 1) // _BLOCK
+    blocks = [_log_binom_block(n, j) for j in range(j0, j1 + 1)]
+    prefix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    start = a - j0 * _BLOCK
+    return prefix[start : start + len(ks)] + ks * log_q + (n - ks) * log_1mq
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -294,7 +336,7 @@ def _logsumexp(values: np.ndarray) -> float:
     # fsum keeps the accumulation exactly rounded, but the lgamma cancellation
     # in _log_pmf_array errs in the log by ~1e-10 at n = 4e4, 1e-6 at 4e8,
     # 2e-4 at 4e10 and 3e-2 at 4e12 (against mpmath; figure 14 reaches 4e12).
-    return m + math.log(math.fsum(np.exp(values - m)))
+    return m + math.log(math.fsum(np.exp(values - m).tolist()))
 
 
 def _log_tail(
@@ -312,6 +354,8 @@ def _log_tail(
             a, b = max(lo, hi - width + 1), hi
         else:
             a, b = lo, min(hi, lo + width - 1)
+        if b >= _MAX_K:
+            raise ParameterError(f"binomial tail window reaches k = {b:.6g}, beyond 2**53")
         ks = np.arange(a, b + 1, dtype=float)
         logs = _log_pmf_array(ks, n, log_q, log_1mq)
         total = _logsumexp(logs)
@@ -319,6 +363,15 @@ def _log_tail(
         if (a == lo and from_top) or (b == hi and not from_top) or edge - total < -42.0:
             return total
         width *= 4
+
+
+def _mass(log_mass: float, n: float) -> float:
+    if log_mass > _LOG_MASS_MAX:
+        raise ParameterError(
+            f"binomial mass exp({log_mass:.6g}) at n = {n:.6g} overflows: "
+            "the lgamma log-pmf has lost its precision"
+        )
+    return math.exp(log_mass)
 
 
 def _binom_cdf(k: float, n: float, q: float) -> float:
@@ -331,8 +384,8 @@ def _binom_cdf(k: float, n: float, q: float) -> float:
         return 0.0
     log_q, log_1mq = math.log(q), math.log1p(-q)
     if k < n * q:
-        return math.exp(_log_tail(0.0, k, n, log_q, log_1mq, from_top=True))
-    return 1.0 - math.exp(_log_tail(k + 1.0, n, n, log_q, log_1mq, from_top=False))
+        return _mass(_log_tail(0.0, k, n, log_q, log_1mq, from_top=True), n)
+    return 1.0 - _mass(_log_tail(k + 1.0, n, n, log_q, log_1mq, from_top=False), n)
 
 
 #: Relative fuzz so that exact-tie CDF values (the symmetric-binomial midpoint,
@@ -346,10 +399,12 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     Stable for very large n: a Cornish-Fisher starting point is refined by
     exact probability-mass steps, with tail masses summed in log space on
     whichever side of the distribution is smaller (the survival side for
-    p > 1/2) so the comparison precision tracks the tail, not 1.
+    p > 1/2) so the comparison precision tracks the tail, not 1.  ``n`` must
+    be a positive integer; an integral float is accepted.
     """
-    if n < 1:
-        raise ParameterError("need at least one trial")
+    if not 1 <= n <= sys.float_info.max or n != int(n):
+        raise ParameterError(f"number of trials must be a positive integer, got {n!r}")
+    n = int(n)
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
         raise ParameterError("probabilities must lie in [0, 1]")
     if p <= 0.0 or q <= 0.0:
@@ -384,13 +439,13 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     k = int(min(max(round(guess), 0), n))
 
     def pmf(kk: int) -> float:
-        return math.exp(_log_pmf_array(np.array([float(kk)]), float(n), log_q, log_1mq)[0])
+        return _mass(_log_pmf_array(np.array([float(kk)]), float(n), log_q, log_1mq)[0], n)
 
     if use_sf:
         if k >= n:
             g = 0.0
         else:
-            g = math.exp(_log_tail(k + 1.0, float(n), float(n), log_q, log_1mq, from_top=False))
+            g = _mass(_log_tail(k + 1.0, float(n), float(n), log_q, log_1mq, from_top=False), n)
         if g <= s_eff:
             while k > 0:
                 g_prev = g + pmf(k)  # G(k-1)

@@ -14,6 +14,40 @@ from multiqf.gains import ideal_gain_set
 LN1E5 = math.log(1e5)
 
 
+def reference_log_pmf_array(ks, n, log_q, log_1mq):
+    """The per-element lgamma loop that the block-cached log-pmf replaced."""
+    lg = math.lgamma
+    lgn = lg(n + 1.0)
+    out = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        out[i] = lgn - lg(k + 1.0) - lg(n - k + 1.0) + k * log_q + (n - k) * log_1mq
+    return out
+
+
+def reference_qubit_cost(alpha2, m_pulses, epsilon=1e-6):
+    """The closure-based bisection that qubit_cost inlined."""
+    a = float(alpha2)
+    log_target = 2.0 * math.log(epsilon / 2.0)
+
+    def log_lhs(d):
+        return math.log(2.0) - a + (a + d) * (1.0 + math.log(a) - math.log(a + d))
+
+    hi = 50.0 * (1.0 + a)
+    for _ in range(200):
+        if log_lhs(hi) <= log_target:
+            break
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > 1e-9 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if log_lhs(mid) <= log_target:
+            hi = mid
+        else:
+            lo = mid
+    q = (a + hi) * math.log2(m_pulses + a + hi - 1.0) + math.log2(2.0 * hi)
+    return q, hi
+
+
 def params_for(k, n_bits, ecc, p_error=1e-5, eta=1.0, p_dark=0.0):
     return b.ProtocolParams(k=k, n_bits=n_bits, ecc=ecc, p_error=p_error,
                             eta=eta, p_dark=p_dark)
@@ -83,6 +117,14 @@ class TestQubitCost:
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):
             b.qubit_cost(10.0, 100, epsilon=2.0)
+
+    def test_bit_identical_to_closure_loop(self):
+        rng = np.random.default_rng(8500)
+        for _ in range(1500):
+            alpha2 = 10.0 ** rng.uniform(-3.0, 6.0)
+            m = int(10.0 ** rng.uniform(0.0, 15.0))
+            eps = 10.0 ** rng.uniform(-12.0, -0.5)
+            assert b.qubit_cost(alpha2, m, eps) == reference_qubit_cost(alpha2, m, eps)
 
 
 class TestStrategyBounds:
@@ -175,7 +217,118 @@ class TestStrategyBounds:
         assert res.within_validity(4)
 
 
+def _windows(n):
+    """Inclusive k windows in [0, n]: at either end, single elements, across block edges."""
+    top = int(n)
+    edge = b._BLOCK * (top // b._BLOCK)
+    cands = [
+        (0, 0), (top, top), (top // 2, top // 2), (255, 255), (256, 256),
+        (0, 255), (0, 256), (0, 1000), (0, top),
+        (top - 300, top), (top - 1, top), (edge - 3, edge + 3), (edge - 1, edge),
+        (250, 262), (255, 256), (200, 1100), (511, 1280),
+        (top // 2 - 600, top // 2 + 600),
+    ]
+    out = []
+    for a, c in cands:
+        a, c = max(a, 0), min(c, top)
+        if a <= c and c - a <= 5000 and (a, c) not in out:
+            out.append((a, c))
+    return out
+
+
+class TestLogPmfBlocks:
+    @pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 2048, 4096, 1e5, 4.17e12])
+    @pytest.mark.parametrize("q", [1e-9, 0.3, 0.97])
+    def test_equal_to_reference_cold_and_warm(self, n, q):
+        n = float(n)
+        log_q, log_1mq = math.log(q), math.log1p(-q)
+        windows = _windows(n)
+        expect = {
+            w: reference_log_pmf_array(np.arange(w[0], w[1] + 1, dtype=float), n, log_q, log_1mq)
+            for w in windows
+        }
+
+        def check(order, clear_each):
+            for a, c in order:
+                if clear_each:
+                    b._log_binom_block.cache_clear()
+                got = b._log_pmf_array(np.arange(a, c + 1, dtype=float), n, log_q, log_1mq)
+                assert np.array_equal(got, expect[(a, c)]), (a, c)
+
+        check(windows, clear_each=True)
+        for order in (windows, windows[::-1]):
+            b._log_binom_block.cache_clear()
+            check(order, clear_each=False)  # fills the cache in this order
+            check(order, clear_each=False)  # every block warm
+
+    def test_warm_blocks_shared_across_q(self):
+        n = 4.17e6
+        ks = np.arange(1000.0, 1700.0)
+        b._log_binom_block.cache_clear()
+        for q in (0.3, 1e-6):
+            log_q, log_1mq = math.log(q), math.log1p(-q)
+            got = b._log_pmf_array(ks, n, log_q, log_1mq)
+            assert np.array_equal(got, reference_log_pmf_array(ks, n, log_q, log_1mq))
+        assert b._log_binom_block.cache_info().hits >= 4
+
+    def test_cached_block_is_read_only(self):
+        blk = b._log_binom_block(1000.0, 1)
+        assert not blk.flags.writeable
+        with pytest.raises(ValueError):
+            blk[0] = 0.0
+        assert b._log_binom_block(1000.0, 1) is blk
+        out = b._log_pmf_array(np.arange(256.0, 300.0), 1000.0, math.log(0.3), math.log1p(-0.3))
+        assert out.flags.writeable and not np.shares_memory(out, blk)
+
+
+#: (p, n, q) over both branches of binomial_inv_cdf (enumeration up to n = 2048,
+#: the Cornish-Fisher walk above) and figure 14's codeword lengths M = 4.17 N,
+#: whose click probabilities put a few to a few thousand clicks in the mean.
+_INV_CDF_GRID = [
+    (p, n, q)
+    for n in (1, 7, 300, 2048, 2049, 41_700, 4_170_000, 4_170_000_000, 4_170_000_000_000)
+    for q in sorted({1e-9, min(0.3, 30 / n), min(0.3, 3000 / n)})
+    for p in (1e-5, 0.37, 0.5, 1 - 1e-5)
+]
+
+
 class TestBinomialInvCdf:
+    def test_equal_to_reference_loop(self, monkeypatch):
+        b._log_binom_block.cache_clear()
+        got = [b.binomial_inv_cdf(*args) for args in _INV_CDF_GRID]
+        monkeypatch.setattr(b, "_log_pmf_array", reference_log_pmf_array)
+        assert got == [b.binomial_inv_cdf(*args) for args in _INV_CDF_GRID]
+
+    def test_two_user_search_equal_to_reference_loop(self, ecc, monkeypatch):
+        searches = [params_for(2, n, ecc, p_dark=1e-9) for n in (1e4, 1e6, 1e8, 1e10, 1e12)]
+        got = [b.algorithm_two_user(p, v=0.98) for p in searches]
+        monkeypatch.setattr(b, "_log_pmf_array", reference_log_pmf_array)
+        assert got == [b.algorithm_two_user(p, v=0.98) for p in searches]
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 1e5 + 0.5, 10**400, float("nan"), float("inf")])
+    def test_rejects_non_integral_trial_counts(self, n):
+        with pytest.raises(ParameterError, match="positive integer"):
+            b.binomial_inv_cdf(0.5, n, 0.3)
+
+    @pytest.mark.parametrize("n", [1e20, 2**64])
+    def test_rejects_windows_beyond_2_53(self, n):
+        # consecutive k near the mean are no longer floats
+        with pytest.raises(ParameterError, match="beyond 2\\*\\*53"):
+            b.binomial_inv_cdf(0.5, n, 0.3)
+
+    @pytest.mark.parametrize("p", [1e-5, 1 - 1e-5])
+    def test_rejects_overflowing_mass(self, p):
+        # figure 14's codeword length at N = 1e17: the lgamma log-pmf puts a
+        # tail mass beyond the float range (an OverflowError before)
+        with pytest.raises(ParameterError, match="overflows"):
+            b.binomial_inv_cdf(p, 416_957_673_522_205_120, 1e-9)
+
+    def test_accepts_integral_floats(self):
+        k = b.binomial_inv_cdf(0.37, 300.0, 0.3)
+        assert type(k) is int and k == b.binomial_inv_cdf(0.37, 300, 0.3)
+        assert type(b.binomial_inv_cdf(0.7, 9.0, 1.0)) is int
+        assert b.binomial_inv_cdf(0.5, 1e5, 0.3) == b.binomial_inv_cdf(0.5, 10**5, 0.3)
+
     def test_enumeration_oracle_small(self):
         # brute-force CDF over the six outcomes of Binomial(5, 1/2)
         pmf = [math.comb(5, i) * 0.5**5 for i in range(6)]

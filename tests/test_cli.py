@@ -67,6 +67,17 @@ class TestFigureCommand:
                 "classical-best", "classical-limit"} <= series
         assert (tmp_path / "figure14.dat").exists()
 
+    @pytest.mark.parametrize("n_bits", ["1e17", "1e20"])
+    def test_figure14_overflow_is_a_clean_error(self, tmp_path, capsys, n_bits):
+        # the two-user search's binomial masses overflow at these codeword lengths
+        code = run(["figure", "--id", "14", "--points-per-decade", "1",
+                    "--realizations", "20", "--n-min", n_bits, "--n-max", n_bits,
+                    "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: binomial mass exp(") and "overflows" in err
+        assert not (tmp_path / "figure14.csv").exists()
+
     def test_figure16_validity_column(self, tmp_path):
         run(["figure", "--id", "16", "--points-per-decade", "1",
              "--realizations", "30", "--out-dir", str(tmp_path)])
