@@ -13,7 +13,6 @@ from .bounds import (
     binomial_inv_cdf,
     bound_first_detectors,
     bound_last_detector,
-    eta_scaling,
     ideal_alpha2,
     ideal_bound,
     max_users_energy_advantage,
@@ -33,11 +32,9 @@ from .circuits import (
     reck_decompose,
 )
 from .classical import (
-    ClassicalCosts,
     best_k_user,
     best_two_user,
     claim_c1_check,
-    classical_costs,
     classical_limit,
     photonic_limit_photons,
 )

@@ -623,13 +623,6 @@ def naive_protocol(
     )
 
 
-def eta_scaling(alpha2_at_half: float, eta: float) -> float:
-    """Rescale a photon number computed at combined efficiency 1/2."""
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError("eta must lie in (0, 1]")
-    return alpha2_at_half / (2.0 * eta)
-
-
 def max_users_energy_advantage(
     ecc: ECCParams, v_last: float, p_error: float, mu_dark: float
 ) -> float:

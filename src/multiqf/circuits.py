@@ -36,6 +36,9 @@ from .errors import DecompositionError, InvalidDimensionError, LayoutError
 UNBALANCED_BS = "unbalanced-beamsplitter"
 SYMMETRIC_BS = "symmetric-beamsplitter"
 PHASE_SHIFTER = "phase-shifter"
+#: Element kinds; ``CircuitLayout.kind`` holds indices into this tuple.
+KINDS = (UNBALANCED_BS, SYMMETRIC_BS, PHASE_SHIFTER)
+_UBS, _SBS, _PS = range(3)
 
 DESIGN_OPTIMAL = "optimal-tree"
 DESIGN_EXTENDABLE = "extendable"
@@ -45,7 +48,6 @@ DESIGNS = (DESIGN_OPTIMAL, DESIGN_EXTENDABLE, DESIGN_CLEMENTS, DESIGN_RECK)
 
 _UNITARITY_TOL = 1e-10
 _PHASE_EPS = 1e-14
-_BS_KINDS = (UNBALANCED_BS, SYMMETRIC_BS)
 
 
 def _check_dim(k: int) -> None:
@@ -68,42 +70,24 @@ class CircuitElement(NamedTuple):
     phase: float | None = None
     layer: int = 0
 
-    @property
-    def omega(self) -> float | None:
-        """Internal shifter angle of an unbalanced beamsplitter, t = sin^2(omega)."""
-        if self.kind == UNBALANCED_BS:
-            return math.asin(math.sqrt(self.t))
-        return self.phase
-
-
-class _MeshBlocks(NamedTuple):
-    """A mesh decomposition as arrays, one entry per block.
-
-    Block ``n`` is a phase shifter ``phi[n]`` on the 0-based mode
-    ``modes[n]`` followed by a beamsplitter of transmittance ``t[n]`` on
-    modes ``(modes[n], modes[n] + 1)``; ``output_phases`` are the residual
-    shifts on the outputs, applied after the last block.
-    """
-
-    modes: np.ndarray
-    t: np.ndarray
-    phi: np.ndarray
-    output_phases: np.ndarray
-
 
 class CircuitLayout:
-    """Ordered list of circuit elements plus design metadata.
+    """Ordered circuit elements plus design metadata, stored as columns.
+
+    Element ``n`` is row ``n`` of four arrays: ``kind`` (int8 index into
+    ``KINDS``), ``ports`` (``(n, 2)``, 1-based; a phase shifter's second
+    port is 0), ``value`` (``t`` of an unbalanced beamsplitter, the phase
+    of a phase shifter, NaN for a symmetric beamsplitter) and ``layer``.
+    Structurally malformed elements (unknown kind, wrong port count,
+    missing ``t`` or phase) are rejected here; port ranges and ``t`` are
+    checked when the layout is composed.  ``elements`` is a read-only view
+    of the columns as ``CircuitElement`` records, built on first access.
 
     ``output_perm``, when present, relabels the raw composed product:
     output ``i`` of the circuit is row ``output_perm[i]`` (0-based) of the
     raw element product.  The extendable chain needs this because its
     conventional matrix presentation lists the photon-keeping output last,
     which no product of the fixed 2x2 blocks can produce directly.
-
-    The mesh decompositions keep their blocks as arrays and derive
-    ``bs_count`` and ``optical_depth`` from them; their ``elements`` are
-    built once, on first access.  A phase shifter of at most
-    ``_PHASE_EPS`` radians is left out of those elements.
     """
 
     def __init__(
@@ -116,43 +100,77 @@ class CircuitLayout:
         self.dim = dim
         self.design = design
         self.output_perm = output_perm
-        self._elements: tuple[CircuitElement, ...] | None = tuple(elements)
-        self._blocks: _MeshBlocks | None = None
+        self.kind, self.ports, self.value, self.layer = _columns(
+            [_row(e.kind, e.ports, e.t, e.phase, e.layer) for e in elements]
+        )
+        self._elements: tuple[CircuitElement, ...] | None = None
 
     @classmethod
-    def _from_blocks(cls, dim: int, design: str, blocks: _MeshBlocks) -> CircuitLayout:
-        layout = cls(dim, design, ())
-        layout._elements = None
-        layout._blocks = blocks
+    def _from_columns(cls, dim: int, design: str, columns, output_perm=None) -> CircuitLayout:
+        layout = cls(dim, design, (), output_perm)
+        layout.kind, layout.ports, layout.value, layout.layer = columns
         return layout
 
     @property
     def elements(self) -> tuple[CircuitElement, ...]:
         if self._elements is None:
-            self._elements = _mesh_elements(self._blocks, *self._layers)
+            self._elements = tuple(
+                CircuitElement(PHASE_SHIFTER, (a,), None, v, layer) if code == _PS
+                else CircuitElement(UNBALANCED_BS, (a, b), v, None, layer) if code == _UBS
+                else CircuitElement(SYMMETRIC_BS, (a, b), None, None, layer)
+                for code, (a, b), v, layer in zip(
+                    self.kind.tolist(), self.ports.tolist(), self.value.tolist(),
+                    self.layer.tolist(),
+                )
+            )
         return self._elements
 
     @property
     def bs_count(self) -> int:
-        if self._blocks is not None:
-            return len(self._blocks.modes)
-        return sum(1 for e in self.elements if e.kind in _BS_KINDS)
+        return int(np.count_nonzero(self.kind != _PS))
 
     @property
     def optical_depth(self) -> int:
         """Maximum number of beamsplitters on any input->output path."""
-        return self._layers[1]
+        return self._depth
 
     @cached_property
-    def _layers(self) -> tuple[list[int], int]:
-        if self._blocks is not None:
-            first = self._blocks.modes.tolist()
-            second = [m + 1 for m in first]
-        else:
-            ports = [e.ports for e in self._elements if e.kind in _BS_KINDS]
-            first = [p[0] - 1 for p in ports]
-            second = [p[1] - 1 for p in ports]
-        return _beamsplitter_layers(self.dim, first, second)
+    def _depth(self) -> int:
+        ports = self.ports[self.kind != _PS] - 1
+        return _beamsplitter_layers(self.dim, ports[:, 0].tolist(), ports[:, 1].tolist())[1]
+
+
+def _row(kind, ports, t, phase, layer) -> tuple:
+    """One element's ``(kind code, port a, port b, value, layer)`` row."""
+    if kind == PHASE_SHIFTER:
+        code, n_ports, value = _PS, 1, phase
+    elif kind == UNBALANCED_BS:
+        code, n_ports, value = _UBS, 2, t
+    elif kind == SYMMETRIC_BS:
+        code, n_ports, value = _SBS, 2, math.nan
+    else:
+        raise LayoutError(f"unknown element kind: {kind!r}")
+    if len(ports) != n_ports:
+        raise LayoutError(f"{kind} needs {n_ports} port(s), got {ports}")
+    if value is None:
+        missing = "phase" if code == _PS else "t"
+        raise LayoutError(f"{kind} on ports {ports} without a {missing}")
+    return code, ports[0], ports[1] if n_ports == 2 else 0, value, layer
+
+
+def _columns(rows: list[tuple]) -> tuple[np.ndarray, ...]:
+    """The ``(kind, ports, value, layer)`` columns of ``_row`` rows."""
+    kind, a, b, value, layer = zip(*rows) if rows else ((),) * 5
+    # no dtype yet: numpy would turn 1.5 or "1" into port 1 and "0.5" into t
+    ports, value = np.array([a, b]).T.reshape(-1, 2), np.array(value)
+    if rows and (ports.dtype.kind not in "iu" or value.dtype.kind not in "iuf"):
+        raise LayoutError("element ports must be integers, t and phases real numbers")
+    return (
+        np.array(kind, dtype=np.int8),
+        ports.astype(np.intp),
+        value.astype(float),
+        np.array(layer, dtype=np.intp),
+    )
 
 
 def _beamsplitter_layers(
@@ -169,20 +187,32 @@ def _beamsplitter_layers(
     return layers, max(depth, default=0)
 
 
-def _mesh_elements(
-    blocks: _MeshBlocks, layers: list[int], depth: int
-) -> tuple[CircuitElement, ...]:
-    elements = []
-    for mode, t, phi, layer in zip(
-        blocks.modes.tolist(), blocks.t.tolist(), blocks.phi.tolist(), layers
-    ):
-        if abs(phi) > _PHASE_EPS:
-            elements.append(CircuitElement(PHASE_SHIFTER, (mode + 1,), None, phi, layer))
-        elements.append(CircuitElement(UNBALANCED_BS, (mode + 1, mode + 2), t, None, layer))
-    for port, phi in enumerate(blocks.output_phases.tolist(), start=1):
-        if abs(phi) > _PHASE_EPS:
-            elements.append(CircuitElement(PHASE_SHIFTER, (port,), None, phi, depth))
-    return tuple(elements)
+def _mesh_layout(
+    k: int, design: str, modes: np.ndarray, t: np.ndarray, phi: np.ndarray,
+    output_phases: np.ndarray,
+) -> CircuitLayout:
+    """Layout of a mesh given as arrays, one entry per block.
+
+    Block ``n`` is a phase shifter ``phi[n]`` on the 0-based mode
+    ``modes[n]`` followed by a beamsplitter of transmittance ``t[n]`` on
+    modes ``(modes[n], modes[n] + 1)``, both on the beamsplitter's layer;
+    ``output_phases`` are shifters on the outputs at layer = depth.  A
+    phase shifter of at most ``_PHASE_EPS`` radians is left out.
+    """
+    layers, depth = _beamsplitter_layers(k, modes.tolist(), (modes + 1).tolist())
+    n = len(modes)
+    kind = np.full(2 * n + k, _PS, dtype=np.int8)
+    kind[1 : 2 * n : 2] = _UBS
+    ports = np.zeros((2 * n + k, 2), dtype=np.intp)
+    ports[: 2 * n, 0] = np.repeat(modes + 1, 2)
+    ports[2 * n :, 0] = np.arange(1, k + 1)
+    ports[1 : 2 * n : 2, 1] = modes + 2
+    value = np.concatenate([np.stack([phi, t], axis=1).reshape(-1), output_phases])
+    layer = np.concatenate([np.repeat(np.array(layers, dtype=np.intp), 2), np.full(k, depth)])
+    keep = (kind == _UBS) | (np.abs(value) > _PHASE_EPS)
+    return CircuitLayout._from_columns(
+        k, design, (kind[keep], ports[keep], value[keep], layer[keep])
+    )
 
 
 def dft_multiport(k: int) -> np.ndarray:
@@ -247,61 +277,39 @@ def optimal_tree_layout(k: int) -> CircuitLayout:
     return CircuitLayout(dim=k, design=DESIGN_OPTIMAL, elements=tuple(elements))
 
 
-def _validate_element(el: CircuitElement, k: int) -> None:
-    if el.kind == PHASE_SHIFTER:
-        if len(el.ports) != 1 or not 1 <= el.ports[0] <= k:
-            raise LayoutError(f"phase shifter port out of range: {el.ports}")
-        if el.phase is None:
-            raise LayoutError("phase shifter without a phase value")
-        return
-    if el.kind in _BS_KINDS:
-        if len(el.ports) != 2:
-            raise LayoutError(f"beamsplitter needs two ports, got {el.ports}")
-        a, b = el.ports
-        if not (1 <= a < b <= k):
-            raise LayoutError(f"beamsplitter ports out of range or unordered: {el.ports}")
-        if el.kind == UNBALANCED_BS and not (el.t is not None and 0.0 <= el.t <= 1.0):
-            raise LayoutError(f"power transmittance outside [0, 1]: {el.t}")
-        return
-    raise LayoutError(f"unknown element kind: {el.kind!r}")
-
-
-def _ideal_blocks(elements):
-    """Coefficients ``(b00, b01, b10, b11)`` of each unbalanced beamsplitter, lazily
-    (so ``_compose`` validates an element first), as complex numbers: numpy
-    multiplies by a real scalar as by that complex number, only slower."""
-    for el in elements:
-        if el.kind == UNBALANCED_BS:
-            st, sr = math.sqrt(el.t), math.sqrt(1.0 - el.t)
-            yield complex(st), complex(sr), complex(-sr), complex(st)
-
-
 def _compose(layout: CircuitLayout, blocks, n: int = 1) -> np.ndarray:
     """Stack of ``n`` ordered products of a layout's elements, first element first.
 
     ``blocks`` is an iterator over the coefficients ``(b00, b01, b10, b11)``
-    of each unbalanced beamsplitter in layout order: scalars for one ideal
-    product, or ``(n, 1)`` arrays, one block per product.  The stack is
-    stored row first, ``(K, n, K)``, so row ``a`` of every product is one
-    contiguous ``(n, K)`` slice, with rows at their ``output_perm`` position
-    from the start; the result is the ``(n, K, K)`` transposed view.
+    of each unbalanced beamsplitter in layout order: ``complex`` scalars for
+    one ideal product, or ``(n, 1)`` arrays, one block per product.  The
+    stack is stored row first, ``(K, n, K)``, so row ``a`` of every product
+    is one contiguous ``(n, K)`` slice, with rows at their ``output_perm``
+    position from the start; the result is the ``(n, K, K)`` transposed view.
     """
     k = layout.dim
     perm = list(range(k) if layout.output_perm is None else layout.output_perm)
     if sorted(perm) != list(range(k)):
         raise LayoutError(f"output_perm is not a permutation of 0..{k - 1}")
-    row_of = [0, *np.argsort(perm).tolist()]  # 1-based port -> storage row
+    kind, ports = layout.kind, layout.ports
+    a, b = ports[:, 0], ports[:, 1]
+    bad = (a < 1) | np.where(kind == _PS, a > k, (b <= a) | (b > k))
+    if bad.any():
+        raise LayoutError(f"ports out of range or unordered: {ports[bad.argmax()].tolist()}")
+    t = layout.value[kind == _UBS]
+    bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
+    if bad.any():
+        raise LayoutError(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
+    rows = np.array([0, *np.argsort(perm)])[ports]  # 1-based port -> storage row
     m = np.zeros((k, n, k), dtype=complex)
     m[np.arange(k), :, perm] = 1.0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for el in layout.elements:
-        _validate_element(el, k)
-        if el.kind == PHASE_SHIFTER:
-            m[row_of[el.ports[0]]] *= cmath.exp(1j * el.phase)
+    for code, (a, b), value in zip(kind.tolist(), rows.tolist(), layout.value.tolist()):
+        if code == _PS:
+            m[a] *= cmath.exp(1j * value)
             continue
-        a, b = row_of[el.ports[0]], row_of[el.ports[1]]
         ra, rb = m[a], m[b]
-        if el.kind == UNBALANCED_BS:
+        if code == _UBS:
             # coefficient first: numpy's complex c * x and x * c can round apart
             b00, b01, b10, b11 = next(blocks)
             new_a = b00 * ra + b01 * rb
@@ -315,7 +323,13 @@ def _compose(layout: CircuitLayout, blocks, n: int = 1) -> np.ndarray:
 
 def compose_layout(layout: CircuitLayout) -> np.ndarray:
     """Ordered product of the embedded element matrices, first element first."""
-    return _compose(layout, _ideal_blocks(layout.elements))[0]
+    t = layout.value[layout.kind == _UBS]
+    with np.errstate(invalid="ignore"):  # _compose rejects t outside [0, 1]
+        st, sr = np.sqrt(t), np.sqrt(1.0 - t)
+    # complex, not float: numpy multiplies by a real scalar as by that
+    # complex number, only slower
+    st, sr, nsr = (x.astype(complex).tolist() for x in (st, sr, -sr))
+    return _compose(layout, zip(st, sr, nsr, st))[0]
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
@@ -397,8 +411,7 @@ def reck_decompose(u: np.ndarray, tol: float = _UNITARITY_TOL) -> CircuitLayout:
     order = n - i * (i + 1) // 2 + j  # position of step (i, j) in the stepwise order
     modes, t, phi = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
     modes[order], t[order], phi[order] = j, t_by_layer, phi_by_layer
-    blocks = _MeshBlocks(modes, t, phi, np.angle(np.diag(vt)))
-    return CircuitLayout._from_blocks(k, DESIGN_RECK, blocks)
+    return _mesh_layout(k, DESIGN_RECK, modes, t, phi, np.angle(np.diag(vt)))
 
 
 def clements_decompose(u: np.ndarray, tol: float = _UNITARITY_TOL) -> CircuitLayout:
@@ -479,9 +492,8 @@ def clements_decompose(u: np.ndarray, tol: float = _UNITARITY_TOL) -> CircuitLay
         d1, d2 = diag[mode], diag[mode + 1]
         pushed.append((mode, t, phase(-d1 / d2)))
         diag[mode] = -exp(-1j * phi) * d2
-    modes, t, phi = zip(*rights, *pushed)
-    blocks = _MeshBlocks(np.array(modes), np.array(t), np.array(phi), np.angle(diag))
-    return CircuitLayout._from_blocks(k, DESIGN_CLEMENTS, blocks)
+    modes, t, phi = (np.array(x) for x in zip(*rights, *pushed))
+    return _mesh_layout(k, DESIGN_CLEMENTS, modes, t, phi, np.angle(diag))
 
 
 def _check_diagonal_residual(v: np.ndarray) -> None:
@@ -544,6 +556,8 @@ def matrix_from_json(text: str) -> np.ndarray:
 
 
 def layout_to_json(layout: CircuitLayout) -> str:
+    columns = (layout.kind.tolist(), layout.ports.tolist(), layout.value.tolist(),
+               layout.layer.tolist())
     return json.dumps(
         {
             "dim": layout.dim,
@@ -553,13 +567,16 @@ def layout_to_json(layout: CircuitLayout) -> str:
             "output_perm": list(layout.output_perm) if layout.output_perm else None,
             "elements": [
                 {
-                    "kind": e.kind,
-                    "ports": list(e.ports),
-                    "t": e.t,
-                    "omega": e.omega,
-                    "layer": e.layer,
+                    "kind": KINDS[code],
+                    "ports": [a] if code == _PS else [a, b],
+                    "t": v if code == _UBS else None,
+                    # math.asin, not np.arcsin: the two differ in the last bit
+                    "omega": (
+                        math.asin(math.sqrt(v)) if code == _UBS else v if code == _PS else None
+                    ),
+                    "layer": layer,
                 }
-                for e in layout.elements
+                for code, (a, b), v, layer in zip(*columns)
             ],
         }
     )
@@ -567,23 +584,11 @@ def layout_to_json(layout: CircuitLayout) -> str:
 
 def layout_from_json(text: str) -> CircuitLayout:
     data = json.loads(text)
-    elements = []
-    for e in data["elements"]:
-        kind = e["kind"]
-        phase = e["omega"] if kind == PHASE_SHIFTER else None
-        elements.append(
-            CircuitElement(
-                kind=kind,
-                ports=tuple(e["ports"]),
-                t=e.get("t"),
-                phase=phase,
-                layer=e.get("layer", 0),
-            )
-        )
+    rows = [
+        _row(e["kind"], e["ports"], e.get("t"), e.get("omega"), e.get("layer", 0))
+        for e in data["elements"]
+    ]
     perm = data.get("output_perm")
-    return CircuitLayout(
-        dim=data["dim"],
-        design=data["design"],
-        elements=tuple(elements),
-        output_perm=tuple(perm) if perm else None,
+    return CircuitLayout._from_columns(
+        data["dim"], data["design"], _columns(rows), tuple(perm) if perm else None
     )

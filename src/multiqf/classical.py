@@ -9,7 +9,6 @@ that limit.  All costs are bits per user.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -94,22 +93,3 @@ def claim_c1_check(na: float, nb: float, ma: float, mb: float, p_error: float) -
     lhs_a = ma * math.ceil(8.0 * math.log(2.0) * (1.0 + mb) / margin)
     lhs_b = mb * math.ceil(8.0 * math.log(2.0) * (1.0 + ma) / margin)
     return na <= lhs_a and nb <= lhs_b
-
-
-@dataclass(frozen=True)
-class ClassicalCosts:
-    """Bundle of the classical baselines at one parameter point."""
-
-    c_best_2: float
-    c_best_k: float
-    c_limit: float
-    energy_limit_photons: float
-
-
-def classical_costs(k: int, n_bits: float, p_error: float, eta: float = 0.5) -> ClassicalCosts:
-    return ClassicalCosts(
-        c_best_2=best_two_user(n_bits, p_error),
-        c_best_k=best_k_user(k, n_bits, p_error),
-        c_limit=classical_limit(k, n_bits, p_error),
-        energy_limit_photons=photonic_limit_photons(k, n_bits, p_error, eta),
-    )

@@ -30,7 +30,7 @@ from .bounds import (
     ideal_bound,
     max_users_energy_advantage,
 )
-from .errors import FeasibilityError, MultiqfError, ValidityError
+from .errors import FeasibilityError, MultiqfError, ParameterError, ValidityError
 from .gains import BatchGains, batch_gain_set, gain_set, ideal_gain_set
 from .mcsim import verify_bound
 from .noise import NoiseModel, realize_batch, realize_circuit
@@ -72,10 +72,17 @@ def log_spaced(n_min: float, n_max: float, per_decade: int) -> list[float]:
 
 def parse_grid(spec: str) -> list[int]:
     """Parse a K-grid flag: 'lo:hi' (inclusive) or comma-separated values."""
-    if ":" in spec:
-        lo, hi = spec.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in spec.split(",") if v]
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":")
+            grid = list(range(int(lo), int(hi) + 1))
+        else:
+            grid = [int(v) for v in spec.split(",") if v]
+    except ValueError:
+        raise ParameterError(f"K grid {spec!r} is not 'lo:hi' or a list of integers") from None
+    if not grid:
+        raise ParameterError(f"K grid {spec!r} is empty")
+    return grid
 
 
 def write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
@@ -330,8 +337,18 @@ def _splice_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    with open(argv[idx + 1]) as fh:
-        data = json.load(fh)
+    if idx + 1 == len(argv):
+        raise ParameterError("--config needs a file name")
+    path = argv[idx + 1]
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParameterError(f"config {path!r} is not a JSON object")
     tokens: list[str] = []
     for key, value in sorted(data.items()):
         tokens += [f"--{key}", str(value)]
@@ -466,15 +483,20 @@ def cmd_verify(args) -> int:
     ecc = ECCParams.from_delta(args.delta)
     n_bits = args.m_pulses / ecc.c
     alpha2_scale, r_scale = 1.0, 1.0
-    if args.sabotage:
-        kind, _, factor = args.sabotage.partition("/")
-        if kind == "alpha2" and factor:
-            alpha2_scale = 1.0 / float(factor)
-        elif args.sabotage.startswith("r*"):
-            r_scale = float(args.sabotage[2:])
-        else:
-            print(f"unknown sabotage spec {args.sabotage!r}", file=sys.stderr)
+    spec = args.sabotage
+    if spec:
+        kind = next((p for p in ("alpha2/", "r*") if spec.startswith(p)), None)
+        try:
+            factor = float(spec[len(kind):]) if kind else math.nan
+        except ValueError:
+            factor = math.nan
+        if not (math.isfinite(factor) and factor > 0.0):
+            print(f"error: unknown sabotage spec {spec!r}", file=sys.stderr)
             return 2
+        if kind == "alpha2/":
+            alpha2_scale = 1.0 / factor
+        else:
+            r_scale = factor
     model = NoiseModel(sigma_t=args.sigma, sigma_p=args.sigma, bs_loss_db=args.bs_loss_db,
                        seed=args.seed)
     reports = []
@@ -573,10 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _splice_config(list(sys.argv[1:] if argv is None else argv))
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        argv = _splice_config(list(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MultiqfError as exc:
         print(f"error: {exc}", file=sys.stderr)

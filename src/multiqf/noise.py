@@ -9,13 +9,12 @@ sub-unitary transfer matrix, one per Monte Carlo realization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import UNBALANCED_BS, CircuitLayout, _compose
+from .circuits import _UBS, CircuitLayout, _compose
 from .errors import ParameterError
 
 
@@ -59,17 +58,6 @@ class RealizationBatch:
     def n_realizations(self) -> int:
         return self.matrices.shape[0]
 
-    def to_json(self) -> str:
-        n, k, _ = self.matrices.shape
-        return json.dumps(
-            {
-                "n_realizations": n,
-                "dim": k,
-                "re": self.matrices.real.tolist(),
-                "im": self.matrices.imag.tolist(),
-            }
-        )
-
 
 def _rng_for(model: NoiseModel, index: int) -> np.random.Generator:
     """Documented deterministic map (seed, realization index) -> RNG stream."""
@@ -85,11 +73,12 @@ def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
     to [0, 1] so the block stays physical for large noise draws.  The four
     factors are multiplied as stacked 2x2 matmuls, which round like single ones.
     """
-    bad = [x for x in t if x is None or not 0.0 <= x <= 1.0]
-    if bad:
-        raise ParameterError(f"power transmittance outside [0, 1]: {bad[0]}")
+    t = np.asarray(t, dtype=float)
+    bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
+    if bad.any():
+        raise ParameterError(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
     # math.asin, not np.arcsin: the two differ in the last bit
-    omega = np.array([math.asin(math.sqrt(x)) for x in t]).reshape(-1, 1)
+    omega = np.array([math.asin(math.sqrt(x)) for x in t.tolist()]).reshape(-1, 1)
     tau = np.clip((1.0 + model.sigma_t * draws[..., :2]) / math.sqrt(2.0), 0.0, 1.0)
     ph_a = omega + math.pi + model.sigma_p * draws[..., 2]
     ph_b = -omega + model.sigma_p * draws[..., 3]
@@ -116,7 +105,7 @@ def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
     """Realizations ``indices`` of a layout, ``(n, K, K)``.  Realization ``i``
     draws ``standard_normal((n_bs, 4))`` from its own stream: the same draws
     as four at a time per unbalanced beamsplitter, in layout order."""
-    t = [el.t for el in layout.elements if el.kind == UNBALANCED_BS]
+    t = layout.value[layout.kind == _UBS]
     draws = np.stack([_rng_for(model, i).standard_normal((len(t), 4)) for i in indices], 1)
     # (n_bs, 4, n, 1): the four coefficients of a beamsplitter over realizations
     blocks = _noisy_blocks(t, model, draws).reshape(len(t), len(indices), 4).transpose(0, 2, 1)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -171,6 +172,17 @@ ORACLE_K = [2, 3, 7, 16, 30]
 ORACLE_LAYOUTS = ["tree", "extendable", "reck", "clements", "mixed"]
 
 
+def mixed_elements(k):
+    """Symmetric beamsplitters and phase shifters around a tree."""
+    return (
+        qc.CircuitElement(qc.SYMMETRIC_BS, (1, k)),
+        qc.CircuitElement(qc.PHASE_SHIFTER, (k,), phase=0.7),
+        *qc.optimal_tree_layout(k).elements,
+        qc.CircuitElement(qc.SYMMETRIC_BS, (1, 2)),
+        qc.CircuitElement(qc.PHASE_SHIFTER, (1,), phase=-2.1),
+    )
+
+
 def oracle_layout(name, k):
     """Layouts that between them hold every element kind and an output_perm."""
     if name == "tree":
@@ -180,15 +192,8 @@ def oracle_layout(name, k):
     if name in ("reck", "clements"):
         decompose = qc.reck_decompose if name == "reck" else qc.clements_decompose
         return decompose(qc.dft_multiport(k))
-    # symmetric beamsplitters and phase shifters around a tree, outputs reversed
-    elements = (
-        qc.CircuitElement(qc.SYMMETRIC_BS, (1, k)),
-        qc.CircuitElement(qc.PHASE_SHIFTER, (k,), phase=0.7),
-        *qc.optimal_tree_layout(k).elements,
-        qc.CircuitElement(qc.SYMMETRIC_BS, (1, 2)),
-        qc.CircuitElement(qc.PHASE_SHIFTER, (1,), phase=-2.1),
-    )
-    return qc.CircuitLayout(k, "custom", elements, output_perm=tuple(range(k - 1, -1, -1)))
+    # outputs reversed
+    return qc.CircuitLayout(k, "custom", mixed_elements(k), output_perm=tuple(range(k - 1, -1, -1)))
 
 
 @pytest.mark.parametrize("name", ORACLE_LAYOUTS)
@@ -377,6 +382,16 @@ class TestMeshesAgainstStepwiseReference:
         self.check(qc.reck_decompose(u), reference_reck(u))
         self.check(qc.clements_decompose(u), reference_clements(u))
 
+    def test_phase_threshold_boundary(self):
+        # shifters of exactly _PHASE_EPS radians are left out, larger ones kept
+        eps = qc._PHASE_EPS
+        blocks = [(0, 0.5, eps), (1, 0.3, -eps), (0, 0.7, 2 * eps), (1, 1.0, 0.0)]
+        output_phases = np.array([eps, -2 * eps, 0.4])
+        modes, t, phi = (np.array(x) for x in zip(*blocks))
+        layout = qc._mesh_layout(3, "mesh", modes, t, phi, output_phases)
+        self.check(layout, _reference_blocks(3, blocks, output_phases))
+        assert layout.bs_count == 4 and len(layout.elements) == 7
+
     @pytest.mark.parametrize("k", [3, 6, 11, 16])
     def test_haar_tree_and_identity(self, k, rng):
         targets = (
@@ -415,22 +430,103 @@ class TestSingleFlipIdentity:
             assert rest == pytest.approx(4 * (k - 1) * alpha2 / (k * pulses), abs=1e-10)
 
 
+def reference_layout_to_json(layout):
+    """The record-by-record writer: one dict per element of ``layout.elements``."""
+    return json.dumps(
+        {
+            "dim": layout.dim,
+            "design": layout.design,
+            "bs_count": layout.bs_count,
+            "optical_depth": layout.optical_depth,
+            "output_perm": list(layout.output_perm) if layout.output_perm else None,
+            "elements": [
+                {
+                    "kind": e.kind,
+                    "ports": list(e.ports),
+                    "t": e.t,
+                    "omega": math.asin(math.sqrt(e.t)) if e.kind == qc.UNBALANCED_BS else e.phase,
+                    "layer": e.layer,
+                }
+                for e in layout.elements
+            ],
+        }
+    )
+
+
+JSON_ORACLE = [(name, k) for name in ORACLE_LAYOUTS for k in ORACLE_K] + [
+    ("reck", 64), ("clements", 64)
+]
+
+
 class TestJsonInterfaces:
     def test_matrix_round_trip(self):
         m = qc.dft_multiport(5)
         back = qc.matrix_from_json(qc.matrix_to_json(m))
         assert np.abs(back - m).max() < 1e-15
 
+    @pytest.mark.parametrize("name, k", JSON_ORACLE)
+    def test_layout_json_matches_record_writer(self, name, k):
+        layout = oracle_layout(name, k)
+        got, want = qc.layout_to_json(layout), reference_layout_to_json(layout)
+        # equal token lists mean equal strings; a failure then names the first
+        # differing token instead of diffing one megabyte-long line
+        assert got.split(", ") == want.split(", ")
+
     def test_layout_round_trip(self):
-        for lay in (qc.optimal_tree_layout(6), qc.extendable_layout(5),
-                    qc.clements_decompose(qc.dft_multiport(4)),
-                    qc.reck_decompose(qc.dft_multiport(64)),
-                    qc.clements_decompose(qc.dft_multiport(64))):
+        layouts = [oracle_layout(name, k) for name, k in JSON_ORACLE]
+        layouts += [qc.optimal_tree_layout(6), qc.extendable_layout(5),
+                    qc.clements_decompose(qc.dft_multiport(4))]
+        for lay in layouts:
             back = qc.layout_from_json(qc.layout_to_json(lay))
+            for name in ("kind", "ports", "value", "layer"):
+                assert np.array_equal(getattr(back, name), getattr(lay, name), equal_nan=True)
+            assert back.elements == lay.elements
             assert back.bs_count == lay.bs_count
             assert back.optical_depth == lay.optical_depth
-            assert len(back.elements) == len(lay.elements)
-            assert np.abs(qc.compose_layout(back) - qc.compose_layout(lay)).max() < 1e-12
+            assert back.output_perm == lay.output_perm
+            assert np.array_equal(qc.compose_layout(back), qc.compose_layout(lay))
+        for k in ORACLE_K:
+            assert oracle_layout("mixed", k).elements == mixed_elements(k)
+
+
+MALFORMED = {
+    "unknown-kind": qc.CircuitElement("mirror", (1, 2), t=0.5),
+    "beamsplitter-one-port": qc.CircuitElement(qc.UNBALANCED_BS, (1,), t=0.5),
+    "symmetric-one-port": qc.CircuitElement(qc.SYMMETRIC_BS, (2,)),
+    "shifter-two-ports": qc.CircuitElement(qc.PHASE_SHIFTER, (1, 2), phase=0.3),
+    "beamsplitter-without-t": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2)),
+    "shifter-without-phase": qc.CircuitElement(qc.PHASE_SHIFTER, (2,)),
+    "port-0": qc.CircuitElement(qc.UNBALANCED_BS, (0, 2), t=0.5),
+    "shifter-port-0": qc.CircuitElement(qc.PHASE_SHIFTER, (0,), phase=0.3),
+    "port-k+1": qc.CircuitElement(qc.SYMMETRIC_BS, (2, 4)),
+    "shifter-port-k+1": qc.CircuitElement(qc.PHASE_SHIFTER, (4,), phase=0.3),
+    "unordered-ports": qc.CircuitElement(qc.UNBALANCED_BS, (2, 1), t=0.5),
+    "equal-ports": qc.CircuitElement(qc.SYMMETRIC_BS, (2, 2)),
+    "t=-0.1": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=-0.1),
+    "t=1.5": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=1.5),
+    "t=nan": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=math.nan),
+    "non-integer-port": qc.CircuitElement(qc.UNBALANCED_BS, (1.5, 3), t=0.5),
+    "string-port": qc.CircuitElement(qc.SYMMETRIC_BS, ("1", 3)),
+    "string-t": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t="0.5"),
+    "string-phase": qc.CircuitElement(qc.PHASE_SHIFTER, (1,), phase="0.3"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_element_is_rejected(case):
+    # after a valid element, so the check covers more than the first row
+    el = MALFORMED[case]
+    elements = (qc.CircuitElement(qc.UNBALANCED_BS, (1, 3), t=0.5), el)
+    with pytest.raises(LayoutError):
+        qc.compose_layout(qc.CircuitLayout(3, "custom", elements))
+    record = {"kind": el.kind, "ports": list(el.ports), "layer": 0}
+    record |= {"t": el.t} if el.t is not None else {}
+    record |= {"omega": el.phase} if el.phase is not None else {}
+    text = json.dumps({"dim": 3, "design": "custom", "output_perm": None, "elements": [
+        {"kind": qc.UNBALANCED_BS, "ports": [1, 3], "t": 0.5, "omega": None, "layer": 0}, record
+    ]})
+    with pytest.raises(LayoutError):
+        qc.compose_layout(qc.layout_from_json(text))
 
 
 class TestRowSumsAllDesigns:

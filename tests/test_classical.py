@@ -96,7 +96,7 @@ class TestEnergyEquivalents:
         assert a == pytest.approx(2 * b)
 
     def test_costs_bundle_ordering(self):
-        costs = cl.classical_costs(8, 1e8, 1e-5)
-        assert costs.c_limit < costs.c_best_k
-        assert costs.c_limit < costs.c_best_2
-        assert costs.energy_limit_photons > costs.c_limit  # eta = 0.5 doubles it
+        limit = cl.classical_limit(8, 1e8, 1e-5)
+        assert limit < cl.best_k_user(8, 1e8, 1e-5)
+        assert limit < cl.best_two_user(1e8, 1e-5)
+        assert cl.photonic_limit_photons(8, 1e8, 1e-5, 0.5) > limit  # eta = 0.5 doubles it

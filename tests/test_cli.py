@@ -159,3 +159,30 @@ class TestDeterminism:
                  "--realizations", "20", "--n-min", "1e4", "--n-max", "1e6",
                  "--out-dir", str(d)])
         assert (da / "figure14.csv").read_bytes() == (db / "figure14.csv").read_bytes()
+
+
+BAD_INPUT = {
+    "empty-verify-grid": (["verify", "--k-grid", "5:3"], 1),
+    "empty-figure-grid": (["figure", "--id", "17", "--k-grid", "5:3", "--out-dir", "{tmp}"], 1),
+    "non-integer-grid": (["verify", "--k-grid", "3:x"], 1),
+    "non-integer-grid-list": (["visibility", "--k-grid", "2,x", "--out", "{tmp}/v.csv"], 1),
+    "zero-sabotage-factor": (["verify", "--k-grid", "3", "--sabotage", "alpha2/0"], 2),
+    "non-finite-sabotage-factor": (["verify", "--k-grid", "3", "--sabotage", "alpha2/inf"], 2),
+    "non-numeric-sabotage-factor": (["verify", "--k-grid", "3", "--sabotage", "r*x"], 2),
+    "config-without-value": (["design", "--config"], 1),
+    "missing-config": (["design", "--config", "{tmp}/missing.json"], 1),
+    "invalid-json-config": (["design", "--config", "{tmp}/bad.json"], 1),
+    "non-object-config": (["design", "--config", "{tmp}/list.json"], 1),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_is_a_clean_error(case, tmp_path, capsys):
+    argv, code = BAD_INPUT[case]
+    (tmp_path / "bad.json").write_text('{"k": 4,')
+    (tmp_path / "list.json").write_text('["--k", 4]')
+    assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not list(tmp_path.glob("*.csv"))

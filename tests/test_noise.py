@@ -113,17 +113,6 @@ def test_extreme_noise_stays_physical():
         assert np.linalg.svd(m, compute_uv=False).max() <= 1.0 + 1e-9
 
 
-def test_batch_json_export():
-    layout = qc.optimal_tree_layout(3)
-    batch = realize_batch(layout, NoiseModel(sigma_t=0.01, seed=5), 3)
-    import json
-
-    data = json.loads(batch.to_json())
-    assert data["n_realizations"] == 3 and data["dim"] == 3
-    back = np.asarray(data["re"]) + 1j * np.asarray(data["im"])
-    assert np.abs(back - batch.matrices).max() < 1e-15
-
-
 def reference_noisy_block(t, model, rng):
     """One block from four scalar draws and three 2x2 matmuls."""
     omega = math.asin(math.sqrt(t))
