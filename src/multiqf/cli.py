@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .errors import FeasibilityError, MultiqfError, ParameterError, ValidityError
 from .gains import BatchGains, batch_gain_set, gain_set, ideal_gain_set
-from .mcsim import verify_bound
+from .mcsim import BoundCheck, plan_check, run_checks
 from .noise import NoiseModel, realize_batch, realize_circuit
 
 #: Shared defaults for all figure presets, individually overridable by flag.
@@ -63,6 +63,12 @@ _DESIGN_ALIASES = {
 
 def log_spaced(n_min: float, n_max: float, per_decade: int) -> list[float]:
     """Log-spaced grid endpoints included, deduplicated after rounding."""
+    if not (0.0 < n_min <= n_max < math.inf):
+        raise ParameterError(
+            f"N range [{n_min!r}, {n_max!r}] must be finite, positive and not inverted"
+        )
+    if per_decade < 1:
+        raise ParameterError(f"points per decade must be at least 1, got {per_decade}")
     decades = math.log10(n_max) - math.log10(n_min)
     count = max(2, int(round(decades * per_decade)) + 1)
     vals = np.logspace(math.log10(n_min), math.log10(n_max), count)
@@ -410,7 +416,6 @@ def cmd_figure(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed
     reals = args.realizations
-    ppd = args.points_per_decade
     p_darks = [args.p_dark] if args.p_dark is not None else list(PRESETS["p_dark"])
 
     def emit(name: str, rows: list[dict], fields: list[str]) -> None:
@@ -421,9 +426,17 @@ def cmd_figure(args) -> int:
         write_dat(out_dir / f"{name}.dat", rows, fields)
         print(f"wrote {out_dir / name}.csv ({len(rows)} rows)")
 
+    def n_grid_or(n_min: float, n_max: float) -> list[float]:
+        """The N grid of the flags, each falling back to the figure's preset."""
+        return log_spaced(
+            n_min if args.n_min is None else args.n_min,
+            n_max if args.n_max is None else args.n_max,
+            args.points_per_decade,
+        )
+
     if args.id == 14:
+        n_grid = n_grid_or(1e4, 1e12)
         bg = batch_gains_for(2, args.sigma, args.bs_loss_db, reals, seed)
-        n_grid = log_spaced(args.n_min or 1e4, args.n_max or 1e12, ppd)
         rows = []
         for p_dark in p_darks:
             cfg_p = dict(cfg, p_dark=p_dark, sigma=args.sigma)
@@ -433,7 +446,7 @@ def cmd_figure(args) -> int:
             ]
         emit("figure14", rows, _SWEEP_FIELDS)
     elif args.id == 15:
-        n_grid = log_spaced(args.n_min or 1e6, args.n_max or 1e14, ppd)
+        n_grid = n_grid_or(1e6, 1e14)
         rows = []
         for k in (7, 50):
             for sigma in (args.sigma, 0.1):
@@ -442,7 +455,7 @@ def cmd_figure(args) -> int:
                     rows += figure_15_rows(dict(cfg, p_dark=p_dark, sigma=sigma), k, bg.mean, n_grid)
         emit("figure15", rows, _SWEEP_FIELDS)
     elif args.id == 16:
-        n_grid = log_spaced(args.n_min or 1e8, args.n_max or 1e12, ppd)
+        n_grid = n_grid_or(1e8, 1e12)
         rows = []
         for k in (7, 15):
             bg = batch_gains_for(k, args.sigma, args.bs_loss_db, reals, seed)
@@ -499,30 +512,50 @@ def cmd_verify(args) -> int:
             r_scale = factor
     model = NoiseModel(sigma_t=args.sigma, sigma_p=args.sigma, bs_loss_db=args.bs_loss_db,
                        seed=args.seed)
+    # Every (K, strategy) check is planned first and all their simulations
+    # run in one batch.  Results are read back in plan order, and an error
+    # that stopped the planning is raised after them, so skips and errors
+    # come out as they would from running each check in turn.
+    planned = []  # (K, strategy, BoundCheck or the skip it raised)
+    stopped = None
+    try:
+        for k in parse_grid(args.k_grid):
+            layout = circuits.optimal_tree_layout(k)
+            transfer = realize_circuit(layout, model, index=0)
+            gains = gain_set(transfer)
+            params = ProtocolParams(
+                k=k, n_bits=n_bits, ecc=ecc, p_error=args.p_error, eta=args.eta,
+                p_dark=args.p_dark,
+            )
+            for strategy in (STRATEGY_FIRST, STRATEGY_LAST):
+                try:
+                    check = plan_check(
+                        strategy, params, gains, transfer,
+                        trials=args.trials, seed=args.seed,
+                        alpha2_scale=alpha2_scale, r_scale=r_scale,
+                    )
+                except (ValidityError, FeasibilityError) as exc:
+                    check = exc
+                planned.append((k, strategy, check))
+    except Exception as exc:  # re-raised below, after the checks planned before it
+        stopped = exc
+    results = iter(run_checks([c for _, _, c in planned if isinstance(c, BoundCheck)]))
     reports = []
     all_pass = True
-    for k in parse_grid(args.k_grid):
-        layout = circuits.optimal_tree_layout(k)
-        transfer = realize_circuit(layout, model, index=0)
-        gains = gain_set(transfer)
-        params = ProtocolParams(
-            k=k, n_bits=n_bits, ecc=ecc, p_error=args.p_error, eta=args.eta,
-            p_dark=args.p_dark,
-        )
-        for strategy in (STRATEGY_FIRST, STRATEGY_LAST):
-            try:
-                rep = verify_bound(
-                    strategy, params, gains, transfer,
-                    trials=args.trials, seed=args.seed,
-                    alpha2_scale=alpha2_scale, r_scale=r_scale,
-                )
-                reports.append(json.loads(rep.to_json()) | {"K": k})
-                all_pass &= rep.passed
-            except (ValidityError, FeasibilityError) as exc:
-                reports.append(
-                    {"K": k, "strategy": strategy, "skipped": type(exc).__name__,
-                     "detail": str(exc)}
-                )
+    for k, strategy, check in planned:
+        rep = next(results) if isinstance(check, BoundCheck) else check
+        if isinstance(rep, (ValidityError, FeasibilityError)):
+            reports.append(
+                {"K": k, "strategy": strategy, "skipped": type(rep).__name__,
+                 "detail": str(rep)}
+            )
+        elif isinstance(rep, Exception):
+            raise rep
+        else:
+            reports.append(json.loads(rep.to_json()) | {"K": k})
+            all_pass &= rep.passed
+    if stopped is not None:
+        raise stopped
     payload = json.dumps({"all_pass": all_pass, "reports": reports}, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(payload)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +34,7 @@ from .bounds import (
 from .errors import ParameterError, ValidityError
 from .gains import GainSet, find_last_label, output_photon_numbers
 from . import gains as _gains
+from .noise import _check_seed
 
 ALL_EQUAL = "all-equal"
 WORST_DIFFERENT = "worst-different"
@@ -130,6 +133,7 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     limit the analytical model relies on, unless explicitly overridden
     (the sampling itself stays exact either way).
     """
+    _check_seed(seed)
     params = config.params
     k = params.k
     m = params.m_pulses
@@ -168,31 +172,28 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     p_equal = click_prob(mu_equal)
     p_diff = click_prob(mu_diff)
 
+    # Each detector's counts are drawn in detector order, folded into the
+    # strategy statistic and the histogram, and dropped: first-K-1 sums the
+    # detectors other than the last, last-only keeps the last alone.
+    first = config.strategy == STRATEGY_FIRST
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
-    counts = np.empty((k, config.trials), dtype=np.int64)
+    stat = np.zeros(config.trials, dtype=np.int64)
+    hist = {}
     for det in range(k):
-        counts[det] = rng.binomial(m_equal, p_equal[det], size=config.trials)
+        counts = rng.binomial(m_equal, p_equal[det], size=config.trials)
         if m_diff:
-            counts[det] += rng.binomial(m_diff, p_diff[det], size=config.trials)
-
-    if config.strategy == STRATEGY_FIRST:
-        stat = counts.sum(axis=0) - counts[last]
-        says_different = stat > config.threshold_r
-    else:
-        stat = counts[last]
-        says_different = stat <= config.threshold_r
-
+            counts += rng.binomial(m_diff, p_diff[det], size=config.trials)
+        if (det != last) == first:
+            stat += counts
+        hist[det + 1] = {
+            "mean": float(counts.mean()),
+            "std": float(counts.std()),
+            "min": int(counts.min()),
+            "max": int(counts.max()),
+        }
+    says_different = stat > config.threshold_r if first else stat <= config.threshold_r
     truly_different = config.scenario == WORST_DIFFERENT
     errors = int(np.count_nonzero(says_different != truly_different))
-    hist = {
-        det + 1: {
-            "mean": float(counts[det].mean()),
-            "std": float(counts[det].std()),
-            "min": int(counts[det].min()),
-            "max": int(counts[det].max()),
-        }
-        for det in range(k)
-    }
     return SimOutcome(
         scenario=config.scenario,
         strategy=config.strategy,
@@ -202,6 +203,33 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
         wilson_upper_95=wilson_upper(errors, config.trials),
         click_histogram=hist,
     )
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def simulate_batch(jobs: Sequence[tuple[SimConfig, int]]) -> list[SimOutcome | Exception]:
+    """Run ``simulate(config, seed)`` for every job, one thread per usable core.
+
+    Every job draws from its own seeded stream and numpy's binomial sampler
+    releases the GIL, so the jobs run concurrently and each outcome equals
+    that of a serial call.  Returns, in job order, each job's outcome or the
+    exception it raised.  The thread count is ``min(len(jobs), usable
+    cores)``, the usable cores being the CPU affinity of this process.
+    """
+    if not jobs:
+        return []
+    # Imported here, not at module level: the import takes several
+    # milliseconds that every command without simulations would pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cores())) as pool:
+        futures = [pool.submit(simulate, config, seed) for config, seed in jobs]
+    return [f.result() if f.exception() is None else f.exception() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -233,7 +261,21 @@ class VerifyReport:
         )
 
 
-def verify_bound(
+@dataclass(frozen=True)
+class BoundCheck:
+    """A strategy bound and the ``(config, seed)`` simulation of each scenario.
+
+    ``jobs`` follows ``SCENARIOS`` order; ``run_checks`` turns the check into
+    a ``VerifyReport``.
+    """
+
+    strategy: str
+    bound: BoundResult
+    p_error: float
+    jobs: tuple[tuple[SimConfig, int], ...]
+
+
+def plan_check(
     strategy: str,
     params: ProtocolParams,
     gains: GainSet,
@@ -243,11 +285,12 @@ def verify_bound(
     alpha2_scale: float = 1.0,
     r_scale: float = 1.0,
     enforce_photon_regime: bool = True,
-) -> VerifyReport:
-    """Compute a strategy bound, then test it empirically in both scenarios.
+) -> BoundCheck:
+    """Compute a strategy bound and plan its simulation in both scenarios.
 
     ``alpha2_scale`` and ``r_scale`` deliberately corrupt the bound (for
     power checks of the gate itself); the honest gate uses both at 1.
+    Scenario ``i`` of ``SCENARIOS`` is simulated with seed ``seed + i``.
     """
     if strategy == STRATEGY_FIRST:
         bound = bound_first_detectors(params, gains)
@@ -264,22 +307,73 @@ def verify_bound(
         alpha2=bound.alpha2 * alpha2_scale,
         threshold_r=bound.threshold_r * r_scale,
     )
-    outcomes = {}
-    for i, scenario in enumerate(SCENARIOS):
-        config = SimConfig(
-            trials=trials,
-            scenario=scenario,
-            strategy=strategy,
-            params=params,
-            transfer=transfer,
-            alpha2=bound.alpha2,
-            threshold_r=bound.threshold_r,
-            last_label=gains.last_label,
-            worst_pattern=(
-                gains.worst_pattern_first if strategy == STRATEGY_FIRST
-                else gains.worst_pattern_last
+    jobs = tuple(
+        (
+            SimConfig(
+                trials=trials,
+                scenario=scenario,
+                strategy=strategy,
+                params=params,
+                transfer=transfer,
+                alpha2=bound.alpha2,
+                threshold_r=bound.threshold_r,
+                last_label=gains.last_label,
+                worst_pattern=(
+                    gains.worst_pattern_first if strategy == STRATEGY_FIRST
+                    else gains.worst_pattern_last
+                ),
+                enforce_photon_regime=enforce_photon_regime,
             ),
-            enforce_photon_regime=enforce_photon_regime,
+            seed + i,
         )
-        outcomes[scenario] = simulate(config, seed=seed + i)
-    return VerifyReport(strategy=strategy, bound=bound, outcomes=outcomes, p_error=params.p_error)
+        for i, scenario in enumerate(SCENARIOS)
+    )
+    return BoundCheck(strategy=strategy, bound=bound, p_error=params.p_error, jobs=jobs)
+
+
+def run_checks(checks: Sequence[BoundCheck]) -> list[VerifyReport | Exception]:
+    """Simulate every check's scenarios in one ``simulate_batch`` call.
+
+    Returns, in check order, each check's report or the first exception its
+    scenarios raised in ``SCENARIOS`` order, which is the one a serial run,
+    stopping at its first failing scenario, would have raised.
+    """
+    results = iter(simulate_batch([job for check in checks for job in check.jobs]))
+    reports: list[VerifyReport | Exception] = []
+    for check in checks:
+        outcomes = [next(results) for _ in check.jobs]
+        error = next((o for o in outcomes if isinstance(o, Exception)), None)
+        reports.append(
+            error if error is not None else VerifyReport(
+                strategy=check.strategy,
+                bound=check.bound,
+                outcomes=dict(zip(SCENARIOS, outcomes)),
+                p_error=check.p_error,
+            )
+        )
+    return reports
+
+
+def verify_bound(
+    strategy: str,
+    params: ProtocolParams,
+    gains: GainSet,
+    transfer: np.ndarray,
+    trials: int | None = None,
+    seed: int = 0,
+    alpha2_scale: float = 1.0,
+    r_scale: float = 1.0,
+    enforce_photon_regime: bool = True,
+) -> VerifyReport:
+    """Compute a strategy bound, then test it empirically in both scenarios.
+
+    The one-check case of ``plan_check`` and ``run_checks``; raises what
+    either of them returns or raises.
+    """
+    (report,) = run_checks([
+        plan_check(strategy, params, gains, transfer, trials, seed,
+                   alpha2_scale, r_scale, enforce_photon_regime)
+    ])
+    if isinstance(report, Exception):
+        raise report
+    return report

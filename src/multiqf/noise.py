@@ -18,6 +18,16 @@ from .circuits import _UBS, CircuitLayout, _compose
 from .errors import ParameterError
 
 
+def _check_seed(seed) -> None:
+    """Raise ``ParameterError`` unless ``seed`` is a nonnegative integer.
+
+    numpy's ``SeedSequence`` takes only those; checked up front, a bad seed
+    is a typed error rather than numpy's ``ValueError`` at the first draw.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Fabrication noise and loss levels.
@@ -37,10 +47,11 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_t < 0 or self.sigma_p < 0:
-            raise ParameterError("noise std-devs must be nonnegative")
-        if self.bs_loss_db > 0:
+        if not (0 <= self.sigma_t < math.inf and 0 <= self.sigma_p < math.inf):
+            raise ParameterError("noise std-devs must be finite and nonnegative")
+        if not self.bs_loss_db <= 0:
             raise ParameterError("bs_loss_db is a loss and must be <= 0")
+        _check_seed(self.seed)
 
     @property
     def block_amplitude(self) -> float:

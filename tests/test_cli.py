@@ -1,11 +1,14 @@
 import csv
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 
 from multiqf import circuits as qc
-from multiqf import cli
+from multiqf import cli, mcsim
+from multiqf.errors import ParameterError
 
 
 def run(argv):
@@ -127,6 +130,64 @@ class TestVerifyCommand:
         data = json.loads(out.read_text())
         assert data["all_pass"] is False
 
+    def test_one_worker_and_serial_give_the_same_bytes(self, tmp_path, monkeypatch, pool_sizes):
+        # K = 5..8 at p_error 1e-3 gives passes, a last-only failure and
+        # photon-regime skips raised inside the simulations
+        argv = ["verify", "--k-grid", "5:8", "--p-error", "1e-3", "--trials", "5000",
+                "--seed", "3", "--out"]
+        cores = mcsim._usable_cores()
+        run(argv + [str(tmp_path / "pool.json")])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        run(argv + [str(tmp_path / "one.json")])
+        assert pool_sizes == [min(16, cores), 1]  # 8 checks x 2 scenarios
+
+        def serial(jobs):
+            out = []
+            for config, seed in jobs:
+                try:
+                    out.append(mcsim.simulate(config, seed))
+                except Exception as exc:
+                    out.append(exc)
+            return out
+
+        monkeypatch.setattr(mcsim, "simulate_batch", serial)
+        run(argv + [str(tmp_path / "serial.json")])
+        data = (tmp_path / "pool.json").read_bytes()
+        assert data == (tmp_path / "one.json").read_bytes()
+        assert data == (tmp_path / "serial.json").read_bytes()
+        reports = json.loads(data)["reports"]
+        assert {r.get("skipped") for r in reports} == {None, "ValidityError"}
+        assert {r.get("pass") for r in reports} == {True, False, None}
+
+    @pytest.mark.parametrize("sim_fails, plan_fails, first", [
+        ((3, 4), 5, "simulation failed at K=3"),
+        ((4,), 3, "planning failed at K=3"),
+        ((), 5, "planning failed at K=5"),
+    ])
+    def test_first_error_in_serial_order(self, tmp_path, capsys, monkeypatch,
+                                         sim_fails, plan_fails, first):
+        real_simulate, real_plan = mcsim.simulate, cli.plan_check
+
+        def simulate(config, seed=0):
+            k = config.params.k
+            if k in sim_fails and config.scenario == mcsim.WORST_DIFFERENT:
+                if k == min(sim_fails):
+                    time.sleep(0.05)  # finishes after the later check's failure
+                raise ParameterError(f"simulation failed at K={k}")
+            return real_simulate(config, seed)
+
+        def plan_check(strategy, params, *args, **kwargs):
+            if params.k == plan_fails:
+                raise ParameterError(f"planning failed at K={params.k}")
+            return real_plan(strategy, params, *args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "simulate", simulate)
+        monkeypatch.setattr(cli, "plan_check", plan_check)
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--k-grid", "2:6", "--trials", "500", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {first}\n"
+        assert not out.exists()
+
     def test_reports_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["verify", "--k-grid", "2,3", "--seed", "9", "--out", str(a)])
@@ -173,6 +234,19 @@ BAD_INPUT = {
     "missing-config": (["design", "--config", "{tmp}/missing.json"], 1),
     "invalid-json-config": (["design", "--config", "{tmp}/bad.json"], 1),
     "non-object-config": (["design", "--config", "{tmp}/list.json"], 1),
+    "zero-n-min": (["figure", "--id", "16", "--n-min", "0", "--out-dir", "{tmp}"], 1),
+    "negative-n-min": (["figure", "--id", "16", "--n-min", "-5", "--out-dir", "{tmp}"], 1),
+    "nan-n-max": (["figure", "--id", "15", "--n-max", "nan", "--out-dir", "{tmp}"], 1),
+    "infinite-n-max": (["figure", "--id", "14", "--n-max", "inf", "--out-dir", "{tmp}"], 1),
+    "inverted-n-range": (["figure", "--id", "16", "--n-min", "1e9", "--n-max", "1e8",
+                          "--out-dir", "{tmp}"], 1),
+    "zero-points-per-decade": (["figure", "--id", "14", "--points-per-decade", "0",
+                                "--out-dir", "{tmp}"], 1),
+    "negative-verify-seed": (["verify", "--k-grid", "3", "--seed", "-1"], 1),
+    "negative-figure-seed": (["figure", "--id", "16", "--seed", "-1", "--out-dir", "{tmp}"], 1),
+    "negative-visibility-seed": (["visibility", "--k-grid", "2", "--seed", "-2",
+                                  "--out", "{tmp}/v.csv"], 1),
+    "nan-verify-sigma": (["verify", "--k-grid", "3", "--sigma", "nan"], 1),
 }
 
 

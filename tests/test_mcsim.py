@@ -1,5 +1,8 @@
 import math
+import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from multiqf import bounds as b
@@ -12,6 +15,94 @@ from multiqf.noise import NoiseModel, realize_circuit
 
 def tree_matrix(k):
     return qc.compose_layout(qc.optimal_tree_layout(k))
+
+
+def reference_simulate(config, seed=0):
+    """``simulate`` as it was with every count kept: a (K, trials) matrix
+    drawn detector by detector, then reduced.  The streamed version must
+    give the same ``SimOutcome``."""
+    params = config.params
+    k = params.k
+    m = params.m_pulses
+    mu_in = config.alpha2 / m
+    if config.enforce_photon_regime and k * config.alpha2 / m >= b.PHOTON_REGIME_LIMIT:
+        raise ValidityError("outside the small-photon regime")
+    transfer = np.asarray(config.transfer, dtype=complex)
+    last_label = config.last_label or gn.find_last_label(transfer)
+    last = last_label - 1
+
+    def photon_numbers(pattern):
+        if mu_in == 0.0:
+            return np.zeros(k)
+        return gn.output_photon_numbers(transfer, pattern, mu_in)
+
+    mu_equal = photon_numbers(None)
+    if config.scenario == mc.WORST_DIFFERENT:
+        pattern = config.worst_pattern or mc._worst_pattern(transfer, config.strategy, last_label)
+        mu_diff = photon_numbers(pattern)
+        m_diff = math.floor((1.0 - params.ecc.delta) * m)
+    else:
+        mu_diff = mu_equal
+        m_diff = 0
+    m_equal = m - m_diff
+
+    def click_prob(mu):
+        p = -np.expm1(-params.eta * mu)
+        return 1.0 - (1.0 - p) * (1.0 - params.p_dark)
+
+    p_equal = click_prob(mu_equal)
+    p_diff = click_prob(mu_diff)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+    counts = np.empty((k, config.trials), dtype=np.int64)
+    for det in range(k):
+        counts[det] = rng.binomial(m_equal, p_equal[det], size=config.trials)
+        if m_diff:
+            counts[det] += rng.binomial(m_diff, p_diff[det], size=config.trials)
+    if config.strategy == b.STRATEGY_FIRST:
+        stat = counts.sum(axis=0) - counts[last]
+        says_different = stat > config.threshold_r
+    else:
+        stat = counts[last]
+        says_different = stat <= config.threshold_r
+    truly_different = config.scenario == mc.WORST_DIFFERENT
+    errors = int(np.count_nonzero(says_different != truly_different))
+    hist = {
+        det + 1: {
+            "mean": float(counts[det].mean()),
+            "std": float(counts[det].std()),
+            "min": int(counts[det].min()),
+            "max": int(counts[det].max()),
+        }
+        for det in range(k)
+    }
+    return mc.SimOutcome(
+        scenario=config.scenario,
+        strategy=config.strategy,
+        trials=config.trials,
+        errors=errors,
+        error_rate=errors / config.trials,
+        wilson_upper_95=mc.wilson_upper(errors, config.trials),
+        click_histogram=hist,
+    )
+
+
+def noisy_config(ecc, k, strategy, scenario, trials=2000):
+    """A realized tree with dark counts, thresholded at the statistic's
+    sample mean in its own scenario, so that about half the trials err."""
+    model = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=5)
+    t = realize_circuit(qc.optimal_tree_layout(k), model, index=0)
+    params = make_params(ecc, k, 10**4, 0.05, eta=0.5, p_dark=1e-4)
+    cfg = mc.SimConfig(
+        trials=trials, scenario=scenario, strategy=strategy, params=params,
+        transfer=t, alpha2=0.05 * params.m_pulses / k, threshold_r=0.0,
+    )
+    last_label = gn.find_last_label(t)
+    hist = reference_simulate(cfg, seed=99).click_histogram
+    mean = sum(
+        h["mean"] for det, h in hist.items()
+        if (det == last_label) == (strategy == b.STRATEGY_LAST)
+    )
+    return replace(cfg, threshold_r=mean)
 
 
 def make_params(ecc, k, m_pulses, p_error, eta=1.0, p_dark=0.0):
@@ -118,6 +209,16 @@ class TestSimulate:
         bus = out.click_histogram[1]
         assert bus["max"] >= bus["mean"] >= bus["min"]
 
+    def test_rejects_negative_seed(self, ecc):
+        cfg = mc.SimConfig(
+            trials=100, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_FIRST,
+            params=make_params(ecc, 3, 100, 0.05), transfer=tree_matrix(3),
+            alpha2=1.0, threshold_r=0.0,
+        )
+        for seed in (-1, 0.5):
+            with pytest.raises(ParameterError, match="seed"):
+                mc.simulate(cfg, seed=seed)
+
     def test_rejects_bad_config(self, ecc):
         params = make_params(ecc, 3, 100, 0.05)
         with pytest.raises(ParameterError):
@@ -130,6 +231,129 @@ class TestSimulate:
                 trials=10, scenario="sideways", strategy=b.STRATEGY_FIRST,
                 params=params, transfer=tree_matrix(3), alpha2=1.0, threshold_r=0.0,
             )
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**40])
+@pytest.mark.parametrize("k", [2, 3, 7, 16])
+@pytest.mark.parametrize("scenario", mc.SCENARIOS)
+@pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
+def test_streamed_counts_match_materialized(ecc, strategy, scenario, k, seed):
+    cfg = noisy_config(ecc, k, strategy, scenario)
+    out = mc.simulate(cfg, seed=seed)
+    assert out == reference_simulate(cfg, seed=seed)
+    assert 0 < out.errors < cfg.trials
+
+
+def serial(jobs):
+    """The batch's contract, one job after another."""
+    results = []
+    for config, seed in jobs:
+        try:
+            results.append(mc.simulate(config, seed))
+        except Exception as exc:
+            results.append(exc)
+    return results
+
+
+def same_results(got, want):
+    """Outcomes equal, exceptions of the same type and message."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert g == w
+
+
+class TestSimulateBatch:
+    def jobs(self, ecc):
+        return [
+            (noisy_config(ecc, k, strategy, scenario, trials=500), seed)
+            for seed, (k, strategy, scenario) in enumerate(
+                (k, strategy, scenario)
+                for k in (2, 5, 9)
+                for strategy in (b.STRATEGY_FIRST, b.STRATEGY_LAST)
+                for scenario in mc.SCENARIOS
+            )
+        ]
+
+    def test_matches_serial_loop(self, ecc, pool_sizes):
+        jobs = self.jobs(ecc)
+        same_results(mc.simulate_batch(jobs), serial(jobs))
+        assert pool_sizes == [min(len(jobs), len(os.sched_getaffinity(0)))]
+
+    def test_one_usable_core_gives_one_thread(self, ecc, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        jobs = self.jobs(ecc)
+        same_results(mc.simulate_batch(jobs), serial(jobs))
+        assert pool_sizes == [1]
+
+    def test_cpu_count_without_affinity(self, ecc, pool_sizes, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        jobs = self.jobs(ecc)[:5]
+        same_results(mc.simulate_batch(jobs), serial(jobs))
+        assert pool_sizes == [3]
+
+    def test_errors_come_back_in_job_order(self, ecc):
+        ok = self.jobs(ecc)[:4]
+        too_bright = replace(ok[1][0], alpha2=ok[1][0].alpha2 * 100)
+        jobs = [ok[0], (too_bright, 3), ok[2], (ok[3][0], -1), ok[3]]
+        got = mc.simulate_batch(jobs)
+        same_results(got, serial(jobs))
+        assert [type(r) for r in got] == [
+            mc.SimOutcome, ValidityError, mc.SimOutcome, ParameterError, mc.SimOutcome
+        ]
+
+    def test_no_jobs(self):
+        assert mc.simulate_batch([]) == []
+
+
+class TestRunChecks:
+    def checks(self, ecc, realized):
+        t, gains = realized
+        params = make_params(ecc, 3, 10**5, 1e-2, eta=0.5, p_dark=1e-6)
+        return [
+            mc.plan_check(strategy, params, gains, t, trials=1000, seed=seed, r_scale=r_scale)
+            for seed, r_scale in ((1, 1.0), (4, 1.5))
+            for strategy in (b.STRATEGY_FIRST, b.STRATEGY_LAST)
+        ]
+
+    def test_reports_match_serial_simulations(self, ecc, realized):
+        checks = self.checks(ecc, realized)
+        reports = mc.run_checks(checks)
+        for check, rep in zip(checks, reports, strict=True):
+            assert rep == mc.VerifyReport(
+                strategy=check.strategy,
+                bound=check.bound,
+                outcomes={c.scenario: mc.simulate(c, s) for c, s in check.jobs},
+                p_error=check.p_error,
+            )
+        assert [r.passed for r in reports] == [True, True, False, False]
+
+    def test_first_failing_scenario_wins(self, ecc, realized):
+        check = self.checks(ecc, realized)[0]
+        (equal, s0), (different, s1) = check.jobs
+        too_bright = replace(equal, alpha2=equal.alpha2 * 1e4)
+        cases = [
+            ((too_bright, s0), (different, -1), ValidityError),
+            ((equal, -1), (too_bright, s1), ParameterError),
+            ((equal, s0), (different, -1), ParameterError),
+        ]
+        for first, second, error in cases:
+            broken = replace(check, jobs=(first, second))
+            reports = mc.run_checks([check, broken, check])
+            assert type(reports[1]) is error
+            assert isinstance(reports[0], mc.VerifyReport) and reports[0] == reports[2]
+            with pytest.raises(error):  # the serial way: scenario after scenario
+                [mc.simulate(c, s) for c, s in broken.jobs]
+
+    def test_verify_bound_raises_skip(self, ecc, realized):
+        t, gains = realized
+        # at M = 1e3 the bound's K * alpha2 / M is 0.41, outside the regime
+        params = make_params(ecc, 3, 10**3, 1e-2, eta=0.5, p_dark=1e-6)
+        with pytest.raises(ValidityError):
+            mc.verify_bound(b.STRATEGY_FIRST, params, gains, t, trials=500)
 
 
 @pytest.fixture(scope="module")

@@ -46,6 +46,15 @@ def test_model_validation():
         NoiseModel(sigma_t=-0.1)
     with pytest.raises(ParameterError):
         NoiseModel(bs_loss_db=0.4)
+    bad = [
+        {"sigma_t": math.nan}, {"sigma_p": math.nan}, {"sigma_t": math.inf},
+        {"sigma_p": -math.inf}, {"bs_loss_db": math.nan},
+        {"seed": -1}, {"seed": 1.5}, {"seed": 2.0}, {"seed": True}, {"seed": "3"},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ParameterError):
+            NoiseModel(**kwargs)
+    NoiseModel(seed=np.int64(3))
 
 
 @pytest.mark.parametrize("k", [2, 5, 9, 16])
