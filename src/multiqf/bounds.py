@@ -85,8 +85,8 @@ class ProtocolParams:
     def __post_init__(self):
         if self.k < 2:
             raise ParameterError("need at least two users")
-        if self.n_bits < 1:
-            raise ParameterError("raw message length must be >= 1")
+        if not (self.n_bits >= 1 and math.isfinite(self.ecc.c * self.n_bits)):
+            raise ParameterError("raw message length must be >= 1, with a finite codeword length")
         if not 0.0 < self.p_error < 1.0:
             raise ParameterError("p_error must lie in (0, 1)")
         if not 0.0 < self.eta <= 1.0:
@@ -374,20 +374,6 @@ def _mass(log_mass: float, n: float) -> float:
     return math.exp(log_mass)
 
 
-def _binom_cdf(k: float, n: float, q: float) -> float:
-    """CDF of a binomial, evaluated through the nearer tail in log space."""
-    if k < 0:
-        return 0.0
-    if k >= n or q <= 0.0:
-        return 1.0
-    if q >= 1.0:
-        return 0.0
-    log_q, log_1mq = math.log(q), math.log1p(-q)
-    if k < n * q:
-        return _mass(_log_tail(0.0, k, n, log_q, log_1mq, from_top=True), n)
-    return 1.0 - _mass(_log_tail(k + 1.0, n, n, log_q, log_1mq, from_top=False), n)
-
-
 #: Relative fuzz so that exact-tie CDF values (the symmetric-binomial midpoint,
 #: say) resolve like exact arithmetic; above the tail sums' error only for n < ~4e3.
 _TIE_FUZZ = 5e-12
@@ -397,10 +383,11 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     """Smallest k with Binomial(n, q) CDF(k) >= p.
 
     Stable for very large n: a Cornish-Fisher starting point is refined by
-    exact probability-mass steps, with tail masses summed in log space on
-    whichever side of the distribution is smaller (the survival side for
-    p > 1/2) so the comparison precision tracks the tail, not 1.  ``n`` must
-    be a positive integer; an integral float is accepted.
+    exact probability-mass steps.  The walk tracks the smaller tail, summed
+    in log space, so the comparison precision tracks the tail, not 1: the
+    CDF F(k) for p <= 1/2 and the survival G(k) = 1 - F(k), carried as -G(k),
+    for p > 1/2.  ``n`` must be a positive integer; an integral float is
+    accepted.
     """
     if not 1 <= n <= sys.float_info.max or n != int(n):
         raise ParameterError(f"number of trials must be a positive integer, got {n!r}")
@@ -414,68 +401,40 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     if p >= 1.0:
         return n
 
+    nf = float(n)
     log_q, log_1mq = math.log(q), math.log1p(-q)
-    use_sf = p > 0.5
-    # Survival target; the extra 2^-53 absorbs the rounding of 1 - p itself,
-    # which dominates the tie tolerance once the survival drops below ~1e-7.
-    s = 1.0 - p
-    s_eff = s * (1.0 + _TIE_FUZZ) + 2.0**-53
-
-    if n <= 2048:
-        ks = np.arange(0, n + 1, dtype=float)
-        pmfs = np.exp(_log_pmf_array(ks, float(n), log_q, log_1mq))
-        if use_sf:
-            # survival G(k) = sum_{j > k} pmf, strictly decreasing in k
-            g = np.concatenate([np.cumsum(pmfs[::-1])[::-1][1:], [0.0]])
-            hits = np.nonzero(g <= s_eff)[0]
-            return int(hits[0])
-        cdf = np.cumsum(pmfs)
-        return min(int(np.searchsorted(cdf, p * (1.0 - _TIE_FUZZ))), n)
-
     mean = n * q
     sd = math.sqrt(n * q * (1.0 - q))
     z = _NORMAL.inv_cdf(min(max(p, 1e-300), 1.0 - 1e-16))
     guess = mean + z * sd + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
     k = int(min(max(round(guess), 0), n))
 
+    # h(k) is F(k) or -G(k) = F(k) - 1: nondecreasing, one pmf per step of k.
+    if p > 0.5:
+        # The extra 2^-53 absorbs the rounding of 1 - p itself, which
+        # dominates the tie tolerance once the survival drops below ~1e-7.
+        target = -((1.0 - p) * (1.0 + _TIE_FUZZ) + 2.0**-53)
+        h = 0.0 if k == n else -_mass(
+            _log_tail(k + 1.0, nf, nf, log_q, log_1mq, from_top=False), n
+        )
+    else:
+        target = p * (1.0 - _TIE_FUZZ)
+        h = 1.0 if k == n else _mass(_log_tail(0.0, k, nf, log_q, log_1mq, from_top=True), n)
+
     def pmf(kk: int) -> float:
-        return _mass(_log_pmf_array(np.array([float(kk)]), float(n), log_q, log_1mq)[0], n)
+        return _mass(_log_pmf_array(np.array([float(kk)]), nf, log_q, log_1mq)[0], n)
 
-    if use_sf:
-        if k >= n:
-            g = 0.0
-        else:
-            g = _mass(_log_tail(k + 1.0, float(n), float(n), log_q, log_1mq, from_top=False), n)
-        if g <= s_eff:
-            while k > 0:
-                g_prev = g + pmf(k)  # G(k-1)
-                if g_prev <= s_eff:
-                    g = g_prev
-                    k -= 1
-                else:
-                    return k
-            return 0
-        while k < n:
-            g -= pmf(k + 1)
-            k += 1
-            if g <= s_eff:
-                return k
-        return n
-
-    p_eff = p * (1.0 - _TIE_FUZZ)
-    f = _binom_cdf(k, n, q)
-    if f >= p_eff:
+    if h >= target:
         while k > 0:
-            f -= pmf(k)
-            if f >= p_eff:
-                k -= 1
-            else:
+            h_prev = h - pmf(k)
+            if h_prev < target:
                 return k
+            h, k = h_prev, k - 1
         return 0
     while k < n:
         k += 1
-        f += pmf(k)
-        if f >= p_eff:
+        h += pmf(k)
+        if h >= target:
             return k
     return n
 

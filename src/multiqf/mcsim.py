@@ -30,6 +30,7 @@ from .bounds import (
     ProtocolParams,
     bound_first_detectors,
     bound_last_detector,
+    qubit_cost,
 )
 from .errors import ParameterError, ValidityError
 from .gains import GainSet, find_last_label, output_photon_numbers
@@ -89,6 +90,8 @@ class SimConfig:
             raise ParameterError(f"unknown scenario {self.scenario!r}")
         if self.strategy not in (STRATEGY_FIRST, STRATEGY_LAST):
             raise ParameterError(f"unknown strategy {self.strategy!r}")
+        if not (math.isfinite(self.alpha2) and math.isfinite(self.threshold_r)):
+            raise ParameterError("alpha2 and threshold_r must be finite")
         if self.alpha2 < 0:
             raise ParameterError("alpha2 must be nonnegative")
 
@@ -284,7 +287,6 @@ def plan_check(
     seed: int = 0,
     alpha2_scale: float = 1.0,
     r_scale: float = 1.0,
-    enforce_photon_regime: bool = True,
 ) -> BoundCheck:
     """Compute a strategy bound and plan its simulation in both scenarios.
 
@@ -302,10 +304,14 @@ def plan_check(
         trials = default_trials(params.p_error)
     if trials < 100:
         raise ParameterError("statistical gating needs at least 100 trials")
+    alpha2 = bound.alpha2 * alpha2_scale
+    q_qubits, delta_cap = qubit_cost(alpha2, bound.m_pulses, params.epsilon)
     bound = replace(
         bound,
-        alpha2=bound.alpha2 * alpha2_scale,
+        alpha2=alpha2,
         threshold_r=bound.threshold_r * r_scale,
+        q_qubits=q_qubits,
+        delta_cap=delta_cap,
     )
     jobs = tuple(
         (
@@ -322,7 +328,6 @@ def plan_check(
                     gains.worst_pattern_first if strategy == STRATEGY_FIRST
                     else gains.worst_pattern_last
                 ),
-                enforce_photon_regime=enforce_photon_regime,
             ),
             seed + i,
         )
@@ -363,7 +368,6 @@ def verify_bound(
     seed: int = 0,
     alpha2_scale: float = 1.0,
     r_scale: float = 1.0,
-    enforce_photon_regime: bool = True,
 ) -> VerifyReport:
     """Compute a strategy bound, then test it empirically in both scenarios.
 
@@ -372,7 +376,7 @@ def verify_bound(
     """
     (report,) = run_checks([
         plan_check(strategy, params, gains, transfer, trials, seed,
-                   alpha2_scale, r_scale, enforce_photon_regime)
+                   alpha2_scale, r_scale)
     ])
     if isinstance(report, Exception):
         raise report

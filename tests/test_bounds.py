@@ -1,5 +1,8 @@
+import itertools
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +49,102 @@ def reference_qubit_cost(alpha2, m_pulses, epsilon=1e-6):
             lo = mid
     q = (a + hi) * math.log2(m_pulses + a + hi - 1.0) + math.log2(2.0 * hi)
     return q, hi
+
+
+def _reference_binom_cdf(k, n, q):
+    """CDF of a binomial, evaluated through the nearer tail in log space."""
+    if k < 0:
+        return 0.0
+    if k >= n or q <= 0.0:
+        return 1.0
+    if q >= 1.0:
+        return 0.0
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    if k < n * q:
+        return b._mass(b._log_tail(0.0, k, n, log_q, log_1mq, from_top=True), n)
+    return 1.0 - b._mass(b._log_tail(k + 1.0, n, n, log_q, log_1mq, from_top=False), n)
+
+
+def reference_binomial_inv_cdf(p, n, q):
+    """``binomial_inv_cdf`` before its single walk: full enumeration up to
+    n = 2048, then a survival walk for p > 1/2 and a CDF walk that starts
+    from the nearer tail (1 - survival at or above the mean)."""
+    if not 1 <= n <= sys.float_info.max or n != int(n):
+        raise ParameterError(f"number of trials must be a positive integer, got {n!r}")
+    n = int(n)
+    if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
+        raise ParameterError("probabilities must lie in [0, 1]")
+    if p <= 0.0 or q <= 0.0:
+        return 0
+    if q >= 1.0:
+        return n
+    if p >= 1.0:
+        return n
+
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    use_sf = p > 0.5
+    s = 1.0 - p
+    s_eff = s * (1.0 + b._TIE_FUZZ) + 2.0**-53
+
+    if n <= 2048:
+        ks = np.arange(0, n + 1, dtype=float)
+        pmfs = np.exp(b._log_pmf_array(ks, float(n), log_q, log_1mq))
+        if use_sf:
+            # survival G(k) = sum_{j > k} pmf, strictly decreasing in k
+            g = np.concatenate([np.cumsum(pmfs[::-1])[::-1][1:], [0.0]])
+            hits = np.nonzero(g <= s_eff)[0]
+            return int(hits[0])
+        cdf = np.cumsum(pmfs)
+        return min(int(np.searchsorted(cdf, p * (1.0 - b._TIE_FUZZ))), n)
+
+    mean = n * q
+    sd = math.sqrt(n * q * (1.0 - q))
+    z = b._NORMAL.inv_cdf(min(max(p, 1e-300), 1.0 - 1e-16))
+    guess = mean + z * sd + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
+    k = int(min(max(round(guess), 0), n))
+
+    def pmf(kk):
+        return b._mass(b._log_pmf_array(np.array([float(kk)]), float(n), log_q, log_1mq)[0], n)
+
+    if use_sf:
+        if k >= n:
+            g = 0.0
+        else:
+            g = b._mass(
+                b._log_tail(k + 1.0, float(n), float(n), log_q, log_1mq, from_top=False), n
+            )
+        if g <= s_eff:
+            while k > 0:
+                g_prev = g + pmf(k)  # G(k-1)
+                if g_prev <= s_eff:
+                    g = g_prev
+                    k -= 1
+                else:
+                    return k
+            return 0
+        while k < n:
+            g -= pmf(k + 1)
+            k += 1
+            if g <= s_eff:
+                return k
+        return n
+
+    p_eff = p * (1.0 - b._TIE_FUZZ)
+    f = _reference_binom_cdf(k, n, q)
+    if f >= p_eff:
+        while k > 0:
+            f -= pmf(k)
+            if f >= p_eff:
+                k -= 1
+            else:
+                return k
+        return 0
+    while k < n:
+        k += 1
+        f += pmf(k)
+        if f >= p_eff:
+            return k
+    return n
 
 
 def params_for(k, n_bits, ecc, p_error=1e-5, eta=1.0, p_dark=0.0):
@@ -281,14 +380,32 @@ class TestLogPmfBlocks:
         assert out.flags.writeable and not np.shares_memory(out, blk)
 
 
-#: (p, n, q) over both branches of binomial_inv_cdf (enumeration up to n = 2048,
-#: the Cornish-Fisher walk above) and figure 14's codeword lengths M = 4.17 N,
-#: whose click probabilities put a few to a few thousand clicks in the mean.
+#: (p, n, q) over small n, where the reference enumerates every outcome up to
+#: n = 2048, and figure 14's codeword lengths M = 4.17 N, whose click
+#: probabilities put a few to a few thousand clicks in the mean.
 _INV_CDF_GRID = [
     (p, n, q)
     for n in (1, 7, 300, 2048, 2049, 41_700, 4_170_000, 4_170_000_000, 4_170_000_000_000)
     for q in sorted({1e-9, min(0.3, 30 / n), min(0.3, 3000 / n)})
     for p in (1e-5, 0.37, 0.5, 1 - 1e-5)
+]
+
+_SCIPY_N = [1, 7, 300, 2048, 4096, 10**5, 10**6]
+_SCIPY_Q = [1e-7, 0.01, 0.5, 0.93]
+_SCIPY_P = [1e-9, 1e-5, 0.37, 0.9, 1 - 1e-5, 1 - 1e-9]
+
+#: Quantiles around the median, 0.5 to 3e6 successes in the mean, at figure
+#: 14's codeword lengths up to M = 4.17e10 and at both q and 1 - q.  From
+#: M = 4.17e11 on, the p = 1/2 walk, which the reference started from
+#: 1 - survival, can differ by up to 14 (see the changelog); both are then off
+#: scipy's ppf by the lgamma log-pmf's error.
+_MEDIAN_GRID = [
+    (p, n, q)
+    for n in (41_700 * 10**e for e in range(7))
+    for mean in (0.5, 3, 30, 300, 3e3, 3e4, 3e5, 3e6)
+    if mean / n <= 0.5
+    for q in (mean / n, 1 - mean / n)
+    for p in (0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8)
 ]
 
 
@@ -298,6 +415,16 @@ class TestBinomialInvCdf:
         got = [b.binomial_inv_cdf(*args) for args in _INV_CDF_GRID]
         monkeypatch.setattr(b, "_log_pmf_array", reference_log_pmf_array)
         assert got == [b.binomial_inv_cdf(*args) for args in _INV_CDF_GRID]
+
+    @pytest.mark.parametrize("grid", ["inv-cdf", "scipy", "median"])
+    def test_equal_to_reference_inv_cdf(self, grid):
+        args = {
+            "inv-cdf": _INV_CDF_GRID,
+            "scipy": list(itertools.product(_SCIPY_P, _SCIPY_N, _SCIPY_Q)),
+            "median": _MEDIAN_GRID,
+        }[grid]
+        got = [b.binomial_inv_cdf(*a) for a in args]
+        assert got == [reference_binomial_inv_cdf(*a) for a in args]
 
     def test_two_user_search_equal_to_reference_loop(self, ecc, monkeypatch):
         searches = [params_for(2, n, ecc, p_dark=1e-9) for n in (1e4, 1e6, 1e8, 1e10, 1e12)]
@@ -337,17 +464,46 @@ class TestBinomialInvCdf:
         assert expect == 2
         assert b.binomial_inv_cdf(0.5, 5, 0.5) == 2
 
+    def test_exact_ties_resolve_like_exact_arithmetic(self):
+        # Binomial(n, 1/2) CDF values are dyadic, so p = CDF(k) is an exact
+        # float and k is the answer; the summed tails land an ulp either side
+        for n in range(1, 54):
+            cdf = Fraction(0)
+            for k in range(n):
+                cdf += Fraction(math.comb(n, k), 2**n)
+                assert b.binomial_inv_cdf(float(cdf), n, 0.5) == k, (n, k)
+
     def test_edges(self):
         assert b.binomial_inv_cdf(1.0, 9, 0.3) == 9
         assert b.binomial_inv_cdf(0.0, 9, 0.3) == 0
         assert b.binomial_inv_cdf(0.7, 9, 0.0) == 0
         assert b.binomial_inv_cdf(0.7, 9, 1.0) == 9
 
-    @pytest.mark.parametrize("n", [1, 7, 300, 2048, 4096, 10**5, 10**6])
-    @pytest.mark.parametrize("q", [1e-7, 0.01, 0.5, 0.93])
-    @pytest.mark.parametrize("p", [1e-9, 1e-5, 0.37, 0.9, 1 - 1e-5, 1 - 1e-9])
+    @pytest.mark.parametrize("n", _SCIPY_N)
+    @pytest.mark.parametrize("q", _SCIPY_Q)
+    @pytest.mark.parametrize("p", _SCIPY_P)
     def test_against_scipy_grid(self, n, q, p):
         assert b.binomial_inv_cdf(p, n, q) == int(st.binom.ppf(p, n, q))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 10, 31, 300, 2048, 4096, 10**5, 10**6])
+    def test_lower_walk_from_the_mean_or_above(self, n, monkeypatch):
+        # p <= 1/2 walks sum the lower tail directly, even where the
+        # Cornish-Fisher start lies at or above the mean (q > 1/2 here)
+        starts = []
+        log_tail = b._log_tail
+
+        def spy(lo, hi, *args, **kwargs):
+            starts.append(hi)
+            return log_tail(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(b, "_log_tail", spy)
+        above = 0
+        for q in (0.55, 0.6, 0.7, 0.8, 0.93, 0.999):
+            for p in (0.45, 0.5):
+                starts.clear()
+                assert b.binomial_inv_cdf(p, n, q) == int(st.binom.ppf(p, n, q)), (q, p)
+                above += bool(starts) and starts[0] >= n * q  # F(n) = 1 is not summed
+        assert above >= 2
 
     @pytest.mark.parametrize("n", [10**9, 10**12])
     def test_huge_n_definitional(self, n):

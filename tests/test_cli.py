@@ -130,6 +130,20 @@ class TestVerifyCommand:
         data = json.loads(out.read_text())
         assert data["all_pass"] is False
 
+    def test_large_sabotage_factor_gives_a_report(self, tmp_path, capsys):
+        # alpha2 scaled up 4x needs its own qubit count to clear the sanity floor
+        argv = ["verify", "--k-grid", "3", "--seed", "5", "--out"]
+        run(argv + [str(tmp_path / "honest.json")])
+        code = run(argv + [str(tmp_path / "sabotage.json"), "--sabotage", "alpha2/0.25"])
+        assert capsys.readouterr().err == ""
+        honest, data = (json.loads((tmp_path / f"{name}.json").read_text())
+                        for name in ("honest", "sabotage"))
+        assert code == (0 if data["all_pass"] else 1)
+        assert [r["strategy"] for r in data["reports"]] == ["first-K-minus-1", "last-only"]
+        assert [r["alpha2"] for r in data["reports"]] == [
+            4.0 * r["alpha2"] for r in honest["reports"]
+        ]
+
     def test_one_worker_and_serial_give_the_same_bytes(self, tmp_path, monkeypatch, pool_sizes):
         # K = 5..8 at p_error 1e-3 gives passes, a last-only failure and
         # photon-regime skips raised inside the simulations
@@ -247,6 +261,10 @@ BAD_INPUT = {
     "negative-visibility-seed": (["visibility", "--k-grid", "2", "--seed", "-2",
                                   "--out", "{tmp}/v.csv"], 1),
     "nan-verify-sigma": (["verify", "--k-grid", "3", "--sigma", "nan"], 1),
+    "nan-m-pulses": (["verify", "--k-grid", "3", "--m-pulses", "nan"], 1),
+    "infinite-m-pulses": (["verify", "--k-grid", "3", "--m-pulses", "inf"], 1),
+    "overflowing-codeword": (["figure", "--id", "16", "--n-min", "1e308", "--n-max", "1e308",
+                              "--out-dir", "{tmp}"], 1),
 }
 
 

@@ -231,6 +231,15 @@ class TestSimulate:
                 trials=10, scenario="sideways", strategy=b.STRATEGY_FIRST,
                 params=params, transfer=tree_matrix(3), alpha2=1.0, threshold_r=0.0,
             )
+        # a NaN threshold would otherwise read as a pass: no count exceeds it
+        for field in ("alpha2", "threshold_r"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterError, match="finite"):
+                    mc.SimConfig(
+                        trials=10, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_FIRST,
+                        params=params, transfer=tree_matrix(3),
+                        **{"alpha2": 1.0, "threshold_r": 0.0, field: value},
+                    )
 
 
 @pytest.mark.parametrize("seed", [0, 17, 2**40])
@@ -379,6 +388,20 @@ class TestVerifyBound:
         )
         assert not rep.passed
         assert rep.outcomes[mc.WORST_DIFFERENT].wilson_upper_95 > 1e-2
+
+    def test_scaled_bound_carries_its_own_qubit_cost(self, ecc, realized):
+        # alpha2 scaled up 4x: the old qubit count fell below the sanity floor
+        t, gains = realized
+        params = make_params(ecc, 3, 10**4, 1e-2, eta=0.5, p_dark=1e-6)
+        honest = b.bound_first_detectors(params, gains)
+        check = mc.plan_check(b.STRATEGY_FIRST, params, gains, t, trials=500,
+                              alpha2_scale=4.0)
+        assert check.bound.alpha2 == honest.alpha2 * 4.0
+        expect = b.qubit_cost(check.bound.alpha2, params.m_pulses, params.epsilon)
+        assert (check.bound.q_qubits, check.bound.delta_cap) == expect
+        assert check.bound.q_qubits > honest.q_qubits
+        unscaled = mc.plan_check(b.STRATEGY_FIRST, params, gains, t, trials=500)
+        assert unscaled.bound == honest
 
     def test_sabotaged_threshold_fails_equal(self, ecc, realized):
         t, gains = realized
