@@ -49,10 +49,16 @@ DESIGNS = (DESIGN_OPTIMAL, DESIGN_EXTENDABLE, DESIGN_CLEMENTS, DESIGN_RECK)
 _UNITARITY_TOL = 1e-10
 _PHASE_EPS = 1e-14
 
+#: Largest multiport dimension a builder accepts; a dense K x K complex
+#: matrix at this size takes 16 MiB.
+MAX_DIM = 1024
+
 
 def _check_dim(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidDimensionError(f"multiport dimension must be an integer >= 2, got {k!r}")
+    if not isinstance(k, (int, np.integer)) or not 2 <= k <= MAX_DIM:
+        raise InvalidDimensionError(
+            f"multiport dimension must be an integer in 2..{MAX_DIM}, got {k!r}"
+        )
 
 
 class CircuitElement(NamedTuple):

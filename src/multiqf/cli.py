@@ -156,8 +156,7 @@ def batch_gains_for(
 ) -> BatchGains:
     layout = circuits.build_design(k, design)[1]
     model = NoiseModel(sigma_t=sigma, sigma_p=sigma, bs_loss_db=bs_loss_db, seed=seed)
-    batch = realize_batch(layout, model, realizations)
-    return batch_gain_set(batch.matrices)
+    return batch_gain_set(realize_batch(layout, model, realizations))
 
 
 def _params(k: int, n: float, cfg: dict) -> ProtocolParams:
@@ -512,50 +511,40 @@ def cmd_verify(args) -> int:
             r_scale = factor
     model = NoiseModel(sigma_t=args.sigma, sigma_p=args.sigma, bs_loss_db=args.bs_loss_db,
                        seed=args.seed)
-    # Every (K, strategy) check is planned first and all their simulations
-    # run in one batch.  Results are read back in plan order, and an error
-    # that stopped the planning is raised after them, so skips and errors
-    # come out as they would from running each check in turn.
+    # Every (K, strategy) check is planned first, so skips are decided
+    # before any simulation, and all their simulations run in one batch.
     planned = []  # (K, strategy, BoundCheck or the skip it raised)
-    stopped = None
-    try:
-        for k in parse_grid(args.k_grid):
-            layout = circuits.optimal_tree_layout(k)
-            transfer = realize_circuit(layout, model, index=0)
-            gains = gain_set(transfer)
-            params = ProtocolParams(
-                k=k, n_bits=n_bits, ecc=ecc, p_error=args.p_error, eta=args.eta,
-                p_dark=args.p_dark,
-            )
-            for strategy in (STRATEGY_FIRST, STRATEGY_LAST):
-                try:
-                    check = plan_check(
-                        strategy, params, gains, transfer,
-                        trials=args.trials, seed=args.seed,
-                        alpha2_scale=alpha2_scale, r_scale=r_scale,
-                    )
-                except (ValidityError, FeasibilityError) as exc:
-                    check = exc
-                planned.append((k, strategy, check))
-    except Exception as exc:  # re-raised below, after the checks planned before it
-        stopped = exc
+    for k in parse_grid(args.k_grid):
+        layout = circuits.optimal_tree_layout(k)
+        transfer = realize_circuit(layout, model, index=0)
+        gains = gain_set(transfer)
+        params = ProtocolParams(
+            k=k, n_bits=n_bits, ecc=ecc, p_error=args.p_error, eta=args.eta,
+            p_dark=args.p_dark,
+        )
+        for strategy in (STRATEGY_FIRST, STRATEGY_LAST):
+            try:
+                check = plan_check(
+                    strategy, params, gains, transfer,
+                    trials=args.trials, seed=args.seed,
+                    alpha2_scale=alpha2_scale, r_scale=r_scale,
+                )
+            except (ValidityError, FeasibilityError) as exc:
+                check = exc
+            planned.append((k, strategy, check))
     results = iter(run_checks([c for _, _, c in planned if isinstance(c, BoundCheck)]))
     reports = []
     all_pass = True
     for k, strategy, check in planned:
-        rep = next(results) if isinstance(check, BoundCheck) else check
-        if isinstance(rep, (ValidityError, FeasibilityError)):
-            reports.append(
-                {"K": k, "strategy": strategy, "skipped": type(rep).__name__,
-                 "detail": str(rep)}
-            )
-        elif isinstance(rep, Exception):
-            raise rep
-        else:
+        if isinstance(check, BoundCheck):
+            rep = next(results)
             reports.append(json.loads(rep.to_json()) | {"K": k})
             all_pass &= rep.passed
-    if stopped is not None:
-        raise stopped
+        else:
+            reports.append(
+                {"K": k, "strategy": strategy, "skipped": type(check).__name__,
+                 "detail": str(check)}
+            )
     payload = json.dumps({"all_pass": all_pass, "reports": reports}, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(payload)

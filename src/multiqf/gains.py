@@ -39,12 +39,13 @@ class PhasePattern:
 
 @dataclass(frozen=True)
 class GainSet:
-    """The four gain aggregates of one circuit, plus the per-pattern table.
+    """The four gain aggregates of one circuit, plus the single-flip gains.
 
     ``last_label`` is the 1-based index of the photon-keeping output (the
     detector that loses photons when inputs differ); all "first" gains sum
-    over the remaining K-1 outputs.  ``per_pattern`` maps each evaluated
-    phase-label tuple to its (first-group, last-detector) gain pair.
+    over the remaining K-1 outputs.  ``g_d_first`` and ``g_d_last`` are
+    ``(K,)`` arrays of the first-group and last-detector gains with input
+    ``j`` flipped, at index ``j``.
     """
 
     k: int
@@ -53,17 +54,18 @@ class GainSet:
     g_d_first_min: float
     g_e_last: float
     g_d_last_max: float
-    per_pattern: dict[tuple[int, ...], tuple[float, float]]
+    g_d_first: np.ndarray
+    g_d_last: np.ndarray
 
     @property
-    def worst_pattern_first(self) -> tuple[int, ...]:
-        """Pattern minimizing the first-group difference gain."""
-        return min(self.per_pattern, key=lambda p: self.per_pattern[p][0])
+    def worst_pattern_first(self) -> int:
+        """Flipped input minimizing the first-group difference gain (first on ties)."""
+        return int(np.argmin(self.g_d_first))
 
     @property
-    def worst_pattern_last(self) -> tuple[int, ...]:
-        """Pattern maximizing the last-detector difference gain."""
-        return max(self.per_pattern, key=lambda p: self.per_pattern[p][1])
+    def worst_pattern_last(self) -> int:
+        """Flipped input maximizing the last-detector difference gain (first on ties)."""
+        return int(np.argmax(self.g_d_last))
 
 
 def output_photon_numbers(
@@ -90,11 +92,6 @@ def find_last_label(transfer: np.ndarray) -> int:
     return int(np.argmax(np.abs(t.sum(axis=1)))) + 1
 
 
-def l1_patterns(k: int) -> list[tuple[int, ...]]:
-    """The K single-flip phase patterns."""
-    return [tuple(-1 if i == j else 1 for i in range(k)) for j in range(k)]
-
-
 def _single_flip_gains(transfers: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
     """First-group and last-detector gains, per unit mu_in, of an ``(n, K, K)``
     stack: ``(K + 1, n)`` each, row 0 for all inputs equal and row ``1 + j``
@@ -115,8 +112,8 @@ def _last_label(last_label: int | None, transfer: np.ndarray) -> int:
     """``last_label``, checked, or else the photon-keeping output of ``transfer``."""
     k = transfer.shape[0]
     last_label = find_last_label(transfer) if last_label is None else last_label
-    if not 1 <= last_label <= k:
-        raise ParameterError(f"last_label {last_label} out of range 1..{k}")
+    if not (isinstance(last_label, (int, np.integer)) and 1 <= last_label <= k):
+        raise ParameterError(f"last_label must be an integer in 1..{k}, got {last_label!r}")
     return last_label
 
 
@@ -141,10 +138,9 @@ def _mean_gain_set(k, last_label, g_first, g_last) -> tuple[GainSet, tuple]:
     """Average of ``(K + 1, n)`` gain tables over their n realizations, each
     extremized over its own patterns first, and those per-realization aggregates."""
     each = (g_first[0], g_first[1:].min(axis=0), g_last[0], g_last[1:].max(axis=0))
-    per_pattern = zip(g_first[1:].mean(axis=1).tolist(), g_last[1:].mean(axis=1).tolist())
     mean = GainSet(
         k, last_label, *(float(a.mean()) for a in each),
-        per_pattern=dict(zip(l1_patterns(k), per_pattern)),
+        g_d_first=g_first[1:].mean(axis=1), g_d_last=g_last[1:].mean(axis=1),
     )
     return mean, each
 
@@ -155,7 +151,6 @@ def ideal_gain_set(k: int) -> GainSet:
         raise InvalidDimensionError(f"need K >= 2, got {k}")
     g_d_first = 4.0 * (k - 1) / k
     g_d_last = (k - 2) ** 2 / k
-    per = {p: (g_d_first, g_d_last) for p in l1_patterns(k)}
     return GainSet(
         k=k,
         last_label=k,
@@ -163,7 +158,8 @@ def ideal_gain_set(k: int) -> GainSet:
         g_d_first_min=g_d_first,
         g_e_last=float(k),
         g_d_last_max=g_d_last,
-        per_pattern=per,
+        g_d_first=np.full(k, g_d_first),
+        g_d_last=np.full(k, g_d_last),
     )
 
 
@@ -173,12 +169,18 @@ def visibilities(gains: GainSet) -> tuple[float, float]:
     Both normalize the realistic gain difference by its ideal value
     4(K-1)/K, reducing to the standard two-detector contrast at K=2.
     """
-    k = gains.k
-    if k < 2:
-        raise InvalidDimensionError(f"need K >= 2, got {k}")
+    if gains.k < 2:
+        raise InvalidDimensionError(f"need K >= 2, got {gains.k}")
+    return _visibilities(
+        gains.k, gains.g_e_first, gains.g_d_first_min, gains.g_e_last, gains.g_d_last_max
+    )
+
+
+def _visibilities(k, g_e_first, g_d_first_min, g_e_last, g_d_last_max):
+    """``visibilities`` of the four aggregates, scalars or per-realization arrays."""
     scale = k / (4.0 * (k - 1))
-    v_first = 0.5 * (1.0 + scale * (gains.g_d_first_min - gains.g_e_first))
-    v_last = 0.5 * (1.0 + scale * (gains.g_e_last - gains.g_d_last_max))
+    v_first = 0.5 * (1.0 + scale * (g_d_first_min - g_e_first))
+    v_last = 0.5 * (1.0 + scale * (g_e_last - g_d_last_max))
     return v_first, v_last
 
 
@@ -213,7 +215,7 @@ def batch_gain_set(matrices: np.ndarray, last_label: int | None = None) -> Batch
     last_label = _last_label(last_label, matrices[0])
     g_first, g_last = _single_flip_gains(matrices, last_label - 1)
     mean, each = _mean_gain_set(k, last_label, g_first, g_last)
-    vis = np.column_stack(visibilities(GainSet(k, last_label, *each, per_pattern={})))
+    vis = np.column_stack(_visibilities(k, *each))
     v_first, v_last = visibilities(mean)
     return BatchGains(
         mean=mean,
@@ -239,9 +241,7 @@ def worst_case_pattern_scan(
     """
     t = np.asarray(transfer, dtype=complex)
     k = t.shape[0]
-    if last_label is None:
-        last_label = find_last_label(t)
-    last = last_label - 1
+    last = _last_label(last_label, t) - 1
     if max_l < 1 or max_l > k // 2:
         raise ParameterError(f"max_l must be in 1..{k // 2}")
     total = sum(math.comb(k - 1, l) for l in range(1, max_l + 1))

@@ -33,8 +33,7 @@ from .bounds import (
     qubit_cost,
 )
 from .errors import ParameterError, ValidityError
-from .gains import GainSet, find_last_label, output_photon_numbers
-from . import gains as _gains
+from .gains import GainSet, _last_label, gain_set, output_photon_numbers
 from .noise import _check_seed
 
 ALL_EQUAL = "all-equal"
@@ -66,10 +65,11 @@ class SimConfig:
     """One simulation scenario.
 
     ``alpha2`` is the transmitted mean photon number per user; the combined
-    efficiency in ``params`` is applied inside the click model.  When
-    ``last_label`` or ``worst_pattern`` are omitted they are derived from
-    the transfer matrix (photon-keeping output; adversarial single-flip
-    pattern for the configured strategy).
+    efficiency in ``params`` is applied inside the click model.
+    ``last_label`` is the 1-based photon-keeping output and ``worst_pattern``
+    the 0-based input flipped in the adversarial single-flip pattern; when
+    omitted they are derived from the transfer matrix (the latter for the
+    configured strategy).
     """
 
     trials: int
@@ -80,8 +80,7 @@ class SimConfig:
     alpha2: float
     threshold_r: float
     last_label: int | None = None
-    worst_pattern: tuple[int, ...] | None = None
-    enforce_photon_regime: bool = True
+    worst_pattern: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -94,6 +93,12 @@ class SimConfig:
             raise ParameterError("alpha2 and threshold_r must be finite")
         if self.alpha2 < 0:
             raise ParameterError("alpha2 must be nonnegative")
+        k = self.params.k
+        for name, lo, hi in (("last_label", 1, k), ("worst_pattern", 0, k - 1)):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer))
+            if value is not None and not (integer and lo <= value <= hi):
+                raise ParameterError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,50 +113,36 @@ class SimOutcome:
     wilson_upper_95: float
     click_histogram: dict[int, dict[str, float]]
 
-    def to_json_dict(self, p_error: float | None = None) -> dict:
-        out = {
+    def to_json_dict(self, p_error: float) -> dict:
+        return {
             "strategy": self.strategy,
             "scenario": self.scenario,
             "trials": self.trials,
             "errors": self.errors,
             "error_rate": self.error_rate,
             "wilson_upper_95": self.wilson_upper_95,
+            "pass": bool(self.wilson_upper_95 <= p_error),
         }
-        if p_error is not None:
-            out["pass"] = bool(self.wilson_upper_95 <= p_error)
-        return out
-
-
-def _worst_pattern(transfer: np.ndarray, strategy: str, last_label: int) -> tuple[int, ...]:
-    gs = _gains.gain_set(transfer, last_label=last_label)
-    if strategy == STRATEGY_FIRST:
-        return gs.worst_pattern_first
-    return gs.worst_pattern_last
 
 
 def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     """Run the click-level simulation for one scenario.
 
-    Raises ``ValidityError`` when K * alpha2 / M reaches the small-photon
-    limit the analytical model relies on, unless explicitly overridden
-    (the sampling itself stays exact either way).
+    The sampling is exact at any alpha2; the small-photon regime the
+    analytical bounds rely on is checked where a bound is planned
+    (``plan_check``).
     """
     _check_seed(seed)
     params = config.params
     k = params.k
     m = params.m_pulses
     mu_in = config.alpha2 / m
-    if config.enforce_photon_regime and k * config.alpha2 / m >= PHOTON_REGIME_LIMIT:
-        raise ValidityError(
-            f"K * alpha2 / M = {k * config.alpha2 / m:.4g} is outside the "
-            f"small-photon regime (< {PHOTON_REGIME_LIMIT}); pass "
-            "enforce_photon_regime=False to sample anyway"
-        )
     transfer = np.asarray(config.transfer, dtype=complex)
     if transfer.shape != (k, k):
         raise ParameterError(f"transfer matrix shape {transfer.shape} != ({k}, {k})")
-    last_label = config.last_label or find_last_label(transfer)
+    last_label = _last_label(config.last_label, transfer)
     last = last_label - 1
+    first = config.strategy == STRATEGY_FIRST
 
     def photon_numbers(pattern) -> np.ndarray:
         if mu_in == 0.0:
@@ -160,7 +151,12 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
 
     mu_equal = photon_numbers(None)
     if config.scenario == WORST_DIFFERENT:
-        pattern = config.worst_pattern or _worst_pattern(transfer, config.strategy, last_label)
+        flip = config.worst_pattern
+        if flip is None:
+            gains = gain_set(transfer, last_label=last_label)
+            flip = gains.worst_pattern_first if first else gains.worst_pattern_last
+        pattern = np.ones(k)
+        pattern[flip] = -1.0
         mu_diff = photon_numbers(pattern)
         m_diff = math.floor((1.0 - params.ecc.delta) * m)
     else:
@@ -178,7 +174,6 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     # Each detector's counts are drawn in detector order, folded into the
     # strategy statistic and the histogram, and dropped: first-K-1 sums the
     # detectors other than the last, last-only keeps the last alone.
-    first = config.strategy == STRATEGY_FIRST
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     stat = np.zeros(config.trials, dtype=np.int64)
     hist = {}
@@ -215,14 +210,14 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def simulate_batch(jobs: Sequence[tuple[SimConfig, int]]) -> list[SimOutcome | Exception]:
+def simulate_batch(jobs: Sequence[tuple[SimConfig, int]]) -> list[SimOutcome]:
     """Run ``simulate(config, seed)`` for every job, one thread per usable core.
 
     Every job draws from its own seeded stream and numpy's binomial sampler
     releases the GIL, so the jobs run concurrently and each outcome equals
-    that of a serial call.  Returns, in job order, each job's outcome or the
-    exception it raised.  The thread count is ``min(len(jobs), usable
-    cores)``, the usable cores being the CPU affinity of this process.
+    that of a serial call.  Returns the outcomes in job order; the first
+    exception in job order propagates.  The thread count is ``min(len(jobs),
+    usable cores)``, the usable cores being the CPU affinity of this process.
     """
     if not jobs:
         return []
@@ -230,9 +225,9 @@ def simulate_batch(jobs: Sequence[tuple[SimConfig, int]]) -> list[SimOutcome | E
     # milliseconds that every command without simulations would pay.
     from concurrent.futures import ThreadPoolExecutor
 
+    configs, seeds = zip(*jobs)
     with ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cores())) as pool:
-        futures = [pool.submit(simulate, config, seed) for config, seed in jobs]
-    return [f.result() if f.exception() is None else f.exception() for f in futures]
+        return list(pool.map(simulate, configs, seeds))
 
 
 @dataclass(frozen=True)
@@ -293,6 +288,8 @@ def plan_check(
     ``alpha2_scale`` and ``r_scale`` deliberately corrupt the bound (for
     power checks of the gate itself); the honest gate uses both at 1.
     Scenario ``i`` of ``SCENARIOS`` is simulated with seed ``seed + i``.
+    Raises ``ValidityError`` when the scaled bound's K * alpha2 / M reaches
+    the small-photon limit the analytical model relies on.
     """
     if strategy == STRATEGY_FIRST:
         bound = bound_first_detectors(params, gains)
@@ -313,6 +310,12 @@ def plan_check(
         q_qubits=q_qubits,
         delta_cap=delta_cap,
     )
+    ratio = params.k * alpha2 / params.m_pulses
+    if ratio >= PHOTON_REGIME_LIMIT:
+        raise ValidityError(
+            f"K * alpha2 / M = {ratio:.4g} is outside the "
+            f"small-photon regime (< {PHOTON_REGIME_LIMIT})"
+        )
     jobs = tuple(
         (
             SimConfig(
@@ -336,27 +339,22 @@ def plan_check(
     return BoundCheck(strategy=strategy, bound=bound, p_error=params.p_error, jobs=jobs)
 
 
-def run_checks(checks: Sequence[BoundCheck]) -> list[VerifyReport | Exception]:
+def run_checks(checks: Sequence[BoundCheck]) -> list[VerifyReport]:
     """Simulate every check's scenarios in one ``simulate_batch`` call.
 
-    Returns, in check order, each check's report or the first exception its
-    scenarios raised in ``SCENARIOS`` order, which is the one a serial run,
-    stopping at its first failing scenario, would have raised.
+    Returns the reports in check order; the first exception in job order
+    propagates, which is the one a serial run would have raised.
     """
-    results = iter(simulate_batch([job for check in checks for job in check.jobs]))
-    reports: list[VerifyReport | Exception] = []
-    for check in checks:
-        outcomes = [next(results) for _ in check.jobs]
-        error = next((o for o in outcomes if isinstance(o, Exception)), None)
-        reports.append(
-            error if error is not None else VerifyReport(
-                strategy=check.strategy,
-                bound=check.bound,
-                outcomes=dict(zip(SCENARIOS, outcomes)),
-                p_error=check.p_error,
-            )
+    outcomes = iter(simulate_batch([job for check in checks for job in check.jobs]))
+    return [
+        VerifyReport(
+            strategy=check.strategy,
+            bound=check.bound,
+            outcomes={config.scenario: next(outcomes) for config, _ in check.jobs},
+            p_error=check.p_error,
         )
-    return reports
+        for check in checks
+    ]
 
 
 def verify_bound(
@@ -372,12 +370,10 @@ def verify_bound(
     """Compute a strategy bound, then test it empirically in both scenarios.
 
     The one-check case of ``plan_check`` and ``run_checks``; raises what
-    either of them returns or raises.
+    either of them raises.
     """
     (report,) = run_checks([
         plan_check(strategy, params, gains, transfer, trials, seed,
                    alpha2_scale, r_scale)
     ])
-    if isinstance(report, Exception):
-        raise report
     return report

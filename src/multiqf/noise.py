@@ -59,17 +59,6 @@ class NoiseModel:
         return 10.0 ** (self.bs_loss_db / 20.0)
 
 
-@dataclass(frozen=True)
-class RealizationBatch:
-    """Stack of realized transfer matrices, shape (n_realizations, K, K)."""
-
-    matrices: np.ndarray
-
-    @property
-    def n_realizations(self) -> int:
-        return self.matrices.shape[0]
-
-
 def _rng_for(model: NoiseModel, index: int) -> np.random.Generator:
     """Documented deterministic map (seed, realization index) -> RNG stream."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((model.seed, index))))
@@ -136,12 +125,12 @@ def realize_circuit(
     return _realize(layout, model, [index])[0]
 
 
-def realize_batch(layout: CircuitLayout, model: NoiseModel, n: int) -> RealizationBatch:
-    """n independent realizations with per-index RNG substreams.
+def realize_batch(layout: CircuitLayout, model: NoiseModel, n: int) -> np.ndarray:
+    """n independent realizations with per-index RNG substreams, ``(n, K, K)``.
 
     Realization i depends only on (layout, model.seed, i), so batches are
     reproducible regardless of evaluation order or batch size.
     """
     if n < 1:
         raise ParameterError("need at least one realization")
-    return RealizationBatch(matrices=_realize(layout, model, range(n)))
+    return _realize(layout, model, range(n))

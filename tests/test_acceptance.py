@@ -115,8 +115,7 @@ def test_criterion_05_visibility_regression():
         results = {}
         for k in (2, 7, 100):
             layout = qc.optimal_tree_layout(k)
-            batch = realize_batch(layout, SIGMA_MODEL, 500)
-            results[k] = gn.batch_gain_set(batch.matrices)
+            results[k] = gn.batch_gain_set(realize_batch(layout, SIGMA_MODEL, 500))
         assert results[2].v_first == pytest.approx(0.98, abs=0.01)
         assert results[2].v_last == pytest.approx(0.98, abs=0.01)
         assert results[7].v_first == pytest.approx(0.96, abs=0.015)
@@ -211,7 +210,7 @@ def test_criterion_08_conservative_bounds_with_guard_and_sabotage():
 def test_criterion_09_strategy_crossover():
     with budget(60.0):
         batch = realize_batch(qc.optimal_tree_layout(7), SIGMA_MODEL, 500)
-        gains = gn.batch_gain_set(batch.matrices).mean
+        gains = gn.batch_gain_set(batch).mean
         flat, past = [], []
         for n in log_spaced(1e6, 1e14, 2):
             params = b.ProtocolParams(
@@ -237,7 +236,7 @@ def test_criterion_09_strategy_crossover():
 def test_criterion_10_two_user_strategy_agreement():
     with budget(120.0):
         batch = realize_batch(qc.optimal_tree_layout(2), SIGMA_MODEL, 500)
-        bg = gn.batch_gain_set(batch.matrices)
+        bg = gn.batch_gain_set(batch)
         checked_before, checked_past = 0, 0
         for p_dark, n_max in ((1e-9, 1e14), (1e-11, 1e16)):
             for n in log_spaced(1e4, n_max, 1):
@@ -280,7 +279,7 @@ def test_criterion_12_model_validity_guard():
         worst = 0.0
         for k in (7, 15):
             batch = realize_batch(qc.optimal_tree_layout(k), SIGMA_MODEL, 500)
-            gains = gn.batch_gain_set(batch.matrices).mean
+            gains = gn.batch_gain_set(batch).mean
             for row in figure_16_rows(cfg, k, gains, n_grid):
                 if row["k_alpha2_over_m"] is not None:
                     assert row["k_alpha2_over_m"] < 0.1, row

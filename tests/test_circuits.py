@@ -413,6 +413,19 @@ class TestTableCounts:
         assert qc.table_counts(k, qc.DESIGN_CLEMENTS) == (k * (k - 1) // 2, k)
 
 
+@pytest.mark.parametrize("k", [1, qc.MAX_DIM + 1, 70000])
+def test_builders_reject_dimension_out_of_range(k):
+    # checked before anything is allocated: K = 70000 needs 36.5 GiB dense
+    builders = [qc.dft_multiport, qc.extendable_matrix, qc.extendable_layout,
+                qc.optimal_tree_layout]
+    builders += [lambda k, d=design: qc.build_design(k, d) for design in qc.DESIGNS]
+    builders += [lambda k, d=design: qc.table_counts(k, d) for design in qc.DESIGNS]
+    for build in builders:
+        with pytest.raises(InvalidDimensionError, match=f"in 2..{qc.MAX_DIM}, got {k}"):
+            build(k)
+    assert qc.optimal_tree_layout(qc.MAX_DIM).bs_count == qc.MAX_DIM - 1
+
+
 class TestSingleFlipIdentity:
     @pytest.mark.parametrize("design", qc.DESIGNS)
     @pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 16])

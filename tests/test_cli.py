@@ -146,23 +146,20 @@ class TestVerifyCommand:
 
     def test_one_worker_and_serial_give_the_same_bytes(self, tmp_path, monkeypatch, pool_sizes):
         # K = 5..8 at p_error 1e-3 gives passes, a last-only failure and
-        # photon-regime skips raised inside the simulations
+        # photon-regime skips, decided while planning
         argv = ["verify", "--k-grid", "5:8", "--p-error", "1e-3", "--trials", "5000",
                 "--seed", "3", "--out"]
         cores = mcsim._usable_cores()
         run(argv + [str(tmp_path / "pool.json")])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         run(argv + [str(tmp_path / "one.json")])
-        assert pool_sizes == [min(16, cores), 1]  # 8 checks x 2 scenarios
+        assert pool_sizes == [min(12, cores), 1]  # 6 checks x 2 scenarios, 2 skips
+
+        batches = []
 
         def serial(jobs):
-            out = []
-            for config, seed in jobs:
-                try:
-                    out.append(mcsim.simulate(config, seed))
-                except Exception as exc:
-                    out.append(exc)
-            return out
+            batches.append(jobs)
+            return [mcsim.simulate(config, seed) for config, seed in jobs]
 
         monkeypatch.setattr(mcsim, "simulate_batch", serial)
         run(argv + [str(tmp_path / "serial.json")])
@@ -170,13 +167,20 @@ class TestVerifyCommand:
         assert data == (tmp_path / "one.json").read_bytes()
         assert data == (tmp_path / "serial.json").read_bytes()
         reports = json.loads(data)["reports"]
-        assert {r.get("skipped") for r in reports} == {None, "ValidityError"}
+        assert [r.get("skipped") for r in reports].count("ValidityError") == 2
         assert {r.get("pass") for r in reports} == {True, False, None}
+        # a skipped check puts no job into the batch
+        (jobs,) = batches
+        checked = [(r["K"], r["strategy"]) for r in reports if "skipped" not in r]
+        assert [(c.params.k, c.strategy) for c, _ in jobs] == [
+            pair for pair in checked for _ in mcsim.SCENARIOS
+        ]
 
     @pytest.mark.parametrize("sim_fails, plan_fails, first", [
-        ((3, 4), 5, "simulation failed at K=3"),
+        ((3, 4), 5, "planning failed at K=5"),  # before any simulation starts
         ((4,), 3, "planning failed at K=3"),
         ((), 5, "planning failed at K=5"),
+        ((3, 4), None, "simulation failed at K=3"),
     ])
     def test_first_error_in_serial_order(self, tmp_path, capsys, monkeypatch,
                                          sim_fails, plan_fails, first):
@@ -265,6 +269,8 @@ BAD_INPUT = {
     "infinite-m-pulses": (["verify", "--k-grid", "3", "--m-pulses", "inf"], 1),
     "overflowing-codeword": (["figure", "--id", "16", "--n-min", "1e308", "--n-max", "1e308",
                               "--out-dir", "{tmp}"], 1),
+    "oversized-design": (["design", "--design", "extendable", "--k", "70000",
+                          "--out-dir", "{tmp}"], 1),
 }
 
 

@@ -90,6 +90,23 @@ class TestGainSet:
         with pytest.raises(ParameterError):
             gn.gain_set(m, last_label=9)
 
+    def test_single_flip_gains_by_flipped_input(self):
+        model = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=3)
+        m = realize_batch(qc.optimal_tree_layout(6), model, 1)[0]
+        g = gn.gain_set(m)
+        last = g.last_label - 1
+        assert g.g_d_first.shape == g.g_d_last.shape == (6,)
+        for j in range(6):
+            mu = gn.output_photon_numbers(m, [-1 if i == j else 1 for i in range(6)], 1.0)
+            assert g.g_d_first[j] == pytest.approx(mu.sum() - mu[last], rel=1e-12)
+            assert g.g_d_last[j] == pytest.approx(mu[last], rel=1e-12)
+        assert g.g_d_first_min == g.g_d_first[g.worst_pattern_first] == g.g_d_first.min()
+        assert g.g_d_last_max == g.g_d_last[g.worst_pattern_last] == g.g_d_last.max()
+
+    def test_ties_pick_the_first_flipped_input(self):
+        g = gn.ideal_gain_set(5)
+        assert (g.worst_pattern_first, g.worst_pattern_last) == (0, 0)
+
 
 class TestVisibilities:
     def test_ideal_visibilities_are_one(self):
@@ -101,7 +118,8 @@ class TestVisibilities:
         # at K=2 the formula reduces to (1 + (g_D - g_E)/2) / 2
         g = gn.GainSet(
             k=2, last_label=2, g_e_first=0.1, g_d_first_min=1.9,
-            g_e_last=1.8, g_d_last_max=0.05, per_pattern={},
+            g_e_last=1.8, g_d_last_max=0.05,
+            g_d_first=np.array([1.9, 2.0]), g_d_last=np.array([0.05, 0.0]),
         )
         v_first, v_last = gn.visibilities(g)
         assert v_first == pytest.approx(0.5 * (1 + (1.9 - 0.1) / 2))
@@ -111,8 +129,7 @@ class TestVisibilities:
         # single 50:50 block: v = (1 + block power factor) / 2
         lay = qc.optimal_tree_layout(2)
         model = NoiseModel(bs_loss_db=-0.2, seed=0)
-        batch = realize_batch(lay, model, 3)
-        bg = gn.batch_gain_set(batch.matrices)
+        bg = gn.batch_gain_set(realize_batch(lay, model, 3))
         rho = (10.0 ** (-0.2 / 20.0)) ** 2
         assert bg.v_first == pytest.approx(0.5 * (1 + rho), abs=1e-12)
         assert bg.v_first_sd == pytest.approx(0.0, abs=1e-15)
@@ -123,7 +140,7 @@ class TestBatchGains:
         # forty realizations already land on the published operating point
         lay = qc.optimal_tree_layout(7)
         model = NoiseModel(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=11)
-        bg = gn.batch_gain_set(realize_batch(lay, model, 40).matrices)
+        bg = gn.batch_gain_set(realize_batch(lay, model, 40))
         assert bg.v_first == pytest.approx(0.96, abs=0.02)
         assert bg.v_last == pytest.approx(0.93, abs=0.02)
         assert 1e-4 < bg.v_last_sd < 1e-2
@@ -134,37 +151,36 @@ class TestBatchGains:
 
 
 def reference_batch_gain_set(matrices):
-    """Per-realization gain sets averaged pattern by pattern."""
+    """Per-realization gain sets averaged aggregate by aggregate and flip by flip."""
     sets = [gn.gain_set(m) for m in matrices]
     vis = np.array([gn.visibilities(g) for g in sets])
-    per_pattern = {
-        p: (np.mean([g.per_pattern[p][0] for g in sets]),
-            np.mean([g.per_pattern[p][1] for g in sets]))
-        for p in sets[0].per_pattern
+    flips = {
+        name: np.array([np.mean([getattr(g, name)[j] for g in sets]) for j in range(sets[0].k)])
+        for name in ("g_d_first", "g_d_last")
     }
     means = {
         name: np.mean([getattr(g, name) for g in sets])
         for name in ("g_e_first", "g_d_first_min", "g_e_last", "g_d_last_max")
     }
     v_first, v_last = gn.visibilities(gn.GainSet(
-        k=sets[0].k, last_label=sets[0].last_label, per_pattern=per_pattern, **means
+        k=sets[0].k, last_label=sets[0].last_label, **flips, **means
     ))
-    return means, per_pattern, vis, (v_first, v_last, vis[:, 0].std(ddof=1), vis[:, 1].std(ddof=1))
+    return means, flips, vis, (v_first, v_last, vis[:, 0].std(ddof=1), vis[:, 1].std(ddof=1))
 
 
 @pytest.mark.parametrize("k", [2, 7, 30])
 def test_batch_gains_match_per_realization_average(k):
     lay = qc.optimal_tree_layout(k)
     model = NoiseModel(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=k)
-    matrices = realize_batch(lay, model, 200).matrices
-    means, per_pattern, vis, summary = reference_batch_gain_set(matrices)
+    matrices = realize_batch(lay, model, 200)
+    means, flips, vis, summary = reference_batch_gain_set(matrices)
     bg = gn.batch_gain_set(matrices)
     rel = 1e-12
     for name, value in means.items():
         assert getattr(bg.mean, name) == pytest.approx(value, rel=rel, abs=0)
-    assert list(bg.mean.per_pattern) == list(per_pattern)
-    for p, pair in per_pattern.items():
-        assert bg.mean.per_pattern[p] == pytest.approx(pair, rel=rel, abs=0)
+    for name, values in flips.items():
+        assert getattr(bg.mean, name).shape == (k,)
+        assert getattr(bg.mean, name) == pytest.approx(values, rel=rel, abs=0)
     assert bg.per_realization == pytest.approx(vis, rel=rel, abs=0)
     got = (bg.v_first, bg.v_last, bg.v_first_sd, bg.v_last_sd)
     assert got == pytest.approx(summary, rel=rel, abs=0)
@@ -188,6 +204,12 @@ class TestPatternScan:
         for _, g_first, g_last in rows:
             assert -tol <= g_first <= 6.0 + tol and -tol <= g_last <= 6.0 + tol
 
+    def test_rejects_last_label_out_of_range(self):
+        m = design_matrix(qc.DESIGN_OPTIMAL, 4)
+        for last_label in (0, 9, 1.5):
+            with pytest.raises(ParameterError, match="last_label must be an integer in 1..4"):
+                gn.worst_case_pattern_scan(m, last_label=last_label)
+
     def test_budget_guard(self):
         m = design_matrix(qc.DESIGN_OPTIMAL, 16)
         with pytest.raises(ParameterError):
@@ -196,7 +218,7 @@ class TestPatternScan:
     def test_realized_extremes_at_l1(self):
         lay = qc.optimal_tree_layout(8)
         model = NoiseModel(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=21)
-        m = realize_batch(lay, model, 1).matrices[0]
+        m = realize_batch(lay, model, 1)[0]
         rows = gn.worst_case_pattern_scan(m, max_l=4)
         best_last = max(rows, key=lambda r: r[2])
         best_first = min(rows, key=lambda r: r[1])

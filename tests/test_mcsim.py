@@ -1,5 +1,6 @@
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +26,6 @@ def reference_simulate(config, seed=0):
     k = params.k
     m = params.m_pulses
     mu_in = config.alpha2 / m
-    if config.enforce_photon_regime and k * config.alpha2 / m >= b.PHOTON_REGIME_LIMIT:
-        raise ValidityError("outside the small-photon regime")
     transfer = np.asarray(config.transfer, dtype=complex)
     last_label = config.last_label or gn.find_last_label(transfer)
     last = last_label - 1
@@ -38,8 +37,12 @@ def reference_simulate(config, seed=0):
 
     mu_equal = photon_numbers(None)
     if config.scenario == mc.WORST_DIFFERENT:
-        pattern = config.worst_pattern or mc._worst_pattern(transfer, config.strategy, last_label)
-        mu_diff = photon_numbers(pattern)
+        flip = config.worst_pattern
+        if flip is None:
+            gains = gn.gain_set(transfer, last_label=last_label)
+            first = config.strategy == b.STRATEGY_FIRST
+            flip = gains.worst_pattern_first if first else gains.worst_pattern_last
+        mu_diff = photon_numbers([-1 if i == flip else 1 for i in range(k)])
         m_diff = math.floor((1.0 - params.ecc.delta) * m)
     else:
         mu_diff = mu_equal
@@ -160,20 +163,14 @@ class TestSimulate:
         )
         assert mc.simulate(cfg, seed=0).error_rate == 1.0
 
-    def test_photon_regime_guard(self, ecc):
+    def test_samples_outside_photon_regime(self, ecc):
+        # K * alpha2 / M = 2: the regime is checked where a bound is planned
         params = make_params(ecc, 4, 100, 0.05)
         cfg = mc.SimConfig(
-            trials=100, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_FIRST,
+            trials=100, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
             params=params, transfer=tree_matrix(4), alpha2=50.0, threshold_r=0.0,
         )
-        with pytest.raises(ValidityError):
-            mc.simulate(cfg, seed=0)
-        relaxed = mc.SimConfig(
-            trials=100, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_FIRST,
-            params=params, transfer=tree_matrix(4), alpha2=50.0, threshold_r=0.0,
-            enforce_photon_regime=False,
-        )
-        mc.simulate(relaxed, seed=0)
+        assert mc.simulate(cfg, seed=0) == reference_simulate(cfg, seed=0)
 
     def test_determinism(self, ecc):
         params = make_params(ecc, 3, 10**4, 0.05, p_dark=1e-5)
@@ -231,6 +228,16 @@ class TestSimulate:
                 trials=10, scenario="sideways", strategy=b.STRATEGY_FIRST,
                 params=params, transfer=tree_matrix(3), alpha2=1.0, threshold_r=0.0,
             )
+        # 0 is not "derive it", and a label above K or between two would
+        # count every detector
+        for field, values in (("last_label", (0, 4, -1, 1.5)), ("worst_pattern", (-1, 3, 0.5))):
+            for value in values:
+                with pytest.raises(ParameterError, match=f"{field} must be an integer in"):
+                    mc.SimConfig(
+                        trials=10, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+                        params=params, transfer=tree_matrix(3), alpha2=1.0, threshold_r=0.0,
+                        **{field: value},
+                    )
         # a NaN threshold would otherwise read as a pass: no count exceeds it
         for field in ("alpha2", "threshold_r"):
             for value in (math.nan, math.inf, -math.inf):
@@ -255,23 +262,19 @@ def test_streamed_counts_match_materialized(ecc, strategy, scenario, k, seed):
 
 def serial(jobs):
     """The batch's contract, one job after another."""
-    results = []
-    for config, seed in jobs:
-        try:
-            results.append(mc.simulate(config, seed))
-        except Exception as exc:
-            results.append(exc)
-    return results
+    return [mc.simulate(config, seed) for config, seed in jobs]
 
 
-def same_results(got, want):
-    """Outcomes equal, exceptions of the same type and message."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        if isinstance(w, Exception):
-            assert type(g) is type(w) and str(g) == str(w)
-        else:
-            assert g == w
+def slowed(monkeypatch, seed):
+    """Make the job with ``seed`` finish after the jobs started with it."""
+    real = mc.simulate
+
+    def simulate(config, s=0):
+        if s == seed:
+            time.sleep(0.05)
+        return real(config, s)
+
+    monkeypatch.setattr(mc, "simulate", simulate)
 
 
 class TestSimulateBatch:
@@ -288,31 +291,31 @@ class TestSimulateBatch:
 
     def test_matches_serial_loop(self, ecc, pool_sizes):
         jobs = self.jobs(ecc)
-        same_results(mc.simulate_batch(jobs), serial(jobs))
+        assert mc.simulate_batch(jobs) == serial(jobs)
         assert pool_sizes == [min(len(jobs), len(os.sched_getaffinity(0)))]
 
     def test_one_usable_core_gives_one_thread(self, ecc, pool_sizes, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         jobs = self.jobs(ecc)
-        same_results(mc.simulate_batch(jobs), serial(jobs))
+        assert mc.simulate_batch(jobs) == serial(jobs)
         assert pool_sizes == [1]
 
     def test_cpu_count_without_affinity(self, ecc, pool_sizes, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         jobs = self.jobs(ecc)[:5]
-        same_results(mc.simulate_batch(jobs), serial(jobs))
+        assert mc.simulate_batch(jobs) == serial(jobs)
         assert pool_sizes == [3]
 
-    def test_errors_come_back_in_job_order(self, ecc):
+    def test_first_error_in_job_order_is_raised(self, ecc, monkeypatch):
         ok = self.jobs(ecc)[:4]
-        too_bright = replace(ok[1][0], alpha2=ok[1][0].alpha2 * 100)
-        jobs = [ok[0], (too_bright, 3), ok[2], (ok[3][0], -1), ok[3]]
-        got = mc.simulate_batch(jobs)
-        same_results(got, serial(jobs))
-        assert [type(r) for r in got] == [
-            mc.SimOutcome, ValidityError, mc.SimOutcome, ParameterError, mc.SimOutcome
-        ]
+        misshapen = replace(ok[1][0], transfer=np.eye(3))
+        jobs = [ok[0], (misshapen, 100), ok[2], (ok[3][0], -1), ok[3]]
+        slowed(monkeypatch, 100)  # the later failure comes first
+        with pytest.raises(ParameterError, match="transfer matrix shape"):
+            mc.simulate_batch(jobs)
+        with pytest.raises(ParameterError, match="transfer matrix shape"):
+            serial(jobs)
 
     def test_no_jobs(self):
         assert mc.simulate_batch([]) == []
@@ -340,29 +343,38 @@ class TestRunChecks:
             )
         assert [r.passed for r in reports] == [True, True, False, False]
 
-    def test_first_failing_scenario_wins(self, ecc, realized):
+    def test_first_error_in_job_order_is_raised(self, ecc, realized, monkeypatch):
         check = self.checks(ecc, realized)[0]
         (equal, s0), (different, s1) = check.jobs
-        too_bright = replace(equal, alpha2=equal.alpha2 * 1e4)
+        misshapen = replace(different, transfer=np.eye(2))
         cases = [
-            ((too_bright, s0), (different, -1), ValidityError),
-            ((equal, -1), (too_bright, s1), ParameterError),
-            ((equal, s0), (different, -1), ParameterError),
+            ((equal, -1), (misshapen, s1), "seed must be"),
+            ((equal, s0), (misshapen, s1), "transfer matrix shape"),
+            ((equal, s0), (different, -1), "seed must be"),
         ]
+        slowed(monkeypatch, -1)
         for first, second, error in cases:
             broken = replace(check, jobs=(first, second))
-            reports = mc.run_checks([check, broken, check])
-            assert type(reports[1]) is error
-            assert isinstance(reports[0], mc.VerifyReport) and reports[0] == reports[2]
-            with pytest.raises(error):  # the serial way: scenario after scenario
-                [mc.simulate(c, s) for c, s in broken.jobs]
+            with pytest.raises(ParameterError, match=error):
+                mc.run_checks([check, broken, check])
+            with pytest.raises(ParameterError, match=error):  # scenario after scenario
+                serial(broken.jobs)
 
-    def test_verify_bound_raises_skip(self, ecc, realized):
+    def test_verify_bound_raises_skip(self, ecc, realized, monkeypatch):
         t, gains = realized
-        # at M = 1e3 the bound's K * alpha2 / M is 0.41, outside the regime
+        # at M = 1e3 the bound's K * alpha2 / M is 0.41, outside the regime,
+        # and still 0.10 with alpha2 scaled down 4x; planning decides it
         params = make_params(ecc, 3, 10**3, 1e-2, eta=0.5, p_dark=1e-6)
-        with pytest.raises(ValidityError):
-            mc.verify_bound(b.STRATEGY_FIRST, params, gains, t, trials=500)
+        monkeypatch.setattr(mc, "simulate_batch", None)  # never reached
+        for alpha2_scale, ratio in ((1.0, "0.4055"), (0.25, "0.1014")):
+            message = (rf"^K \* alpha2 / M = {ratio} is outside the small-photon regime "
+                       r"\(< 0\.1\)$")
+            with pytest.raises(ValidityError, match=message):
+                mc.plan_check(b.STRATEGY_FIRST, params, gains, t, trials=500,
+                              alpha2_scale=alpha2_scale)
+            with pytest.raises(ValidityError, match=message):
+                mc.verify_bound(b.STRATEGY_FIRST, params, gains, t, trials=500,
+                                alpha2_scale=alpha2_scale)
 
 
 @pytest.fixture(scope="module")
@@ -390,9 +402,10 @@ class TestVerifyBound:
         assert rep.outcomes[mc.WORST_DIFFERENT].wilson_upper_95 > 1e-2
 
     def test_scaled_bound_carries_its_own_qubit_cost(self, ecc, realized):
-        # alpha2 scaled up 4x: the old qubit count fell below the sanity floor
+        # alpha2 scaled up 4x: the old qubit count fell below the sanity floor;
+        # at M = 1e5 the scaled K * alpha2 / M (0.016) stays in the regime
         t, gains = realized
-        params = make_params(ecc, 3, 10**4, 1e-2, eta=0.5, p_dark=1e-6)
+        params = make_params(ecc, 3, 10**5, 1e-2, eta=0.5, p_dark=1e-6)
         honest = b.bound_first_detectors(params, gains)
         check = mc.plan_check(b.STRATEGY_FIRST, params, gains, t, trials=500,
                               alpha2_scale=4.0)

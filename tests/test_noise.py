@@ -86,9 +86,9 @@ def test_batch_matches_per_index_calls():
     layout = qc.optimal_tree_layout(4)
     model = NoiseModel(sigma_t=0.02, sigma_p=0.01, bs_loss_db=-0.2, seed=7)
     batch = realize_batch(layout, model, 5)
-    assert batch.n_realizations == 5
+    assert batch.shape == (5, 4, 4)
     for i in range(5):
-        assert np.array_equal(batch.matrices[i], realize_circuit(layout, model, index=i))
+        assert np.array_equal(batch[i], realize_circuit(layout, model, index=i))
 
 
 def test_singular_values_bounded_and_loss_floor():
@@ -172,7 +172,7 @@ NOISY = NoiseModel(sigma_t=0.02, sigma_p=0.03, bs_loss_db=-0.2, seed=17)
 @pytest.mark.parametrize("k", ORACLE_K)
 def test_realizations_match_element_loop(name, k):
     layout = oracle_layout(name, k)
-    batch = realize_batch(layout, NOISY, 4).matrices
+    batch = realize_batch(layout, NOISY, 4)
     for i in range(4):
         assert np.array_equal(batch[i], reference_realize_circuit(layout, NOISY, i))
     assert np.array_equal(realize_circuit(layout, NOISY, index=9),
@@ -203,8 +203,8 @@ def test_block_rows_are_successive_four_draws():
 
 def test_batch_prefix_is_smaller_batch():
     layout = qc.optimal_tree_layout(9)
-    five = realize_batch(layout, NOISY, 5).matrices
-    three = realize_batch(layout, NOISY, 3).matrices
+    five = realize_batch(layout, NOISY, 5)
+    three = realize_batch(layout, NOISY, 3)
     assert np.array_equal(five[:3], three)
 
 
