@@ -19,7 +19,6 @@ import numpy as np
 from . import circuits, classical
 from .bounds import (
     STRATEGY_FIRST,
-    STRATEGY_IDEAL,
     STRATEGY_LAST,
     BoundResult,
     ECCParams,
@@ -44,8 +43,25 @@ PRESETS = {
     "delta": 0.78,
     "realizations": 500,
     "p_dark": (1e-9, 1e-11),
-    "points_per_decade": 25,
 }
+
+_ADVANTAGE_PRESET = (
+    (1e6, 1e14), 3, (2, 4, 7, 10, 16, 25, 40, 60, 80, 100),
+    tuple(10.0 ** e for e in np.arange(-11.0, -6.99, 0.25)),
+)
+#: Figure id -> (N range, points per decade, K values, p_dark values) of its
+#: preset.  --n-min, --n-max and --points-per-decade override the N grid of
+#: every figure; --p-dark replaces the p_dark values of figures 14-16 and
+#: --k-grid the K values of figures 17-18, whose x-axis is the p_dark grid.
+FIGURES = {
+    14: ((1e4, 1e12), 25, (2,), PRESETS["p_dark"]),
+    15: ((1e6, 1e14), 25, (7, 50), PRESETS["p_dark"]),
+    16: ((1e8, 1e12), 25, (7, 15), PRESETS["p_dark"][:1]),
+    17: _ADVANTAGE_PRESET,
+    18: _ADVANTAGE_PRESET,
+}
+#: Figures 14-16 sweep N; figure 15 also takes the noise level 0.1 next to --sigma.
+_SWEEP_SIGMAS = {14: (None,), 15: (None, 0.1), 16: (None,)}
 
 #: Worst-case visibilities for the max-user-count curves.
 FIG18_VISIBILITIES = (0.98, 0.95, 0.90, 0.85)
@@ -88,6 +104,8 @@ def parse_grid(spec: str) -> list[int]:
         raise ParameterError(f"K grid {spec!r} is not 'lo:hi' or a list of integers") from None
     if not grid:
         raise ParameterError(f"K grid {spec!r} is empty")
+    if len(set(grid)) < len(grid):
+        raise ParameterError(f"K grid {spec!r} repeats a value")
     return grid
 
 
@@ -116,34 +134,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _bound_row(res: BoundResult, k: int, n: float, **extra) -> dict:
-    return {
-        "N": n,
-        "M": res.m_pulses,
-        "strategy": res.strategy,
-        "alpha2": res.alpha2,
-        "r": res.threshold_r,
-        "Q": res.q_qubits,
-        "feasible": res.feasible,
-        "dominant": res.dominant_dark_term,
-        "valid": res.within_validity(k),
-        **extra,
-    }
-
-
-def _classical_row(series: str, bits: float, photons: float, n: float, m: int, **extra) -> dict:
+def _row(n: float, m: int, strategy: str, alpha2=None, r=None, q=None, feasible=True,
+         dominant=False, valid=True, k_alpha2_over_m=None, **extra) -> dict:
+    """One row of the figure 14-16 sweeps; ``extra`` adds columns such as K."""
     return {
         "N": n,
         "M": m,
-        "strategy": series,
-        "alpha2": photons,
-        "r": None,
-        "Q": bits,
-        "feasible": True,
-        "dominant": False,
-        "valid": True,
+        "strategy": strategy,
+        "alpha2": alpha2,
+        "r": r,
+        "Q": q,
+        "feasible": feasible,
+        "dominant": dominant,
+        "valid": valid,
+        "k_alpha2_over_m": k_alpha2_over_m,
         **extra,
     }
+
+
+def _bound_row(res: BoundResult, k: int, n: float, **extra) -> dict:
+    return _row(
+        n, res.m_pulses, res.strategy, res.alpha2, res.threshold_r, res.q_qubits,
+        res.feasible, res.dominant_dark_term, res.within_validity(k),
+        k * res.alpha2 / res.m_pulses, **extra,
+    )
 
 
 def batch_gains_for(
@@ -170,99 +184,37 @@ def _params(k: int, n: float, cfg: dict) -> ProtocolParams:
     )
 
 
-def strategy_sweep_rows(k: int, gains, n_grid: list[float], cfg: dict, **extra) -> list[dict]:
-    """Bound/threshold/qubit rows for both strategies plus the ideal curve."""
+def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], v: float | None = None,
+               **extra) -> list[dict]:
+    """Rows of figures 14-16 for one (K, gains, p_dark) curve family.
+
+    Per N: both strategy bounds (an infeasible row where a strategy's gain
+    inequality fails), the ideal curve, the iterative two-user search when
+    a visibility ``v`` is given, and the best known and limiting classical
+    costs.
+    """
+    p_error, eta = cfg["p_error"], cfg["eta"]
     rows = []
     for n in n_grid:
         params = _params(k, n, cfg)
-        for compute in (bound_first_detectors, bound_last_detector):
+        m = params.m_pulses
+        for strategy, compute in ((STRATEGY_FIRST, bound_first_detectors),
+                                  (STRATEGY_LAST, bound_last_detector)):
             try:
                 rows.append(_bound_row(compute(params, gains), k, n, **extra))
             except FeasibilityError:
-                name = STRATEGY_FIRST if compute is bound_first_detectors else STRATEGY_LAST
-                rows.append(
-                    {
-                        "N": n,
-                        "M": params.m_pulses,
-                        "strategy": name,
-                        "alpha2": None,
-                        "r": None,
-                        "Q": None,
-                        "feasible": False,
-                        "dominant": False,
-                        "valid": True,
-                        **extra,
-                    }
-                )
+                rows.append(_row(n, m, strategy, feasible=False, **extra))
         rows.append(_bound_row(ideal_bound(params), k, n, **extra))
-    return rows
-
-
-def figure_14_rows(cfg: dict, v: float, n_grid: list[float], gains) -> list[dict]:
-    """Two-user comparison: iterative search vs both strategy bounds."""
-    rows = strategy_sweep_rows(2, gains, n_grid, cfg, p_dark=cfg["p_dark"])
-    for n in n_grid:
-        params = _params(2, n, cfg)
-        res = algorithm_two_user(params, v)
-        rows.append(_bound_row(res, 2, n, p_dark=cfg["p_dark"]))
-        rows.append(
-            _classical_row(
-                "classical-best",
-                classical.best_two_user(n, cfg["p_error"]),
-                classical.best_two_user(n, cfg["p_error"]) / cfg["eta"],
-                n,
-                params.m_pulses,
-                p_dark=cfg["p_dark"],
-            )
-        )
-        rows.append(
-            _classical_row(
-                "classical-limit",
-                classical.classical_limit(2, n, cfg["p_error"]),
-                classical.photonic_limit_photons(2, n, cfg["p_error"], cfg["eta"]),
-                n,
-                params.m_pulses,
-                p_dark=cfg["p_dark"],
-            )
-        )
-    return rows
-
-
-def figure_15_rows(cfg: dict, k: int, gains, n_grid: list[float]) -> list[dict]:
-    """Information per user vs N for one (K, sigma, p_dark) panel."""
-    rows = strategy_sweep_rows(
-        k, gains, n_grid, cfg, p_dark=cfg["p_dark"], sigma=cfg["sigma"], K=k
-    )
-    for n in n_grid:
-        m = _params(k, n, cfg).m_pulses
-        rows.append(
-            _classical_row(
-                "classical-best",
-                classical.best_k_user(k, n, cfg["p_error"]),
-                classical.best_k_user(k, n, cfg["p_error"]) / cfg["eta"],
-                n, m, p_dark=cfg["p_dark"], sigma=cfg["sigma"], K=k,
-            )
-        )
-        rows.append(
-            _classical_row(
-                "classical-limit",
-                classical.classical_limit(k, n, cfg["p_error"]),
-                classical.photonic_limit_photons(k, n, cfg["p_error"], cfg["eta"]),
-                n, m, p_dark=cfg["p_dark"], sigma=cfg["sigma"], K=k,
-            )
-        )
-    return rows
-
-
-def figure_16_rows(cfg: dict, k: int, gains, n_grid: list[float]) -> list[dict]:
-    """Information, photon numbers, and the K*alpha2/M validity diagnostic."""
-    rows = figure_15_rows(cfg, k, gains, n_grid)
-    strategies = (STRATEGY_FIRST, STRATEGY_LAST, STRATEGY_IDEAL)
-    for row in rows:
-        if row["strategy"] in strategies and row["alpha2"] is not None:
-            row["k_alpha2_over_m"] = k * row["alpha2"] / row["M"]
+        if v is not None:
+            rows.append(_bound_row(algorithm_two_user(params, v), k, n, **extra))
+        if k == 2:
+            best = classical.best_two_user(n, p_error)
         else:
-            row["k_alpha2_over_m"] = None
+            best = classical.best_k_user(k, n, p_error)
+        rows.append(_row(n, m, "classical-best", best / eta, q=best, **extra))
+        rows.append(_row(n, m, "classical-limit",
+                         classical.photonic_limit_photons(k, n, p_error, eta),
+                         q=classical.classical_limit(k, n, p_error), **extra))
     return rows
 
 
@@ -407,15 +359,29 @@ _SWEEP_FIELDS = [
 
 
 def cmd_figure(args) -> int:
-    cfg = dict(PRESETS)
-    cfg["p_error"] = args.p_error
-    cfg["eta"] = args.eta
-    cfg["delta"] = args.delta
+    (n_min, n_max), per_decade, k_values, p_darks = FIGURES[args.id]
+    sweep = args.id in _SWEEP_SIGMAS
+    if args.k_grid is not None:
+        if sweep:
+            raise ParameterError(
+                f"figure {args.id} has fixed K values; --k-grid is for figures 17-18"
+            )
+        k_values = parse_grid(args.k_grid)
+    if args.p_dark is not None:
+        if not sweep:
+            raise ParameterError(f"figure {args.id} sweeps p_dark; --p-dark is for figures 14-16")
+        p_darks = (args.p_dark,)
+    n_grid = log_spaced(
+        n_min if args.n_min is None else args.n_min,
+        n_max if args.n_max is None else args.n_max,
+        per_decade if args.points_per_decade is None else args.points_per_decade,
+    )
+    cfg = dict(PRESETS, p_error=args.p_error, eta=args.eta, delta=args.delta)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
-    reals = args.realizations
-    p_darks = [args.p_dark] if args.p_dark is not None else list(PRESETS["p_dark"])
+
+    def gains_for(k: int, sigma: float) -> BatchGains:
+        return batch_gains_for(k, sigma, args.bs_loss_db, args.realizations, args.seed)
 
     def emit(name: str, rows: list[dict], fields: list[str]) -> None:
         rows = sorted(
@@ -425,69 +391,36 @@ def cmd_figure(args) -> int:
         write_dat(out_dir / f"{name}.dat", rows, fields)
         print(f"wrote {out_dir / name}.csv ({len(rows)} rows)")
 
-    def n_grid_or(n_min: float, n_max: float) -> list[float]:
-        """The N grid of the flags, each falling back to the figure's preset."""
-        return log_spaced(
-            n_min if args.n_min is None else args.n_min,
-            n_max if args.n_max is None else args.n_max,
-            args.points_per_decade,
-        )
-
-    if args.id == 14:
-        n_grid = n_grid_or(1e4, 1e12)
-        bg = batch_gains_for(2, args.sigma, args.bs_loss_db, reals, seed)
+    if sweep:
         rows = []
-        for p_dark in p_darks:
-            cfg_p = dict(cfg, p_dark=p_dark, sigma=args.sigma)
-            rows += [
-                dict(r, K=2, sigma=args.sigma)
-                for r in figure_14_rows(cfg_p, bg.v_first, n_grid, bg.mean)
-            ]
-        emit("figure14", rows, _SWEEP_FIELDS)
-    elif args.id == 15:
-        n_grid = n_grid_or(1e6, 1e14)
-        rows = []
-        for k in (7, 50):
-            for sigma in (args.sigma, 0.1):
-                bg = batch_gains_for(k, sigma, args.bs_loss_db, reals, seed)
+        for k in k_values:
+            for sigma in _SWEEP_SIGMAS[args.id]:
+                sigma = args.sigma if sigma is None else sigma
+                bg = gains_for(k, sigma)
+                v = bg.v_first if k == 2 else None
                 for p_dark in p_darks:
-                    rows += figure_15_rows(dict(cfg, p_dark=p_dark, sigma=sigma), k, bg.mean, n_grid)
-        emit("figure15", rows, _SWEEP_FIELDS)
-    elif args.id == 16:
-        n_grid = n_grid_or(1e8, 1e12)
-        rows = []
-        for k in (7, 15):
-            bg = batch_gains_for(k, args.sigma, args.bs_loss_db, reals, seed)
-            rows += figure_16_rows(
-                dict(cfg, p_dark=p_darks[0], sigma=args.sigma), k, bg.mean, n_grid
-            )
-        emit("figure16", rows, _SWEEP_FIELDS + ["k_alpha2_over_m"])
-    elif args.id in (17, 18):
-        k_grid = parse_grid(args.k_grid) if args.k_grid else [2, 4, 7, 10, 16, 25, 40, 60, 80, 100]
-        pd_grid = [10.0 ** e for e in np.arange(-11.0, -6.99, 0.25)]
-        n_grid = log_spaced(1e6, 1e14, 3)
-        batches = {
-            k: batch_gains_for(k, args.sigma, args.bs_loss_db, reals, seed) for k in k_grid
-        }
-        rows = advantage_rows(
-            dict(cfg, sigma=args.sigma), k_grid, pd_grid,
-            {k: bg.mean for k, bg in batches.items()}, n_grid,
-            energy=(args.id == 18),
-        )
-        fields = ["K", "p_dark", "circuit", "advantage_limit", "advantage_best"]
-        emit(f"figure{args.id}a", rows, fields)
-        if args.id == 17:
-            vis_rows = [
-                {"K": k, "v_first": bg.v_first, "v_last": bg.v_last}
-                for k, bg in batches.items()
-            ]
-            emit("figure17b", vis_rows, ["K", "v_first", "v_last"])
-        else:
-            mu_grid = [10.0 ** e for e in np.arange(-12.0, -6.99, 0.2)]
-            emit("figure18b", figure_18b_rows(mu_grid, cfg), ["v_last", "mu_dark", "k_max"])
+                    rows += sweep_rows(dict(cfg, p_dark=p_dark), k, bg.mean, n_grid, v,
+                                       K=k, p_dark=p_dark, sigma=sigma)
+        fields = _SWEEP_FIELDS + (["k_alpha2_over_m"] if args.id == 16 else [])
+        emit(f"figure{args.id}", rows, fields)
+        return 0
+    batches = {k: gains_for(k, args.sigma) for k in k_values}
+    rows = advantage_rows(
+        cfg, k_values, p_darks,
+        {k: bg.mean for k, bg in batches.items()}, n_grid,
+        energy=(args.id == 18),
+    )
+    fields = ["K", "p_dark", "circuit", "advantage_limit", "advantage_best"]
+    emit(f"figure{args.id}a", rows, fields)
+    if args.id == 17:
+        vis_rows = [
+            {"K": k, "v_first": bg.v_first, "v_last": bg.v_last}
+            for k, bg in batches.items()
+        ]
+        emit("figure17b", vis_rows, ["K", "v_first", "v_last"])
     else:
-        print(f"unknown figure id {args.id}", file=sys.stderr)
-        return 2
+        mu_grid = [10.0 ** e for e in np.arange(-12.0, -6.99, 0.2)]
+        emit("figure18b", figure_18b_rows(mu_grid, cfg), ["v_last", "mu_dark", "k_max"])
     return 0
 
 
@@ -538,7 +471,7 @@ def cmd_verify(args) -> int:
     for k, strategy, check in planned:
         if isinstance(check, BoundCheck):
             rep = next(results)
-            reports.append(json.loads(rep.to_json()) | {"K": k})
+            reports.append(rep.to_json_dict() | {"K": k})
             all_pass &= rep.passed
         else:
             reports.append(
@@ -582,13 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out-dir", default="figures")
     p_fig.add_argument("--p-error", type=float, default=PRESETS["p_error"])
     p_fig.add_argument("--p-dark", type=float, default=None,
-                       help="single dark-count value (default: preset pair)")
+                       help="single dark-count value for figures 14-16 (default: preset)")
     p_fig.add_argument("--sigma", type=float, default=PRESETS["sigma"])
     p_fig.add_argument("--bs-loss-db", type=float, default=PRESETS["bs_loss_db"])
     p_fig.add_argument("--eta", type=float, default=PRESETS["eta"])
     p_fig.add_argument("--delta", type=float, default=PRESETS["delta"])
     p_fig.add_argument("--realizations", type=int, default=PRESETS["realizations"])
-    p_fig.add_argument("--points-per-decade", type=int, default=PRESETS["points_per_decade"])
+    p_fig.add_argument("--points-per-decade", type=int, default=None,
+                       help="default: 25 for figures 14-16, 3 for 17-18")
     p_fig.add_argument("--n-min", type=float, default=None)
     p_fig.add_argument("--n-max", type=float, default=None)
     p_fig.add_argument("--k-grid", default=None)
@@ -621,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _splice_config(list(sys.argv[1:] if argv is None else argv))
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except MultiqfError as exc:
+    except (MultiqfError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

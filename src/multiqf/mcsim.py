@@ -14,7 +14,6 @@ the target is the package's empirical gate on the bound mathematics.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -243,20 +242,17 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(o.wilson_upper_95 <= self.p_error for o in self.outcomes.values())
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "strategy": self.strategy,
-                "alpha2": self.bound.alpha2,
-                "threshold_r": self.bound.threshold_r,
-                "p_error": self.p_error,
-                "pass": self.passed,
-                "scenarios": [
-                    self.outcomes[s].to_json_dict(self.p_error) for s in sorted(self.outcomes)
-                ],
-            },
-            sort_keys=True,
-        )
+    def to_json_dict(self) -> dict:
+        return {
+            "strategy": self.strategy,
+            "alpha2": self.bound.alpha2,
+            "threshold_r": self.bound.threshold_r,
+            "p_error": self.p_error,
+            "pass": self.passed,
+            "scenarios": [
+                self.outcomes[s].to_json_dict(self.p_error) for s in sorted(self.outcomes)
+            ],
+        }
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from multiqf import circuits as qc
 from multiqf import classical as cl
 from multiqf import gains as gn
 from multiqf import mcsim as mc
-from multiqf.cli import figure_16_rows, log_spaced
+from multiqf.cli import log_spaced, sweep_rows
 from multiqf.errors import ValidityError
 from multiqf.noise import NoiseModel, realize_batch, realize_circuit
 
@@ -280,7 +280,7 @@ def test_criterion_12_model_validity_guard():
         for k in (7, 15):
             batch = realize_batch(qc.optimal_tree_layout(k), SIGMA_MODEL, 500)
             gains = gn.batch_gain_set(batch).mean
-            for row in figure_16_rows(cfg, k, gains, n_grid):
+            for row in sweep_rows(cfg, k, gains, n_grid):
                 if row["k_alpha2_over_m"] is not None:
                     assert row["k_alpha2_over_m"] < 0.1, row
                     worst = max(worst, row["k_alpha2_over_m"])

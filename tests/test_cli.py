@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import time
@@ -6,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
+from multiqf import bounds, classical, mcsim
 from multiqf import circuits as qc
-from multiqf import cli, mcsim
-from multiqf.errors import ParameterError
+from multiqf import cli
+from multiqf.errors import FeasibilityError, ParameterError
 
 
 def run(argv):
@@ -103,6 +105,18 @@ class TestFigureCommand:
             ks = [k for _, k in pts]
             assert all(a >= b for a, b in zip(ks, ks[1:]))  # decreasing in mu_dark
 
+    def test_figure17_reads_the_n_flags(self, tmp_path):
+        def advantages(*flags):
+            out = tmp_path / "-".join(flags or ("preset",))
+            assert run(["figure", "--id", "17", "--k-grid", "4", "--realizations", "20",
+                        "--out-dir", str(out), *flags]) == 0
+            return (out / "figure17a.csv").read_text()
+
+        preset = advantages()
+        assert advantages("--n-min", "1e13") != preset
+        assert advantages("--n-max", "1e9") != preset
+        assert advantages("--points-per-decade", "3") == preset
+
     def test_figure17_advantage_monotone_in_dark(self, tmp_path):
         run(["figure", "--id", "17", "--k-grid", "4", "--realizations", "20",
              "--out-dir", str(tmp_path)])
@@ -111,6 +125,169 @@ class TestFigureCommand:
         pts = sorted((float(r["p_dark"]), float(r["advantage_limit"])) for r in rows)
         advantages = [a for _, a in pts]
         assert all(a >= b - 1e-12 for a, b in zip(advantages, advantages[1:]))
+
+
+# Row builders of figures 14-16 before sweep_rows replaced them, kept as the
+# oracle for its rows.
+
+
+def reference_bound_row(res, k, n, **extra):
+    return {
+        "N": n,
+        "M": res.m_pulses,
+        "strategy": res.strategy,
+        "alpha2": res.alpha2,
+        "r": res.threshold_r,
+        "Q": res.q_qubits,
+        "feasible": res.feasible,
+        "dominant": res.dominant_dark_term,
+        "valid": res.within_validity(k),
+        **extra,
+    }
+
+
+def reference_classical_row(series, bits, photons, n, m, **extra):
+    return {
+        "N": n,
+        "M": m,
+        "strategy": series,
+        "alpha2": photons,
+        "r": None,
+        "Q": bits,
+        "feasible": True,
+        "dominant": False,
+        "valid": True,
+        **extra,
+    }
+
+
+def reference_strategy_sweep_rows(k, gains, n_grid, cfg, **extra):
+    rows = []
+    for n in n_grid:
+        params = cli._params(k, n, cfg)
+        for compute in (bounds.bound_first_detectors, bounds.bound_last_detector):
+            try:
+                rows.append(reference_bound_row(compute(params, gains), k, n, **extra))
+            except FeasibilityError:
+                name = (bounds.STRATEGY_FIRST if compute is bounds.bound_first_detectors
+                        else bounds.STRATEGY_LAST)
+                rows.append(
+                    {
+                        "N": n,
+                        "M": params.m_pulses,
+                        "strategy": name,
+                        "alpha2": None,
+                        "r": None,
+                        "Q": None,
+                        "feasible": False,
+                        "dominant": False,
+                        "valid": True,
+                        **extra,
+                    }
+                )
+        rows.append(reference_bound_row(bounds.ideal_bound(params), k, n, **extra))
+    return rows
+
+
+def reference_figure_14_rows(cfg, v, n_grid, gains):
+    rows = reference_strategy_sweep_rows(2, gains, n_grid, cfg, p_dark=cfg["p_dark"])
+    for n in n_grid:
+        params = cli._params(2, n, cfg)
+        res = bounds.algorithm_two_user(params, v)
+        rows.append(reference_bound_row(res, 2, n, p_dark=cfg["p_dark"]))
+        rows.append(
+            reference_classical_row(
+                "classical-best",
+                classical.best_two_user(n, cfg["p_error"]),
+                classical.best_two_user(n, cfg["p_error"]) / cfg["eta"],
+                n,
+                params.m_pulses,
+                p_dark=cfg["p_dark"],
+            )
+        )
+        rows.append(
+            reference_classical_row(
+                "classical-limit",
+                classical.classical_limit(2, n, cfg["p_error"]),
+                classical.photonic_limit_photons(2, n, cfg["p_error"], cfg["eta"]),
+                n,
+                params.m_pulses,
+                p_dark=cfg["p_dark"],
+            )
+        )
+    return rows
+
+
+def reference_figure_15_rows(cfg, k, gains, n_grid):
+    rows = reference_strategy_sweep_rows(
+        k, gains, n_grid, cfg, p_dark=cfg["p_dark"], sigma=cfg["sigma"], K=k
+    )
+    for n in n_grid:
+        m = cli._params(k, n, cfg).m_pulses
+        rows.append(
+            reference_classical_row(
+                "classical-best",
+                classical.best_k_user(k, n, cfg["p_error"]),
+                classical.best_k_user(k, n, cfg["p_error"]) / cfg["eta"],
+                n, m, p_dark=cfg["p_dark"], sigma=cfg["sigma"], K=k,
+            )
+        )
+        rows.append(
+            reference_classical_row(
+                "classical-limit",
+                classical.classical_limit(k, n, cfg["p_error"]),
+                classical.photonic_limit_photons(k, n, cfg["p_error"], cfg["eta"]),
+                n, m, p_dark=cfg["p_dark"], sigma=cfg["sigma"], K=k,
+            )
+        )
+    return rows
+
+
+def reference_figure_16_rows(cfg, k, gains, n_grid):
+    rows = reference_figure_15_rows(cfg, k, gains, n_grid)
+    strategies = (bounds.STRATEGY_FIRST, bounds.STRATEGY_LAST, bounds.STRATEGY_IDEAL)
+    for row in rows:
+        if row["strategy"] in strategies and row["alpha2"] is not None:
+            row["k_alpha2_over_m"] = k * row["alpha2"] / row["M"]
+        else:
+            row["k_alpha2_over_m"] = None
+    return rows
+
+
+@pytest.fixture(scope="module")
+def sweep_gains():
+    return {k: cli.batch_gains_for(k, 0.01, -0.2, 30, 0) for k in (2, 7, 15)}
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize("infeasible", [None, "g_d_first_min", "g_d_last_max"])
+    @pytest.mark.parametrize("p_dark", cli.PRESETS["p_dark"])
+    @pytest.mark.parametrize("figure, k", [(14, 2), (15, 7), (15, 15), (16, 7), (16, 15)])
+    def test_rows_equal_the_reference(self, sweep_gains, figure, k, p_dark, infeasible):
+        bg, sigma = sweep_gains[k], 0.01
+        gains = bg.mean
+        if infeasible:  # the strategy's gain inequality fails
+            closing = {"g_d_first_min": gains.g_e_first, "g_d_last_max": gains.g_e_last}
+            gains = dataclasses.replace(gains, **{infeasible: closing[infeasible]})
+        cfg = dict(cli.PRESETS, p_dark=p_dark, sigma=sigma)
+        n_grid = cli.log_spaced(*cli.FIGURES[figure][0], 1)
+        if figure == 14:
+            want = [dict(r, K=2, sigma=sigma)
+                    for r in reference_figure_14_rows(cfg, bg.v_first, n_grid, gains)]
+        elif figure == 15:
+            want = reference_figure_15_rows(cfg, k, gains, n_grid)
+        else:
+            want = reference_figure_16_rows(cfg, k, gains, n_grid)
+        got = cli.sweep_rows(cfg, k, gains, n_grid, bg.v_first if k == 2 else None,
+                             K=k, p_dark=p_dark, sigma=sigma)
+        fields = cli._SWEEP_FIELDS + (["k_alpha2_over_m"] if figure == 16 else [])
+
+        def project(rows):
+            return sorted((tuple(r[f] for f in fields) for r in rows), key=repr)
+
+        assert project(got) == project(want)
+        infeasible_rows = [r for r in got if not r["feasible"]]
+        assert len(infeasible_rows) == (len(n_grid) if infeasible else 0)
 
 
 class TestVerifyCommand:
@@ -271,6 +448,17 @@ BAD_INPUT = {
                               "--out-dir", "{tmp}"], 1),
     "oversized-design": (["design", "--design", "extendable", "--k", "70000",
                           "--out-dir", "{tmp}"], 1),
+    "design-out-dir-is-a-file": (["design", "--k", "3", "--out-dir", "{tmp}/bad.json"], 1),
+    "verify-out-in-missing-dir": (["verify", "--k-grid", "2", "--out", "{tmp}/missing/x.json"], 1),
+    "visibility-out-under-a-file": (["visibility", "--k-grid", "2", "--realizations", "5",
+                                     "--out", "{tmp}/bad.json/x.csv"], 1),
+    "repeated-figure-k": (["figure", "--id", "17", "--k-grid", "4,4", "--out-dir", "{tmp}"], 1),
+    "repeated-visibility-k": (["visibility", "--k-grid", "3,3", "--out", "{tmp}/v.csv"], 1),
+    "repeated-verify-k": (["verify", "--k-grid", "2,3,2"], 1),
+    "k-grid-on-figure-14": (["figure", "--id", "14", "--k-grid", "2", "--out-dir", "{tmp}"], 1),
+    "k-grid-on-figure-16": (["figure", "--id", "16", "--k-grid", "7", "--out-dir", "{tmp}"], 1),
+    "p-dark-on-figure-17": (["figure", "--id", "17", "--p-dark", "1e-9", "--out-dir", "{tmp}"], 1),
+    "p-dark-on-figure-18": (["figure", "--id", "18", "--p-dark", "1e-9", "--out-dir", "{tmp}"], 1),
 }
 
 

@@ -431,7 +431,8 @@ class TestVerifyBound:
         t, gains = realized
         params = make_params(ecc, 3, 10**5, 1e-2, eta=0.5, p_dark=1e-6)
         rep = mc.verify_bound(b.STRATEGY_LAST, params, gains, t, trials=2000, seed=1)
-        data = json.loads(rep.to_json())
+        data = rep.to_json_dict()
+        assert json.loads(json.dumps(data)) == data
         assert {"strategy", "alpha2", "threshold_r", "p_error", "pass", "scenarios"} <= set(data)
         for sc in data["scenarios"]:
             assert {"strategy", "scenario", "trials", "errors", "error_rate",
