@@ -85,8 +85,8 @@ class CircuitLayout:
     port is 0), ``value`` (``t`` of an unbalanced beamsplitter, the phase
     of a phase shifter, NaN for a symmetric beamsplitter) and ``layer``.
     Structurally malformed elements (unknown kind, wrong port count,
-    missing ``t`` or phase) are rejected here; port ranges and ``t`` are
-    checked when the layout is composed.  ``elements`` is a read-only view
+    missing or non-finite ``t`` or phase) are rejected here; port ranges
+    and ``t`` are checked when the layout is composed.  ``elements`` is a read-only view
     of the columns as ``CircuitElement`` records, built on first access.
 
     ``output_perm``, when present, relabels the raw composed product:
@@ -112,9 +112,15 @@ class CircuitLayout:
         self._elements: tuple[CircuitElement, ...] | None = None
 
     @classmethod
-    def _from_columns(cls, dim: int, design: str, columns, output_perm=None) -> CircuitLayout:
+    def _from_columns(
+        cls, dim: int, design: str, columns, output_perm=None, depth: int | None = None
+    ) -> CircuitLayout:
+        """A layout from trusted columns; a builder that knows the optical
+        depth passes it as ``depth``."""
         layout = cls(dim, design, (), output_perm)
         layout.kind, layout.ports, layout.value, layout.layer = columns
+        if depth is not None:
+            layout._depth = depth
         return layout
 
     @property
@@ -143,7 +149,7 @@ class CircuitLayout:
     @cached_property
     def _depth(self) -> int:
         ports = self.ports[self.kind != _PS] - 1
-        return _beamsplitter_layers(self.dim, ports[:, 0].tolist(), ports[:, 1].tolist())[1]
+        return _levels(self.dim, ports[:, 0].tolist(), ports[:, 1].tolist())[1] // 2
 
 
 def _row(kind, ports, t, phase, layer) -> tuple:
@@ -171,26 +177,33 @@ def _columns(rows: list[tuple]) -> tuple[np.ndarray, ...]:
     ports, value = np.array([a, b]).T.reshape(-1, 2), np.array(value)
     if rows and (ports.dtype.kind not in "iu" or value.dtype.kind not in "iuf"):
         raise LayoutError("element ports must be integers, t and phases real numbers")
-    return (
-        np.array(kind, dtype=np.int8),
-        ports.astype(np.intp),
-        value.astype(float),
-        np.array(layer, dtype=np.intp),
-    )
+    kind, value = np.array(kind, dtype=np.int8), value.astype(float)
+    bad = ~np.isfinite(value) & (kind != _SBS)
+    if bad.any():
+        raise LayoutError(f"{KINDS[kind[bad.argmax()]]} with a non-finite t or phase: "
+                          f"{value[bad.argmax()]}")
+    return kind, ports.astype(np.intp), value, np.array(layer, dtype=np.intp)
 
 
-def _beamsplitter_layers(
-    k: int, first: list[int], second: list[int]
-) -> tuple[list[int], int]:
-    """Layer of each beamsplitter on 0-based ports ``(first[n], second[n])``,
-    in order, and the optical depth of the sequence."""
+def _levels(k: int, first: list[int], second: list[int]) -> tuple[list[int], int]:
+    """Earliest level of each step on 0-based ports ``(first[n], second[n])``,
+    in order, and the number of levels.
+
+    A one-port step has ``first[n] == second[n]``.  One-port steps take even
+    levels and two-port steps odd ones, so the steps of one level touch
+    disjoint ports and all have one port count.  In a sequence of two-port
+    steps only, level ``2 l + 1`` is optical layer ``l``, and the number of
+    levels is twice the optical depth.
+    """
     depth = [0] * k
-    layers = []
+    levels = []
     for a, b in zip(first, second):
         d = depth[a] if depth[a] > depth[b] else depth[b]
-        layers.append(d)
+        if d & 1 == (a == b):
+            d += 1
+        levels.append(d)
         depth[a] = depth[b] = d + 1
-    return layers, max(depth, default=0)
+    return levels, max(depth, default=0)
 
 
 def _mesh_layout(
@@ -205,7 +218,8 @@ def _mesh_layout(
     ``output_phases`` are shifters on the outputs at layer = depth.  A
     phase shifter of at most ``_PHASE_EPS`` radians is left out.
     """
-    layers, depth = _beamsplitter_layers(k, modes.tolist(), (modes + 1).tolist())
+    levels, n_levels = _levels(k, modes.tolist(), (modes + 1).tolist())
+    layers, depth = np.array(levels, dtype=np.intp) // 2, n_levels // 2
     n = len(modes)
     kind = np.full(2 * n + k, _PS, dtype=np.int8)
     kind[1 : 2 * n : 2] = _UBS
@@ -214,10 +228,10 @@ def _mesh_layout(
     ports[2 * n :, 0] = np.arange(1, k + 1)
     ports[1 : 2 * n : 2, 1] = modes + 2
     value = np.concatenate([np.stack([phi, t], axis=1).reshape(-1), output_phases])
-    layer = np.concatenate([np.repeat(np.array(layers, dtype=np.intp), 2), np.full(k, depth)])
+    layer = np.concatenate([np.repeat(layers, 2), np.full(k, depth)])
     keep = (kind == _UBS) | (np.abs(value) > _PHASE_EPS)
     return CircuitLayout._from_columns(
-        k, design, (kind[keep], ports[keep], value[keep], layer[keep])
+        k, design, (kind[keep], ports[keep], value[keep], layer[keep]), depth=depth
     )
 
 
@@ -246,14 +260,17 @@ def extendable_matrix(k: int) -> np.ndarray:
 def extendable_layout(k: int) -> CircuitLayout:
     """Chain of K-1 unbalanced beamsplitters with t_k = (k-1)/k."""
     _check_dim(k)
-    elements = tuple(
-        CircuitElement(UNBALANCED_BS, (1, j), t=(j - 1) / j, layer=j - 2)
-        for j in range(2, k + 1)
+    j = np.arange(2, k + 1)
+    columns = (
+        np.full(k - 1, _UBS, dtype=np.int8),
+        np.stack([np.ones_like(j), j], axis=1),
+        (j - 1) / j,
+        j - 2,
     )
     # The raw chain product keeps the photon-gaining bus on output 1; the
     # conventional presentation lists it last.
     perm = tuple(range(1, k)) + (0,)
-    return CircuitLayout(dim=k, design=DESIGN_EXTENDABLE, elements=elements, output_perm=perm)
+    return CircuitLayout._from_columns(k, DESIGN_EXTENDABLE, columns, perm, depth=k - 1)
 
 
 def optimal_tree_layout(k: int) -> CircuitLayout:
@@ -265,33 +282,50 @@ def optimal_tree_layout(k: int) -> CircuitLayout:
     photon-keeping output is port 1.
     """
     _check_dim(k)
-    elements: list[CircuitElement] = []
+    rows: list[tuple[int, int, float, int]] = []
 
-    def split(labels: tuple[int, ...]) -> int:
-        n = len(labels)
+    def split(first: int, n: int) -> int:
+        """Depth of the subtree over labels ``first .. first + n - 1``."""
         if n == 1:
             return 0
         n_hi = -(-n // 2)
-        first, second = labels[:n_hi], labels[n_hi:]
-        d = max(split(first), split(second))
-        elements.append(
-            CircuitElement(UNBALANCED_BS, (first[0], second[0]), t=n_hi / n, layer=d)
-        )
+        d = max(split(first, n_hi), split(first + n_hi, n - n_hi))
+        rows.append((first, first + n_hi, n_hi / n, d))
         return d + 1
 
-    split(tuple(range(1, k + 1)))
-    return CircuitLayout(dim=k, design=DESIGN_OPTIMAL, elements=tuple(elements))
+    depth = split(1, k)
+    a, b, t, layer = zip(*rows)
+    columns = (
+        np.full(k - 1, _UBS, dtype=np.int8),
+        np.array([a, b], dtype=np.intp).T,
+        np.array(t),
+        np.array(layer, dtype=np.intp),
+    )
+    return CircuitLayout._from_columns(k, DESIGN_OPTIMAL, columns, depth=depth)
 
 
-def _compose(layout: CircuitLayout, blocks, n: int = 1) -> np.ndarray:
+#: Largest operand, in bytes, that one stacked row update gathers.  The
+#: elements of one level and kind are updated in chunks whose rows fit in
+#: it; a row larger than this is updated alone, in place through views.
+_GATHER_BYTES = 256 * 1024
+
+
+def _compose(layout: CircuitLayout, coef: np.ndarray, n: int = 1) -> np.ndarray:
     """Stack of ``n`` ordered products of a layout's elements, first element first.
 
-    ``blocks`` is an iterator over the coefficients ``(b00, b01, b10, b11)``
-    of each unbalanced beamsplitter in layout order: ``complex`` scalars for
-    one ideal product, or ``(n, 1)`` arrays, one block per product.  The
+    ``coef`` holds the complex coefficients ``(b00, b01, b10, b11)`` of the
+    unbalanced beamsplitters in layout order: ``(4, n_bs, 1, 1)`` for one
+    ideal product, ``(4, n_bs, n, 1)`` for one block per product.  The
     stack is stored row first, ``(K, n, K)``, so row ``a`` of every product
     is one contiguous ``(n, K)`` slice, with rows at their ``output_perm``
     position from the start; the result is the ``(n, K, K)`` transposed view.
+
+    Elements are applied by level (``_levels`` over the ports, a phase
+    shifter being a one-port step), so the elements of one level touch
+    disjoint rows and commute exactly.  Each level is applied as one
+    stacked row update per element kind, in chunks of at most
+    ``_GATHER_BYTES`` of rows; every row sees the same operations, in the
+    same order, as element by element.
     """
     k = layout.dim
     perm = list(range(k) if layout.output_perm is None else layout.output_perm)
@@ -306,25 +340,76 @@ def _compose(layout: CircuitLayout, blocks, n: int = 1) -> np.ndarray:
     bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
     if bad.any():
         raise LayoutError(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
-    rows = np.array([0, *np.argsort(perm)])[ports]  # 1-based port -> storage row
+    rows = np.argsort(perm)[ports - 1]  # 1-based port -> storage row
+    rows[:, 1] = np.where(kind == _PS, rows[:, 0], rows[:, 1])
+    levels = _levels(k, rows[:, 0].tolist(), rows[:, 1].tolist())[0]
+    # one group per (level, kind), each in layout order
+    key = np.array(levels, dtype=np.intp) * len(KINDS) + kind
+    order = np.argsort(key, kind="stable")
+    ends = (np.flatnonzero(np.diff(key[order], append=-1)) + 1).tolist()
+    # per element in group order: storage rows, kind, the column of a
+    # beamsplitter's coefficients and the factor of a shifter
+    rows, codes = rows[order].T, kind[order]
+    column = (np.cumsum(kind == _UBS) - 1)[order]
+    factor = np.ones((len(order), 1, 1), dtype=complex)
+    ps = codes == _PS
+    factor[ps, 0, 0] = [cmath.exp(1j * v) for v in layout.value[order[ps]].tolist()]
+    codes = codes.tolist()
     m = np.zeros((k, n, k), dtype=complex)
     m[np.arange(k), :, perm] = 1.0
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for code, (a, b), value in zip(kind.tolist(), rows.tolist(), layout.value.tolist()):
-        if code == _PS:
-            m[a] *= cmath.exp(1j * value)
-            continue
-        ra, rb = m[a], m[b]
-        if code == _UBS:
-            # coefficient first: numpy's complex c * x and x * c can round apart
-            b00, b01, b10, b11 = next(blocks)
-            new_a = b00 * ra + b01 * rb
-            m[b] = b10 * ra + b11 * rb
-        else:
-            new_a = inv_sqrt2 * (ra + 1j * rb)
-            m[b] = inv_sqrt2 * (1j * ra + rb)
-        m[a] = new_a
+    step = max(1, _GATHER_BYTES // m[0].nbytes)
+    start = 0
+    for end in ends:
+        code = codes[start]
+        for lo in range(start, end, step):
+            if step == 1:
+                c = coef[:, column[lo]] if code == _UBS else factor[lo]
+                _update_row(m, code, rows[:, lo], c)
+            else:
+                hi = min(lo + step, end)
+                c = coef[:, column[lo:hi]] if code == _UBS else factor[lo:hi]
+                _update(m, code, rows[:, lo:hi], c)
+        start = end
     return m.transpose(1, 0, 2)
+
+
+def _update(m: np.ndarray, code: int, rows: np.ndarray, c: np.ndarray) -> None:
+    """Apply ``L`` elements of one kind on disjoint storage rows to the
+    row-first stack ``m``.  ``rows`` is ``(2, L)``, each element's first
+    row over its second (a shifter's first row twice); ``c`` is ``(4, L,
+    ...)`` beamsplitter coefficients or ``(L, 1, 1)`` phase factors.  The
+    rows are gathered, updated and scattered back."""
+    if code == _PS:
+        m[rows[0]] = m[rows[0]] * c
+        return
+    r = m[rows]  # (2, L, n, K): first rows over second rows
+    if code == _UBS:
+        # coefficient first: numpy's complex c * x and x * c can round apart;
+        # p[i, j] = b_ij * r[j], so new row i is p[i, 0] + p[i, 1]
+        p = c.reshape(2, 2, *c.shape[1:]) * r
+        m[rows] = p[:, 0] + p[:, 1]
+    else:
+        # new rows ra + 1j rb and 1j ra + rb; complex addition commutes bit for bit
+        j = 1j * r
+        m[rows] = (1.0 / math.sqrt(2.0)) * (r + j[::-1])
+
+
+def _update_row(m: np.ndarray, code: int, rows: np.ndarray, c: np.ndarray) -> None:
+    """``_update`` for a single element, in place through views of its rows;
+    ``c`` is ``(4, ...)`` coefficients or a ``(1, 1)`` phase factor."""
+    a, b = rows.tolist()
+    ra, rb = m[a], m[b]
+    if code == _PS:
+        ra *= c
+        return
+    if code == _UBS:
+        new_a = c[0] * ra + c[1] * rb
+        m[b] = c[2] * ra + c[3] * rb
+    else:
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        new_a = inv_sqrt2 * (ra + 1j * rb)
+        m[b] = inv_sqrt2 * (1j * ra + rb)
+    m[a] = new_a
 
 
 def compose_layout(layout: CircuitLayout) -> np.ndarray:
@@ -334,8 +419,8 @@ def compose_layout(layout: CircuitLayout) -> np.ndarray:
         st, sr = np.sqrt(t), np.sqrt(1.0 - t)
     # complex, not float: numpy multiplies by a real scalar as by that
     # complex number, only slower
-    st, sr, nsr = (x.astype(complex).tolist() for x in (st, sr, -sr))
-    return _compose(layout, zip(st, sr, nsr, st))[0]
+    coef = np.stack([st, sr, -sr, st]).astype(complex)
+    return _compose(layout, coef[..., None, None])[0]
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
@@ -562,30 +647,39 @@ def matrix_from_json(text: str) -> np.ndarray:
 
 
 def layout_to_json(layout: CircuitLayout) -> str:
-    columns = (layout.kind.tolist(), layout.ports.tolist(), layout.value.tolist(),
-               layout.layer.tolist())
-    return json.dumps(
+    """The layout as one JSON object; every element is one record with its
+    ``kind``, ``ports``, ``t``, ``omega`` (the phase, or asin(sqrt(t)) for
+    an unbalanced beamsplitter) and ``layer``.
+
+    Only the header goes through ``json.dumps``.  The records are written
+    directly: their floats are finite (``_columns`` rejects the others), and
+    ``float.__repr__`` is what ``json`` writes for a finite float.
+    """
+    head = json.dumps(
         {
             "dim": layout.dim,
             "design": layout.design,
             "bs_count": layout.bs_count,
             "optical_depth": layout.optical_depth,
             "output_perm": list(layout.output_perm) if layout.output_perm else None,
-            "elements": [
-                {
-                    "kind": KINDS[code],
-                    "ports": [a] if code == _PS else [a, b],
-                    "t": v if code == _UBS else None,
-                    # math.asin, not np.arcsin: the two differ in the last bit
-                    "omega": (
-                        math.asin(math.sqrt(v)) if code == _UBS else v if code == _PS else None
-                    ),
-                    "layer": layer,
-                }
-                for code, (a, b), v, layer in zip(*columns)
-            ],
+            "elements": [],
         }
     )
+    asin, sqrt = math.asin, math.sqrt
+    records = [
+        f'{{"kind": "{PHASE_SHIFTER}", "ports": [{a}], "t": null, "omega": {v!r}, '
+        f'"layer": {layer}}}' if code == _PS
+        # math.asin, not np.arcsin: the two differ in the last bit
+        else f'{{"kind": "{UNBALANCED_BS}", "ports": [{a}, {b}], "t": {v!r}, '
+        f'"omega": {asin(sqrt(v))!r}, "layer": {layer}}}' if code == _UBS
+        else f'{{"kind": "{SYMMETRIC_BS}", "ports": [{a}, {b}], "t": null, "omega": null, '
+        f'"layer": {layer}}}'
+        for code, (a, b), v, layer in zip(
+            layout.kind.tolist(), layout.ports.tolist(), layout.value.tolist(),
+            layout.layer.tolist(),
+        )
+    ]
+    return head.removesuffix("[]}") + "[" + ", ".join(records) + "]}"
 
 
 def layout_from_json(text: str) -> CircuitLayout:

@@ -110,7 +110,6 @@ class SimOutcome:
     errors: int
     error_rate: float
     wilson_upper_95: float
-    click_histogram: dict[int, dict[str, float]]
 
     def to_json_dict(self, p_error: float) -> dict:
         return {
@@ -171,23 +170,16 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     p_diff = click_prob(mu_diff)
 
     # Each detector's counts are drawn in detector order, folded into the
-    # strategy statistic and the histogram, and dropped: first-K-1 sums the
-    # detectors other than the last, last-only keeps the last alone.
+    # strategy statistic and dropped: first-K-1 sums the detectors other
+    # than the last, last-only keeps the last alone.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     stat = np.zeros(config.trials, dtype=np.int64)
-    hist = {}
     for det in range(k):
         counts = rng.binomial(m_equal, p_equal[det], size=config.trials)
         if m_diff:
             counts += rng.binomial(m_diff, p_diff[det], size=config.trials)
         if (det != last) == first:
             stat += counts
-        hist[det + 1] = {
-            "mean": float(counts.mean()),
-            "std": float(counts.std()),
-            "min": int(counts.min()),
-            "max": int(counts.max()),
-        }
     says_different = stat > config.threshold_r if first else stat <= config.threshold_r
     truly_different = config.scenario == WORST_DIFFERENT
     errors = int(np.count_nonzero(says_different != truly_different))
@@ -198,7 +190,6 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
         errors=errors,
         error_rate=errors / config.trials,
         wilson_upper_95=wilson_upper(errors, config.trials),
-        click_histogram=hist,
     )
 
 

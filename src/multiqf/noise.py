@@ -107,9 +107,9 @@ def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
     as four at a time per unbalanced beamsplitter, in layout order."""
     t = layout.value[layout.kind == _UBS]
     draws = np.stack([_rng_for(model, i).standard_normal((len(t), 4)) for i in indices], 1)
-    # (n_bs, 4, n, 1): the four coefficients of a beamsplitter over realizations
-    blocks = _noisy_blocks(t, model, draws).reshape(len(t), len(indices), 4).transpose(0, 2, 1)
-    return _compose(layout, iter(blocks[..., None]), len(indices))
+    # (4, n_bs, n, 1): the four coefficients of each beamsplitter over realizations
+    coef = _noisy_blocks(t, model, draws).reshape(len(t), len(indices), 4).transpose(2, 0, 1)
+    return _compose(layout, coef[..., None], len(indices))
 
 
 def realize_circuit(

@@ -485,6 +485,21 @@ class TestJsonInterfaces:
         # differing token instead of diffing one megabyte-long line
         assert got.split(", ") == want.split(", ")
 
+    def test_layout_json_extreme_floats(self):
+        # the direct writer formats floats with float.__repr__, as json does
+        elements = [
+            qc.CircuitElement(qc.PHASE_SHIFTER, (1,), phase=phase, layer=i)
+            for i, phase in enumerate((-0.0, 5e-324, 1e300, -1e300, 0.1))
+        ] + [
+            qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=t, layer=9)
+            for t in (0.0, -0.0, 5e-324, 1.0, 1.0 - 2**-53)
+        ]
+        layout = qc.CircuitLayout(2, "custom", tuple(elements))
+        text = qc.layout_to_json(layout)
+        assert text == reference_layout_to_json(layout)
+        assert '"omega": -0.0' in text and '"omega": 5e-324' in text and "1e+300" in text
+        assert qc.layout_from_json(text).value.tobytes() == layout.value.tobytes()
+
     def test_layout_round_trip(self):
         layouts = [oracle_layout(name, k) for name, k in JSON_ORACLE]
         layouts += [qc.optimal_tree_layout(6), qc.extendable_layout(5),
@@ -518,6 +533,8 @@ MALFORMED = {
     "t=-0.1": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=-0.1),
     "t=1.5": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=1.5),
     "t=nan": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=math.nan),
+    "phase=nan": qc.CircuitElement(qc.PHASE_SHIFTER, (2,), phase=math.nan),
+    "phase=inf": qc.CircuitElement(qc.PHASE_SHIFTER, (2,), phase=math.inf),
     "non-integer-port": qc.CircuitElement(qc.UNBALANCED_BS, (1.5, 3), t=0.5),
     "string-port": qc.CircuitElement(qc.SYMMETRIC_BS, ("1", 3)),
     "string-t": qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t="0.5"),

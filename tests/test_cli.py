@@ -400,6 +400,28 @@ class TestConfigFile:
         assert "K=5" in capsys.readouterr().out
 
 
+class TestParserReuse:
+    def test_no_parsed_value_carries_over(self, tmp_path, capsys):
+        # main parses every call with one parser, built once per process
+        reck = ["design", "--k", "3", "--design", "gbs-reck", "--out-dir", str(tmp_path / "a")]
+        seeded = ["visibility", "--k-grid", "2", "--realizations", "3", "--seed", "5",
+                  "--out", str(tmp_path / "seeded.csv")]
+        plain = ["design", "--k", "3", "--out-dir", str(tmp_path / "b")]
+        unseeded = ["visibility", "--k-grid", "2", "--realizations", "3",
+                    "--out", str(tmp_path / "unseeded.csv")]
+        for argv in (reck, seeded, plain, unseeded):
+            assert run(argv) == 0
+        capsys.readouterr()
+        assert cli._parser() is cli._parser()
+        layout = json.loads((tmp_path / "b" / "layout.json").read_text())
+        assert layout["design"] == qc.DESIGN_OPTIMAL
+        explicit = tmp_path / "explicit.csv"
+        assert run(unseeded[:-1] + [str(explicit), "--seed", "0"]) == 0
+        assert explicit.read_bytes() == (tmp_path / "unseeded.csv").read_bytes()
+        for argv in (reck, seeded, plain, unseeded):
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
 class TestDeterminism:
     def test_visibility_csv_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

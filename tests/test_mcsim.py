@@ -18,17 +18,15 @@ def tree_matrix(k):
     return qc.compose_layout(qc.optimal_tree_layout(k))
 
 
-def reference_simulate(config, seed=0):
-    """``simulate`` as it was with every count kept: a (K, trials) matrix
-    drawn detector by detector, then reduced.  The streamed version must
-    give the same ``SimOutcome``."""
+def reference_counts(config, seed=0):
+    """Every detector's counts, ``(K, trials)``, drawn detector by detector
+    as ``simulate`` draws them, and the 0-based index of the last detector."""
     params = config.params
     k = params.k
     m = params.m_pulses
     mu_in = config.alpha2 / m
     transfer = np.asarray(config.transfer, dtype=complex)
     last_label = config.last_label or gn.find_last_label(transfer)
-    last = last_label - 1
 
     def photon_numbers(pattern):
         if mu_in == 0.0:
@@ -61,6 +59,14 @@ def reference_simulate(config, seed=0):
         counts[det] = rng.binomial(m_equal, p_equal[det], size=config.trials)
         if m_diff:
             counts[det] += rng.binomial(m_diff, p_diff[det], size=config.trials)
+    return counts, last_label - 1
+
+
+def reference_simulate(config, seed=0):
+    """``simulate`` as it was with every count kept: a (K, trials) matrix
+    drawn detector by detector, then reduced.  The streamed version must
+    give the same ``SimOutcome``."""
+    counts, last = reference_counts(config, seed)
     if config.strategy == b.STRATEGY_FIRST:
         stat = counts.sum(axis=0) - counts[last]
         says_different = stat > config.threshold_r
@@ -69,15 +75,6 @@ def reference_simulate(config, seed=0):
         says_different = stat <= config.threshold_r
     truly_different = config.scenario == mc.WORST_DIFFERENT
     errors = int(np.count_nonzero(says_different != truly_different))
-    hist = {
-        det + 1: {
-            "mean": float(counts[det].mean()),
-            "std": float(counts[det].std()),
-            "min": int(counts[det].min()),
-            "max": int(counts[det].max()),
-        }
-        for det in range(k)
-    }
     return mc.SimOutcome(
         scenario=config.scenario,
         strategy=config.strategy,
@@ -85,7 +82,6 @@ def reference_simulate(config, seed=0):
         errors=errors,
         error_rate=errors / config.trials,
         wilson_upper_95=mc.wilson_upper(errors, config.trials),
-        click_histogram=hist,
     )
 
 
@@ -99,11 +95,10 @@ def noisy_config(ecc, k, strategy, scenario, trials=2000):
         trials=trials, scenario=scenario, strategy=strategy, params=params,
         transfer=t, alpha2=0.05 * params.m_pulses / k, threshold_r=0.0,
     )
-    last_label = gn.find_last_label(t)
-    hist = reference_simulate(cfg, seed=99).click_histogram
+    counts, last = reference_counts(cfg, seed=99)
     mean = sum(
-        h["mean"] for det, h in hist.items()
-        if (det == last_label) == (strategy == b.STRATEGY_LAST)
+        float(counts[det].mean()) for det in range(k)
+        if (det == last) == (strategy == b.STRATEGY_LAST)
     )
     return replace(cfg, threshold_r=mean)
 
@@ -173,11 +168,9 @@ class TestSimulate:
         assert mc.simulate(cfg, seed=0) == reference_simulate(cfg, seed=0)
 
     def test_determinism(self, ecc):
-        params = make_params(ecc, 3, 10**4, 0.05, p_dark=1e-5)
-        cfg = mc.SimConfig(
-            trials=500, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_LAST,
-            params=params, transfer=tree_matrix(3), alpha2=8.0, threshold_r=3.0,
-        )
+        # thresholded at the sample mean, so about half the trials err and the
+        # error count, the only sampled field of the outcome, moves with the seed
+        cfg = noisy_config(ecc, 3, b.STRATEGY_LAST, mc.WORST_DIFFERENT, trials=500)
         assert mc.simulate(cfg, seed=7) == mc.simulate(cfg, seed=7)
         assert mc.simulate(cfg, seed=7) != mc.simulate(cfg, seed=8)
 
@@ -194,17 +187,6 @@ class TestSimulate:
             transfer=t, alpha2=20.0, threshold_r=10.0,
         )
         assert mc.simulate(cfg1, seed=3) == mc.simulate(cfg2, seed=3)
-
-    def test_histogram_summary(self, ecc):
-        params = make_params(ecc, 3, 10**4, 0.05, p_dark=1e-4)
-        cfg = mc.SimConfig(
-            trials=300, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_LAST,
-            params=params, transfer=tree_matrix(3), alpha2=10.0, threshold_r=1.0,
-        )
-        out = mc.simulate(cfg, seed=1)
-        assert set(out.click_histogram) == {1, 2, 3}
-        bus = out.click_histogram[1]
-        assert bus["max"] >= bus["mean"] >= bus["min"]
 
     def test_rejects_negative_seed(self, ecc):
         cfg = mc.SimConfig(
