@@ -42,6 +42,14 @@ DOMINANCE_FACTOR = 10.0
 _NORMAL = NormalDist()
 
 
+def _low_high(x):
+    """Smallest and largest element of an array (NaN if it holds one), or
+    ``(x, x)`` for a scalar: range checks that read the same for both."""
+    if isinstance(x, np.ndarray):
+        return float(x.min()), float(x.max())
+    return x, x
+
+
 @dataclass(frozen=True)
 class ECCParams:
     """Distance parameter delta and rate c = M/N of the error-amplifying code."""
@@ -72,6 +80,9 @@ class ProtocolParams:
 
     ``eta`` excludes internal beamsplitter losses (those live in the gains);
     ``p_dark`` is the per-detector, per-pulse-slot dark-click probability.
+    ``n_bits`` and ``p_dark`` may be NumPy arrays that broadcast against each
+    other; ``bound_first_detectors``, ``bound_last_detector`` and
+    ``ideal_bound`` then return arrays of that shape.
     """
 
     k: int
@@ -85,26 +96,35 @@ class ProtocolParams:
     def __post_init__(self):
         if self.k < 2:
             raise ParameterError("need at least two users")
-        if not (self.n_bits >= 1 and math.isfinite(self.ecc.c * self.n_bits)):
+        n_low, n_high = _low_high(self.n_bits)
+        if not (n_low >= 1 and math.isfinite(self.ecc.c * n_high)):
             raise ParameterError("raw message length must be >= 1, with a finite codeword length")
         if not 0.0 < self.p_error < 1.0:
             raise ParameterError("p_error must lie in (0, 1)")
         if not 0.0 < self.eta <= 1.0:
             raise ParameterError("eta must lie in (0, 1]")
-        if not 0.0 <= self.p_dark < 1.0:
+        p_low, p_high = _low_high(self.p_dark)
+        if not (0.0 <= p_low and p_high < 1.0):
             raise ParameterError("p_dark must lie in [0, 1)")
         if not 0.0 < self.epsilon < 1.0:
             raise ParameterError("epsilon must lie in (0, 1)")
 
     @property
-    def m_pulses(self) -> int:
-        """Codeword length M = round(c * N), at least 1."""
-        return max(1, round(self.ecc.c * self.n_bits))
+    def m_pulses(self) -> int | np.ndarray:
+        """Codeword length M = round(c * N), at least 1; a float array for array N."""
+        m = self.ecc.c * self.n_bits
+        if isinstance(m, np.ndarray):
+            return np.maximum(1.0, np.rint(m))
+        return max(1, round(m))
 
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Photon-number bound, referee threshold, and qubit cost for one strategy."""
+    """Photon-number bound, referee threshold, and qubit cost for one strategy.
+
+    The numeric fields are arrays of one shape when the bound was computed
+    from array parameters.
+    """
 
     strategy: str
     alpha2: float
@@ -116,11 +136,16 @@ class BoundResult:
     feasible: bool = True
 
     def __post_init__(self):
-        if self.alpha2 <= 0 and self.feasible:
+        a, m, q = self.alpha2, self.m_pulses, self.q_qubits
+        if self.feasible and _low_high(a)[0] <= 0:
             raise ParameterError("a feasible bound must carry a positive alpha2")
         # Sanity anchor in the long-codeword regime: the qubit count cannot
         # fall below half the standard alpha2 * log2(M) approximation.
-        if self.m_pulses >= 1000 and self.q_qubits < 0.5 * self.alpha2 * math.log2(self.m_pulses):
+        if isinstance(q, np.ndarray):
+            low = np.any((m >= 1000) & (q < 0.5 * a * np.log2(m)))
+        else:
+            low = m >= 1000 and q < 0.5 * a * math.log2(m)
+        if low:
             raise ParameterError("qubit count fell below the large-M sanity floor")
 
     @property
@@ -139,7 +164,7 @@ def ideal_alpha2(k: int, ecc: ECCParams, p_error: float) -> float:
     return k / (4.0 * (1.0 - ecc.delta) * (k - 1)) * math.log(1.0 / p_error)
 
 
-def qubit_cost(alpha2: float, m_pulses: int, epsilon: float = 1e-6) -> tuple[float, float]:
+def qubit_cost(alpha2, m_pulses, epsilon: float = 1e-6):
     """Transmitted qubits per user for a coherent fingerprint of alpha2 photons.
 
     The slack parameter is the smallest positive solution of
@@ -148,16 +173,21 @@ def qubit_cost(alpha2: float, m_pulses: int, epsilon: float = 1e-6) -> tuple[flo
 
     found by bisection on the (monotone decreasing) logarithm of the left
     side; the qubit count is then
-    (a + d) log2(M + a + d - 1) + log2(2 d).
+    (a + d) log2(M + a + d - 1) + log2(2 d).  Returns ``(q, d)``.
+
+    ``alpha2`` and ``m_pulses`` may be NumPy arrays that broadcast; the
+    results are then arrays, elementwise bit-equal to scalar calls.
     """
-    if alpha2 <= 0:
+    if not _low_high(alpha2)[0] > 0:
         raise ParameterError("alpha2 must be positive")
-    if m_pulses < 1:
+    if not _low_high(m_pulses)[0] >= 1:
         raise ParameterError("need at least one pulse")
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must lie in (0, 1)")
-    a = float(alpha2)
     log_target = 2.0 * math.log(epsilon / 2.0)
+    if isinstance(alpha2, np.ndarray) or isinstance(m_pulses, np.ndarray):
+        return _qubit_cost_array(alpha2, m_pulses, log_target)
+    a = float(alpha2)
     # log of the left side at d is c0 + (a + d) * (c1 - log(a + d)), grouped
     # as log(2) - a + (a + d) * (1 + log(a) - log(a + d)) rounds.
     log = math.log
@@ -185,6 +215,78 @@ def qubit_cost(alpha2: float, m_pulses: int, epsilon: float = 1e-6) -> tuple[flo
     return q, delta_cap
 
 
+#: Half-width, relative to s (|log s| + |c1 - log s|) + |value|, of the band
+#: around log_target in which the array bisection re-decides its predicate
+#: with math.log.  If np.log and math.log each err by at most 4 ulps, the two
+#: predicate values differ by less than 2**-49 times that sum (the log
+#: difference scaled by s, plus one rounding in each of the three later
+#: operations); 2**-40 leaves a factor of 512 for libm error beyond that.
+_LOG_BAND = 2.0**-40
+
+
+def _log_lhs(c0: float, c1: float, s: float) -> float:
+    """The bisection predicate's value c0 + s (c1 - log s), with math.log."""
+    return c0 + s * (c1 - math.log(s))
+
+
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` applied with Python floats to each element of the 1-d ``x``."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+def _qubit_cost_array(alpha2, m_pulses, log_target: float) -> tuple[np.ndarray, np.ndarray]:
+    """``qubit_cost`` for broadcasting arrays: the scalar bisection in lockstep.
+
+    Every element follows the scalar bracket and bisection steps; the
+    predicate uses np.log and is re-decided with math.log where its value
+    lies within ``_LOG_BAND`` of log_target, so each decision, and with it
+    every result, equals the scalar one.  math.log and math.log2 also give
+    the per-element constants and the final qubit count.
+    """
+    a, m = (np.asarray(x, dtype=float) for x in np.broadcast_arrays(alpha2, m_pulses))
+    shape = a.shape
+    a, m = a.ravel(), m.ravel()
+    log = math.log
+    c0 = log(2.0) - a
+    c1 = 1.0 + _map(log, a)
+
+    def satisfied(idx: np.ndarray, d: np.ndarray) -> np.ndarray:
+        s = a[idx] + d
+        log_s = np.log(s)
+        t = c1[idx] - log_s
+        value = c0[idx] + s * t
+        ok = value <= log_target
+        band = _LOG_BAND * (s * (np.abs(log_s) + np.abs(t)) + np.abs(value))
+        near = np.flatnonzero(np.abs(value - log_target) <= band)
+        if len(near):
+            j = idx[near]
+            args = zip(c0[j].tolist(), c1[j].tolist(), s[near].tolist())
+            ok[near] = [_log_lhs(*v) <= log_target for v in args]
+        return ok
+
+    hi = 50.0 * (1.0 + a)
+    idx = np.arange(len(a))
+    for _ in range(200):
+        idx = idx[~satisfied(idx, hi[idx])]
+        if not len(idx):
+            break
+        hi[idx] *= 2.0
+    else:
+        raise ConvergenceError("no bracket for the qubit-count slack parameter")
+    lo = np.zeros_like(a)
+    idx = np.arange(len(a))
+    while True:
+        idx = idx[hi[idx] - lo[idx] > 1e-9 * np.maximum(hi[idx], 1.0)]
+        if not len(idx):
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        ok = satisfied(idx, mid)
+        hi[idx[ok]] = mid[ok]
+        lo[idx[~ok]] = mid[~ok]
+    q = (a + hi) * _map(math.log2, m + a + hi - 1.0) + _map(math.log2, 2.0 * hi)
+    return q.reshape(shape), hi.reshape(shape)
+
+
 def _assemble(
     strategy: str,
     params: ProtocolParams,
@@ -198,22 +300,25 @@ def _assemble(
 
     ``q`` and ``gain_diff`` parametrize the quadratic whose positive root is
     the detector-side photon number; ``dark_weight`` counts the detectors
-    whose dark clicks enter the statistic.
+    whose dark clicks enter the statistic.  Array ``params`` (N or p_dark)
+    give array fields, elementwise equal to the per-point results.
     """
     delta = params.ecc.delta
+    m = params.m_pulses
     ln_inv_p = math.log(1.0 / params.p_error)
     denom = (1.0 - delta) ** 2 * gain_diff**2
     q2_addend = 4.0 * q * q
-    dark_addend = 2.0 * denom * dark_weight * params.m_pulses * params.p_dark * ln_inv_p
-    received = (4.0 * q + 2.0 * math.sqrt(q2_addend + dark_addend)) / denom
+    dark_addend = 2.0 * denom * dark_weight * m * params.p_dark * ln_inv_p
+    sqrt = np.sqrt if isinstance(dark_addend, np.ndarray) else math.sqrt
+    received = (4.0 * q + 2.0 * sqrt(q2_addend + dark_addend)) / denom
     alpha2 = received / params.eta
     threshold = 0.5 * received * r_gain_sum + r_dark
-    qq, dcap = qubit_cost(alpha2, params.m_pulses, params.epsilon)
+    qq, dcap = qubit_cost(alpha2, m, params.epsilon)
     return BoundResult(
         strategy=strategy,
         alpha2=alpha2,
         threshold_r=threshold,
-        m_pulses=params.m_pulses,
+        m_pulses=m,
         q_qubits=qq,
         delta_cap=dcap,
         dominance_ratio=dark_addend / q2_addend if q2_addend > 0 else float("inf"),

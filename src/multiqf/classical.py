@@ -53,11 +53,16 @@ def best_k_user(k: int, n_bits: float, p_error: float) -> float:
     return reps * (8.0 * math.sqrt(2.0 * block) + label_bits)
 
 
-def classical_limit(k: int, n_bits: float, p_error: float) -> float:
-    """Lower bound on bits/user for any classical K-user protocol."""
+def _check_limit(k: int, n_bits: float, p_error: float) -> None:
+    """``_check`` plus the p_error < 1/4 domain of the classical limit."""
     _check(k, n_bits, p_error)
     if p_error >= 0.25:
         raise ParameterError("the classical limit needs p_error < 1/4")
+
+
+def classical_limit(k: int, n_bits: float, p_error: float) -> float:
+    """Lower bound on bits/user for any classical K-user protocol."""
+    _check_limit(k, n_bits, p_error)
     return (1.0 - 2.0 * math.sqrt(p_error)) * math.sqrt(n_bits) / (
         2.0 * math.sqrt(k * math.log(2.0))
     ) - 1.0 / k
@@ -70,7 +75,7 @@ def photonic_limit_photons(k: int, n_bits: float, p_error: float, eta: float) ->
     transmitted number, and the O(1/K) term is dropped as a many-user
     approximation.
     """
-    _check(k, n_bits, p_error)
+    _check_limit(k, n_bits, p_error)
     if not 0.0 < eta <= 1.0:
         raise ParameterError("eta must lie in (0, 1]")
     return (1.0 - 2.0 * math.sqrt(p_error)) * math.sqrt(n_bits) / (

@@ -219,6 +219,17 @@ def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], v: float | None = 
     return rows
 
 
+def _classical_costs(k: int, n_grid: list[float], cfg: dict, energy: bool):
+    """Classical limit and best known K-user cost per N: photons if ``energy``, else bits."""
+    p_error, eta = cfg["p_error"], cfg["eta"]
+    if energy:
+        lim = [classical.photonic_limit_photons(k, n, p_error, eta) for n in n_grid]
+    else:
+        lim = [classical.classical_limit(k, n, p_error) for n in n_grid]
+    best = np.array([classical.best_k_user(k, n, p_error) for n in n_grid])
+    return np.array(lim), best / eta if energy else best
+
+
 def advantage_rows(
     cfg: dict,
     k_grid: list[int],
@@ -231,37 +242,32 @@ def advantage_rows(
 
     ``energy=False`` compares transmitted information (bits / qubits);
     ``energy=True`` compares photon numbers under the bit-per-photon rule.
+    One bound call covers a (K, circuit) family: every p_dark and N at once.
     """
+    cfg_p = dict(cfg, p_dark=np.array(p_dark_grid)[:, None])
     rows = []
     for k in k_grid:
+        costs = None
         for kind, gains in (("realistic", gains_by_k[k]), ("ideal-circuit", ideal_gain_set(k))):
-            for p_dark in p_dark_grid:
-                best_limit = 0.0
-                best_known = 0.0
-                cfg_p = dict(cfg, p_dark=p_dark)
-                for n in n_grid:
-                    params = _params(k, n, cfg_p)
-                    try:
-                        res = bound_last_detector(params, gains)
-                    except FeasibilityError:
-                        continue
-                    if energy:
-                        quantum = res.alpha2
-                        lim = classical.photonic_limit_photons(k, n, cfg["p_error"], cfg["eta"])
-                        best = classical.best_k_user(k, n, cfg["p_error"]) / cfg["eta"]
-                    else:
-                        quantum = res.q_qubits
-                        lim = classical.classical_limit(k, n, cfg["p_error"])
-                        best = classical.best_k_user(k, n, cfg["p_error"])
-                    best_limit = max(best_limit, lim / quantum)
-                    best_known = max(best_known, best / quantum)
+            params = _params(k, np.array(n_grid), cfg_p)
+            best_limit = best_known = np.zeros(len(p_dark_grid))
+            try:
+                res = bound_last_detector(params, gains)
+            except FeasibilityError:
+                pass  # the gain inequality fails at every p_dark and N
+            else:
+                if costs is None:
+                    costs = _classical_costs(k, n_grid, cfg, energy)
+                quantum = res.alpha2 if energy else res.q_qubits
+                best_limit, best_known = (np.max(c / quantum, axis=1, initial=0.0) for c in costs)
+            for p_dark, lim, best in zip(p_dark_grid, best_limit.tolist(), best_known.tolist()):
                 rows.append(
                     {
                         "K": k,
                         "p_dark": p_dark,
                         "circuit": kind,
-                        "advantage_limit": best_limit,
-                        "advantage_best": best_known,
+                        "advantage_limit": lim,
+                        "advantage_best": best,
                     }
                 )
     return rows

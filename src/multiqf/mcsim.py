@@ -171,10 +171,13 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
 
     # Each detector's counts are drawn in detector order, folded into the
     # strategy statistic and dropped: first-K-1 sums the detectors other
-    # than the last, last-only keeps the last alone.
+    # than the last, last-only keeps the last alone.  Drawing stops after
+    # the last detector the statistic reads, which leaves the earlier
+    # draws' stream positions as they are.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     stat = np.zeros(config.trials, dtype=np.int64)
-    for det in range(k):
+    stop = (k - 1 if last == k - 1 else k) if first else last + 1
+    for det in range(stop):
         counts = rng.binomial(m_equal, p_equal[det], size=config.trials)
         if m_diff:
             counts += rng.binomial(m_diff, p_diff[det], size=config.trials)

@@ -226,6 +226,93 @@ class TestQubitCost:
             assert b.qubit_cost(alpha2, m, eps) == reference_qubit_cost(alpha2, m, eps)
 
 
+def scalar_qubit_costs(alpha2, m_pulses, epsilon):
+    """qubit_cost called point by point over the broadcast of the inputs."""
+    a, m = np.broadcast_arrays(alpha2, m_pulses)
+    pairs = [reference_qubit_cost(x, int(y), epsilon) for x, y in zip(a.ravel(), m.ravel())]
+    return (np.array([q for q, _ in pairs]).reshape(a.shape),
+            np.array([d for _, d in pairs]).reshape(a.shape))
+
+
+class TestQubitCostArrays:
+    @given(
+        log_alpha2=hst.lists(hst.floats(-6.0, 8.0), min_size=1, max_size=12),
+        m=hst.lists(hst.integers(1, 10**15), min_size=1, max_size=6),
+        epsilon=hst.sampled_from([1e-12, 1e-6, 1e-3, 0.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_scalar_calls(self, log_alpha2, m, epsilon):
+        alpha2 = 10.0 ** np.array(log_alpha2)
+        m = np.array(m, dtype=float)
+        for a, mm in ((alpha2[:, None], m), (alpha2, m[0]), (alpha2[0], m)):
+            q, d = b.qubit_cost(a, mm, epsilon)
+            want_q, want_d = scalar_qubit_costs(a, mm, epsilon)
+            assert q.shape == d.shape == np.broadcast(a, mm).shape
+            assert np.array_equal(q, want_q) and np.array_equal(d, want_d)
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-3, 0.5])
+    def test_math_log_redecisions_are_reached(self, epsilon, monkeypatch):
+        calls = []
+        original = b._log_lhs
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(b, "_log_lhs", spy)
+        rng = np.random.default_rng(17)
+        alpha2 = 10.0 ** rng.uniform(-6.0, 8.0, 3000)
+        m = np.floor(10.0 ** rng.uniform(0.0, 15.0, 3000))
+        q, d = b.qubit_cost(alpha2, m, epsilon)
+        want_q, want_d = scalar_qubit_costs(alpha2, m, epsilon)
+        assert np.array_equal(q, want_q) and np.array_equal(d, want_d)
+        assert len(calls) > 100
+
+    @pytest.mark.parametrize("alpha2, m, message", [
+        ([1.0, 0.0], 10.0, "alpha2 must be positive"),
+        ([1.0, -2.0], 10.0, "alpha2 must be positive"),
+        ([1.0, math.nan], 10.0, "alpha2 must be positive"),
+        (1.0, [10.0, 0.5], "need at least one pulse"),
+        (1.0, [10.0, math.nan], "need at least one pulse"),
+    ])
+    def test_bad_elements_raise_the_scalar_error(self, alpha2, m, message):
+        with pytest.raises(ParameterError, match=message):
+            b.qubit_cost(np.array(alpha2), np.array(m))
+        with pytest.raises(ParameterError, match=message):  # the last element alone
+            b.qubit_cost(float(np.ravel(alpha2)[-1]), float(np.ravel(m)[-1]))
+
+
+class TestStrategyBoundArrays:
+    @pytest.mark.parametrize("bound", [b.bound_first_detectors, b.bound_last_detector])
+    def test_fields_equal_per_point_results(self, ecc, bound):
+        gains = replace(ideal_gain_set(7), g_e_last=0.9, g_d_last_max=0.05)
+        n_grid = np.array([1.0, 1e3, 2.5e7, 1e14])
+        p_darks = np.array([[0.0], [1e-11], [1e-6]])
+        fields = ("alpha2", "threshold_r", "m_pulses", "q_qubits", "delta_cap",
+                  "dominance_ratio")
+        params = b.ProtocolParams(k=7, n_bits=n_grid, ecc=ecc, p_error=1e-5, eta=0.5,
+                                  p_dark=p_darks)
+        res = bound(params, gains)
+        for i, p_dark in enumerate(p_darks[:, 0].tolist()):
+            for j, n in enumerate(n_grid.tolist()):
+                point = bound(replace(params, n_bits=n, p_dark=p_dark), gains)
+                for field in fields:
+                    got = np.broadcast_to(getattr(res, field), res.alpha2.shape)[i, j]
+                    assert got == getattr(point, field), field
+
+    @pytest.mark.parametrize("n_bits, p_dark, message", [
+        ([1e6, 0.4], 0.0, "raw message length must be >= 1"),
+        ([1e6, math.nan], 0.0, "raw message length must be >= 1"),
+        ([1e6, 1e308], 0.0, "finite codeword length"),
+        (1e6, [0.0, 1.0], "p_dark must lie in"),
+        (1e6, [0.0, math.nan], "p_dark must lie in"),
+    ])
+    def test_bad_elements_raise_the_scalar_error(self, ecc, n_bits, p_dark, message):
+        with pytest.raises(ParameterError, match=message):
+            b.ProtocolParams(k=4, n_bits=np.array(n_bits), ecc=ecc, p_error=1e-5,
+                             p_dark=np.array(p_dark))
+
+
 class TestStrategyBounds:
     def test_first_detectors_ideal_closed_form(self, ecc):
         for k in (2, 3, 7):

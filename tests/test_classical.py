@@ -90,6 +90,13 @@ class TestEnergyEquivalents:
         photons = cl.photonic_limit_photons(50, 1e8, 1e-5, eta=1.0)
         assert photons == pytest.approx(lim + 1 / 50, rel=1e-9)
 
+    def test_photonic_limit_shares_the_p_error_domain(self):
+        # at p_error >= 1/4 the sqrt(N) coefficient turns negative
+        for p_error in (0.25, 0.3):
+            for cost in (cl.classical_limit, lambda *a: cl.photonic_limit_photons(*a, 0.5)):
+                with pytest.raises(ParameterError, match="classical limit needs p_error < 1/4"):
+                    cost(4, 1e8, p_error)
+
     def test_eta_scaling(self):
         a = cl.photonic_limit_photons(10, 1e8, 1e-5, eta=0.5)
         b = cl.photonic_limit_photons(10, 1e8, 1e-5, eta=1.0)

@@ -290,6 +290,78 @@ class TestSweepRows:
         assert len(infeasible_rows) == (len(n_grid) if infeasible else 0)
 
 
+def reference_advantage_rows(cfg, k_grid, p_dark_grid, gains_by_k, n_grid, energy):
+    """advantage_rows as one scalar bound per (K, circuit, p_dark, N) point,
+    kept as the oracle for the one-call-per-family rows."""
+    rows = []
+    for k in k_grid:
+        for kind, gains in (("realistic", gains_by_k[k]),
+                            ("ideal-circuit", cli.ideal_gain_set(k))):
+            for p_dark in p_dark_grid:
+                best_limit = 0.0
+                best_known = 0.0
+                cfg_p = dict(cfg, p_dark=p_dark)
+                for n in n_grid:
+                    params = cli._params(k, n, cfg_p)
+                    try:
+                        res = bounds.bound_last_detector(params, gains)
+                    except FeasibilityError:
+                        continue
+                    if energy:
+                        quantum = res.alpha2
+                        lim = classical.photonic_limit_photons(k, n, cfg["p_error"], cfg["eta"])
+                        best = classical.best_k_user(k, n, cfg["p_error"]) / cfg["eta"]
+                    else:
+                        quantum = res.q_qubits
+                        lim = classical.classical_limit(k, n, cfg["p_error"])
+                        best = classical.best_k_user(k, n, cfg["p_error"])
+                    best_limit = max(best_limit, lim / quantum)
+                    best_known = max(best_known, best / quantum)
+                rows.append(
+                    {
+                        "K": k,
+                        "p_dark": p_dark,
+                        "circuit": kind,
+                        "advantage_limit": best_limit,
+                        "advantage_best": best_known,
+                    }
+                )
+    return rows
+
+
+class TestAdvantageRows:
+    @pytest.mark.parametrize("energy", [False, True])
+    @pytest.mark.parametrize("n_range", [(1e6, 1e14), (1e8, 1e8)])
+    @pytest.mark.parametrize("infeasible", [False, True])
+    def test_rows_equal_the_reference(self, sweep_gains, energy, n_range, infeasible):
+        gains_by_k = {k: sweep_gains[k].mean for k in (2, 7, 15)}
+        if infeasible:  # g_e_last <= g_d_last_max: the K = 7 realistic family cannot work
+            gains = gains_by_k[7]
+            gains_by_k[7] = dataclasses.replace(gains, g_d_last_max=gains.g_e_last)
+        cfg = dict(cli.PRESETS)
+        p_darks = cli.FIGURES[17][3]
+        n_grid = cli.log_spaced(*n_range, 3)
+        got = cli.advantage_rows(cfg, [2, 7, 15], p_darks, gains_by_k, n_grid, energy)
+        want = reference_advantage_rows(cfg, [2, 7, 15], p_darks, gains_by_k, n_grid, energy)
+        assert got == want
+        zero = [r for r in got if r["advantage_limit"] == r["advantage_best"] == 0.0]
+        assert len(zero) == (len(p_darks) if infeasible else 0)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--id", "17", "--n-min", "0.4", "--n-max", "10"],
+         "raw message length must be >= 1, with a finite codeword length"),
+        (["--id", "17", "--p-error", "0.3"], "the classical limit needs p_error < 1/4"),
+        (["--id", "18", "--p-error", "0.3"], "the classical limit needs p_error < 1/4"),
+    ])
+    def test_bad_parameters_end_in_one_error_line(self, tmp_path, capsys, argv, message):
+        argv = ["figure", *argv, "--k-grid", "4", "--realizations", "20",
+                "--out-dir", str(tmp_path)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestVerifyCommand:
     def test_default_grid_passes(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -85,7 +85,7 @@ def reference_simulate(config, seed=0):
     )
 
 
-def noisy_config(ecc, k, strategy, scenario, trials=2000):
+def noisy_config(ecc, k, strategy, scenario, trials=2000, last_label=None):
     """A realized tree with dark counts, thresholded at the statistic's
     sample mean in its own scenario, so that about half the trials err."""
     model = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=5)
@@ -94,6 +94,7 @@ def noisy_config(ecc, k, strategy, scenario, trials=2000):
     cfg = mc.SimConfig(
         trials=trials, scenario=scenario, strategy=strategy, params=params,
         transfer=t, alpha2=0.05 * params.m_pulses / k, threshold_r=0.0,
+        last_label=last_label,
     )
     counts, last = reference_counts(cfg, seed=99)
     mean = sum(
@@ -239,6 +240,18 @@ def test_streamed_counts_match_materialized(ecc, strategy, scenario, k, seed):
     cfg = noisy_config(ecc, k, strategy, scenario)
     out = mc.simulate(cfg, seed=seed)
     assert out == reference_simulate(cfg, seed=seed)
+    assert 0 < out.errors < cfg.trials
+
+
+@pytest.mark.parametrize("last_label", [1, 3, 5])
+@pytest.mark.parametrize("scenario", mc.SCENARIOS)
+@pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
+def test_draws_stop_after_the_last_detector_read(ecc, strategy, scenario, last_label):
+    # the photon-losing detector first, in the middle and at the end: the
+    # detectors after the last one the statistic reads are never drawn
+    cfg = noisy_config(ecc, 5, strategy, scenario, last_label=last_label)
+    out = mc.simulate(cfg, seed=3)
+    assert out == reference_simulate(cfg, seed=3)
     assert 0 < out.errors < cfg.trials
 
 
