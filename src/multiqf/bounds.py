@@ -434,24 +434,54 @@ def _log_pmf_array(ks: np.ndarray, n: float, log_q: float, log_1mq: float) -> np
     return prefix[start : start + len(ks)] + ks * log_q + (n - ks) * log_1mq
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = values.max()
+#: Unit of the a-priori error bound of the fast window sum.  For L terms of at
+#: most 1 (the largest is exp(0)), np.sum errs by at most (L - 1) 2**-53 of
+#: the sum and math.fsum, exactly rounded, by 2**-53; log(sum) >= 0 and the
+#: rounding of math.log and of the add of the maximum each cost at most an
+#: ulp, so the two totals m + log(sum) differ by less than
+#: 2**-53 (L + 4 log(sum) + 2 |total|) to first order.  The bound uses twice
+#: that unit.
+_SUM_BAND = 2.0**-52
+
+
+def _logsumexp(values: np.ndarray, exact: bool) -> tuple[float, float]:
+    """log of the sum of exp(values), and a bound on its distance from the
+    total made with an exactly rounded sum (``exact``: that total, bound 0)."""
+    m = float(values.max())
     if m == -math.inf:
-        return -math.inf
-    # fsum keeps the accumulation exactly rounded, but the lgamma cancellation
-    # in _log_pmf_array errs in the log by ~1e-10 at n = 4e4, 1e-6 at 4e8,
-    # 2e-4 at 4e10 and 3e-2 at 4e12 (against mpmath; figure 14 reaches 4e12).
-    return m + math.log(math.fsum(np.exp(values - m).tolist()))
+        return -math.inf, 0.0
+    terms = np.exp(values - m)
+    if exact:
+        # fsum keeps the accumulation exactly rounded, but the lgamma
+        # cancellation in _log_pmf_array errs in the log by ~1e-10 at n = 4e4,
+        # 1e-6 at 4e8, 2e-4 at 4e10 and 3e-2 at 4e12 (against mpmath; figure
+        # 14 reaches 4e12).
+        return m + math.log(math.fsum(terms.tolist())), 0.0
+    log_s = math.log(terms.sum())
+    total = m + log_s
+    return total, _SUM_BAND * (len(values) + 4.0 * log_s + 2.0 * abs(total) + 1.0)
 
 
 def _log_tail(
-    lo: float, hi: float, n: float, log_q: float, log_1mq: float, from_top: bool
-) -> float:
-    """log of the pmf sum over the integer window [lo, hi].
+    lo: float,
+    hi: float,
+    n: float,
+    log_q: float,
+    log_1mq: float,
+    from_top: bool,
+    pad: int,
+    exact: bool,
+) -> tuple[float, float, np.ndarray, int]:
+    """log of the pmf sum over the integer window [lo, hi], with its error bound.
 
     Terms are accumulated from the boundary nearest the mode and the window
     is widened until the last included term is negligible, so deep tails
-    converge after a few hundred terms regardless of n.
+    converge after a few hundred terms regardless of n.  The total lies
+    within the returned bound of the one an exactly rounded sum gives
+    (``exact``: that total, bound 0); a widening test within the bound is
+    re-decided by an exact call.  One log-pmf array covers the final window
+    and up to ``pad`` more terms past its fixed end (above hi from the top,
+    below lo otherwise); it is returned with its first k.
     """
     width = 256
     while True:
@@ -461,12 +491,20 @@ def _log_tail(
             a, b = lo, min(hi, lo + width - 1)
         if b >= _MAX_K:
             raise ParameterError(f"binomial tail window reaches k = {b:.6g}, beyond 2**53")
-        ks = np.arange(a, b + 1, dtype=float)
-        logs = _log_pmf_array(ks, n, log_q, log_1mq)
-        total = _logsumexp(logs)
-        edge = logs[0] if from_top else logs[-1]
-        if (a == lo and from_top) or (b == hi and not from_top) or edge - total < -42.0:
-            return total
+        if from_top:
+            first, last = a, min(b + pad, n, _MAX_K - 1)
+        else:
+            first, last = max(a - pad, 0.0), b
+        logs = _log_pmf_array(np.arange(first, last + 1, dtype=float), n, log_q, log_1mq)
+        window = logs[int(a - first) : int(b - first) + 1]
+        total, err = _logsumexp(window, exact)
+        if (a == lo and from_top) or (b == hi and not from_top):
+            return total, err, logs, int(first)
+        gap = float(window[0] if from_top else window[-1]) - total
+        if not exact and abs(gap + 42.0) <= err + 2.0**-50 * abs(gap):
+            return _log_tail(lo, hi, n, log_q, log_1mq, from_top, pad, exact=True)
+        if gap < -42.0:
+            return total, err, logs, int(first)
         width *= 4
 
 
@@ -506,7 +544,6 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     if p >= 1.0:
         return n
 
-    nf = float(n)
     log_q, log_1mq = math.log(q), math.log1p(-q)
     mean = n * q
     sd = math.sqrt(n * q * (1.0 - q))
@@ -514,32 +551,80 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     guess = mean + z * sd + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
     k = int(min(max(round(guess), 0), n))
 
-    # h(k) is F(k) or -G(k) = F(k) - 1: nondecreasing, one pmf per step of k.
     if p > 0.5:
         # The extra 2^-53 absorbs the rounding of 1 - p itself, which
         # dominates the tie tolerance once the survival drops below ~1e-7.
         target = -((1.0 - p) * (1.0 + _TIE_FUZZ) + 2.0**-53)
-        h = 0.0 if k == n else -_mass(
-            _log_tail(k + 1.0, nf, nf, log_q, log_1mq, from_top=False), n
-        )
     else:
         target = p * (1.0 - _TIE_FUZZ)
-        h = 1.0 if k == n else _mass(_log_tail(0.0, k, nf, log_q, log_1mq, from_top=True), n)
+    try:
+        return _walk(k, n, log_q, log_1mq, target, exact=False)
+    except _InDoubt:
+        return _walk(k, n, log_q, log_1mq, target, exact=True)
+
+
+#: Log-pmf terms evaluated past the tail window's end, on the side of k
+#: that the walk reads when it leaves the window; figure 14's walks take
+#: one or two steps.
+_PAD = 16
+
+
+class _InDoubt(Exception):
+    """A comparison of the fast tail sum lies within its error bound."""
+
+
+def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bool) -> int:
+    """``binomial_inv_cdf``'s walk from the start k to the answer.
+
+    h(k) is F(k), or -G(k) = F(k) - 1 for a target below 0: nondecreasing,
+    one pmf per step of k.  Its tail comes from the fast sum unless
+    ``exact``; ``err`` then bounds h's distance from the exactly summed
+    walk's value, and a comparison within it raises ``_InDoubt``, so every
+    decision that returns is the exact walk's.
+    """
+    nf = float(n)
+    logs, first = None, k
+    if k == n:
+        h, err = (0.0 if target < 0.0 else 1.0), 0.0
+    else:
+        if target < 0.0:
+            tail = _log_tail(k + 1.0, nf, nf, log_q, log_1mq, False, _PAD, exact)
+        else:
+            tail = _log_tail(0.0, k, nf, log_q, log_1mq, True, _PAD, exact)
+        total, err, logs, first = tail
+        if not exact and total + err > _LOG_MASS_MAX:
+            raise _InDoubt  # the exact walk raises, or not, with the exact total
+        h = _mass(total, n)
+        # exp's rounding in both walks, and one subnormal ulp each near underflow
+        err = h * (2.0 * err + 2.0**-50) + 2.0**-1073
+        if target < 0.0:
+            h = -h
 
     def pmf(kk: int) -> float:
+        i = kk - first
+        if logs is not None and 0 <= i < len(logs):
+            return _mass(logs.item(i), n)
         return _mass(_log_pmf_array(np.array([float(kk)]), nf, log_q, log_1mq)[0], n)
 
-    if h >= target:
+    def decided(h: float) -> float:
+        """h, once its comparison with target is sure to be the exact walk's."""
+        if not exact and not abs(h - target) > err:
+            raise _InDoubt
+        return h
+
+    if decided(h) >= target:
         while k > 0:
             h_prev = h - pmf(k)
-            if h_prev < target:
+            err += 2.0**-51 * (abs(h_prev) + err)  # the rounding of both walks' steps
+            if decided(h_prev) < target:
                 return k
             h, k = h_prev, k - 1
         return 0
     while k < n:
         k += 1
         h += pmf(k)
-        if h >= target:
+        err += 2.0**-51 * (abs(h) + err)
+        if decided(h) >= target:
             return k
     return n
 

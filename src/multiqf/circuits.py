@@ -684,11 +684,49 @@ def layout_to_json(layout: CircuitLayout) -> str:
 
 def layout_from_json(text: str) -> CircuitLayout:
     data = json.loads(text)
-    rows = [
-        _row(e["kind"], e["ports"], e.get("t"), e.get("omega"), e.get("layer", 0))
-        for e in data["elements"]
-    ]
+    records = data["elements"]
+    columns = _record_columns(records)
+    if columns is None:  # raise the first malformed record's error
+        columns = _columns([
+            _row(e["kind"], e["ports"], e.get("t"), e.get("omega"), e.get("layer", 0))
+            for e in records
+        ])
     perm = data.get("output_perm")
     return CircuitLayout._from_columns(
-        data["dim"], data["design"], _columns(rows), tuple(perm) if perm else None
+        data["dim"], data["design"], columns, tuple(perm) if perm else None
     )
+
+
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def _record_columns(records: list) -> tuple[np.ndarray, ...] | None:
+    """The ``(kind, ports, value, layer)`` columns of JSON element records,
+    checked column by column; None if a record is malformed (or merely
+    unusual, such as a boolean port), which ``_row`` and ``_columns`` then
+    decide record by record."""
+    if not records:
+        return None
+    try:
+        kind = np.array([_KIND_CODE.get(e["kind"], -1) for e in records], dtype=np.int8)
+        ports = [e["ports"] for e in records]
+        if kind.min() < 0 or not np.array_equal(
+            np.fromiter(map(len, ports), np.intp, len(ports)), np.where(kind == _PS, 1, 2)
+        ):
+            return None
+        first = np.array([p[0] for p in ports])
+        second = np.array([p[-1] for p in ports])
+        value = np.array([e.get("omega") if c == _PS else e.get("t")
+                          for e, c in zip(records, kind.tolist()) if c != _SBS])
+        layer = np.array([e.get("layer", 0) for e in records], dtype=np.intp)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if any(x.dtype.kind not in kinds or x.ndim != 1
+           for x, kinds in ((first, "iu"), (second, "iu"), (value, "iuf"))):
+        return None
+    if not np.isfinite(value).all():
+        return None
+    ports = np.stack([first, np.where(kind == _PS, 0, second)], axis=1).astype(np.intp)
+    full = np.full(len(records), math.nan)
+    full[kind != _SBS] = value
+    return kind, ports, full, layer

@@ -110,19 +110,24 @@ def parse_grid(spec: str) -> list[int]:
     return grid
 
 
-def write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
+def write_csv(path: Path, cells: list[tuple[str, ...]], fieldnames: list[str]) -> None:
+    """Header and formatted rows (``_cells``) as CSV; an empty cell stays empty."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in fieldnames})
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows(cells)
 
 
-def write_dat(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
+def write_dat(path: Path, cells: list[tuple[str, ...]], fieldnames: list[str]) -> None:
+    """The same rows space-separated for gnuplot; an empty cell becomes nan."""
     with open(path, "w") as fh:
         fh.write("# " + " ".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(" ".join(_fmt(row.get(k)) or "nan" for k in fieldnames) + "\n")
+        fh.writelines(" ".join(c or "nan" for c in row) + "\n" for row in cells)
+
+
+def _cells(rows: list[dict], fieldnames: list[str]) -> list[tuple[str, ...]]:
+    """Each row's fields formatted once by ``_fmt``."""
+    return [tuple(_fmt(row.get(k)) for k in fieldnames) for row in rows]
 
 
 def _fmt(value) -> str:
@@ -354,7 +359,7 @@ def cmd_visibility(args) -> int:
             }
         )
     fields = ["K", "design", "sigma", "loss_db", "v_first", "v_last", "sd_first", "sd_last"]
-    write_csv(Path(args.out), rows, fields)
+    write_csv(Path(args.out), _cells(rows, fields), fields)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -391,11 +396,10 @@ def cmd_figure(args) -> int:
         return batch_gains_for(k, sigma, args.bs_loss_db, args.realizations, args.seed)
 
     def emit(name: str, rows: list[dict], fields: list[str]) -> None:
-        rows = sorted(
-            rows, key=lambda r: tuple(str(r.get(k)) for k in fields)
-        )
-        write_csv(out_dir / f"{name}.csv", rows, fields)
-        write_dat(out_dir / f"{name}.dat", rows, fields)
+        rows = sorted(rows, key=lambda r: tuple(str(r.get(k)) for k in fields))
+        cells = _cells(rows, fields)
+        write_csv(out_dir / f"{name}.csv", cells, fields)
+        write_dat(out_dir / f"{name}.dat", cells, fields)
         print(f"wrote {out_dir / name}.csv ({len(rows)} rows)")
 
     if sweep:

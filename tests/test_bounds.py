@@ -51,6 +51,76 @@ def reference_qubit_cost(alpha2, m_pulses, epsilon=1e-6):
     return q, hi
 
 
+def reference_log_tail(lo, hi, n, log_q, log_1mq, from_top):
+    """The tail window sum with math.fsum, one log-pmf array per window."""
+    width = 256
+    while True:
+        if from_top:
+            a, c = max(lo, hi - width + 1), hi
+        else:
+            a, c = lo, min(hi, lo + width - 1)
+        if c >= b._MAX_K:
+            raise ParameterError(f"binomial tail window reaches k = {c:.6g}, beyond 2**53")
+        logs = b._log_pmf_array(np.arange(a, c + 1, dtype=float), n, log_q, log_1mq)
+        m = logs.max()
+        total = m + math.log(math.fsum(np.exp(logs - m).tolist()))
+        edge = logs[0] if from_top else logs[-1]
+        if (a == lo and from_top) or (c == hi and not from_top) or edge - total < -42.0:
+            return total
+        width *= 4
+
+
+def reference_fsum_inv_cdf(p, n, q):
+    """``binomial_inv_cdf`` before the fast tail sum: the math.fsum window
+    sum, then a walk that evaluates one pmf per step."""
+    if not 1 <= n <= sys.float_info.max or n != int(n):
+        raise ParameterError(f"number of trials must be a positive integer, got {n!r}")
+    n = int(n)
+    if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
+        raise ParameterError("probabilities must lie in [0, 1]")
+    if p <= 0.0 or q <= 0.0:
+        return 0
+    if q >= 1.0 or p >= 1.0:
+        return n
+    nf = float(n)
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    k = _start(p, n, q)
+    if p > 0.5:
+        target = -((1.0 - p) * (1.0 + b._TIE_FUZZ) + 2.0**-53)
+        h = 0.0 if k == n else -b._mass(
+            reference_log_tail(k + 1.0, nf, nf, log_q, log_1mq, from_top=False), n
+        )
+    else:
+        target = p * (1.0 - b._TIE_FUZZ)
+        h = 1.0 if k == n else b._mass(
+            reference_log_tail(0.0, k, nf, log_q, log_1mq, from_top=True), n
+        )
+
+    def pmf(kk):
+        return b._mass(b._log_pmf_array(np.array([float(kk)]), nf, log_q, log_1mq)[0], n)
+
+    if h >= target:
+        while k > 0:
+            h_prev = h - pmf(k)
+            if h_prev < target:
+                return k
+            h, k = h_prev, k - 1
+        return 0
+    while k < n:
+        k += 1
+        h += pmf(k)
+        if h >= target:
+            return k
+    return n
+
+
+def _start(p, n, q):
+    """The Cornish-Fisher start of the walk."""
+    z = b._NORMAL.inv_cdf(min(max(p, 1e-300), 1.0 - 1e-16))
+    guess = n * q + z * math.sqrt(n * q * (1.0 - q)) + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
+    return int(min(max(round(guess), 0), n))
+
+
 def _reference_binom_cdf(k, n, q):
     """CDF of a binomial, evaluated through the nearer tail in log space."""
     if k < 0:
@@ -61,8 +131,8 @@ def _reference_binom_cdf(k, n, q):
         return 0.0
     log_q, log_1mq = math.log(q), math.log1p(-q)
     if k < n * q:
-        return b._mass(b._log_tail(0.0, k, n, log_q, log_1mq, from_top=True), n)
-    return 1.0 - b._mass(b._log_tail(k + 1.0, n, n, log_q, log_1mq, from_top=False), n)
+        return b._mass(reference_log_tail(0.0, k, n, log_q, log_1mq, from_top=True), n)
+    return 1.0 - b._mass(reference_log_tail(k + 1.0, n, n, log_q, log_1mq, from_top=False), n)
 
 
 def reference_binomial_inv_cdf(p, n, q):
@@ -97,11 +167,7 @@ def reference_binomial_inv_cdf(p, n, q):
         cdf = np.cumsum(pmfs)
         return min(int(np.searchsorted(cdf, p * (1.0 - b._TIE_FUZZ))), n)
 
-    mean = n * q
-    sd = math.sqrt(n * q * (1.0 - q))
-    z = b._NORMAL.inv_cdf(min(max(p, 1e-300), 1.0 - 1e-16))
-    guess = mean + z * sd + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
-    k = int(min(max(round(guess), 0), n))
+    k = _start(p, n, q)
 
     def pmf(kk):
         return b._mass(b._log_pmf_array(np.array([float(kk)]), float(n), log_q, log_1mq)[0], n)
@@ -111,7 +177,7 @@ def reference_binomial_inv_cdf(p, n, q):
             g = 0.0
         else:
             g = b._mass(
-                b._log_tail(k + 1.0, float(n), float(n), log_q, log_1mq, from_top=False), n
+                reference_log_tail(k + 1.0, float(n), float(n), log_q, log_1mq, from_top=False), n
             )
         if g <= s_eff:
             while k > 0:
@@ -613,6 +679,144 @@ class TestBinomialInvCdf:
             assert st.binom.cdf(k, n, q) >= p * (1 - 1e-9)
             if k > 0:
                 assert st.binom.cdf(k - 1, n, q) < p * (1 + 1e-9)
+
+
+def _near_tie_sets(n, q, p0):
+    """Lists of probabilities whose walk targets lie up to three ulps either
+    side of a value that the walk from their common start computes: the
+    start's tail sum or one or two pmf steps down or up from it, for starts
+    within 3 of p0's.  Where a list straddles its value, the answer changes
+    within it."""
+    nf = float(n)
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    upper = p0 > 0.5
+
+    def start_value(k):
+        if upper:
+            return -b._mass(reference_log_tail(k + 1.0, nf, nf, log_q, log_1mq, False), n)
+        return b._mass(reference_log_tail(0.0, k, nf, log_q, log_1mq, True), n)
+
+    def pmf(kk):
+        return b._mass(b._log_pmf_array(np.array([float(kk)]), nf, log_q, log_1mq)[0], n)
+
+    def p_of(target):
+        if upper:
+            return 1.0 - (-target - 2.0**-53) / (1.0 + b._TIE_FUZZ)
+        return target / (1.0 - b._TIE_FUZZ)
+
+    k0 = _start(p0, n, q)
+    for k in range(max(k0 - 3, 0), min(k0 + 3, n - 1) + 1):
+        h0 = start_value(k)
+        values = [h0]
+        if k >= 2:
+            values += [h0 - pmf(k), h0 - pmf(k) - pmf(k - 1)]
+        if k + 2 <= n:
+            values += [h0 + pmf(k + 1), h0 + pmf(k + 1) + pmf(k + 2)]
+        for value in values:
+            ps = [p_of(value)]
+            for _ in range(3):
+                ps = [math.nextafter(ps[0], 0.0), *ps, math.nextafter(ps[-1], 1.0)]
+            ps = [p for p in ps if 0.0 < p < 1.0 and (p > 0.5) == upper and _start(p, n, q) == k]
+            if ps:
+                yield ps
+
+
+#: Figure 14's codeword lengths and click probabilities, and small n.
+_TIE_CASES = [
+    (300, 0.3), (2049, 30 / 2049), (41_700, 30 / 41_700), (4_170_000, 3000 / 4_170_000),
+    (4_170_000_000, 1e-9), (4_170_000_000_000, 1e-9),
+]
+
+
+class TestFastTailSum:
+    """The fast window sum and the array-read walk decide like the math.fsum
+    sum and the one-pmf-per-step walk (``reference_fsum_inv_cdf``)."""
+
+    @pytest.mark.parametrize("grid", ["inv-cdf", "scipy", "median"])
+    def test_equal_to_fsum_inv_cdf(self, grid):
+        args = {
+            "inv-cdf": _INV_CDF_GRID,
+            "scipy": list(itertools.product(_SCIPY_P, _SCIPY_N, _SCIPY_Q)),
+            "median": _MEDIAN_GRID,
+        }[grid]
+        assert [b.binomial_inv_cdf(*a) for a in args] == [reference_fsum_inv_cdf(*a) for a in args]
+
+    @pytest.mark.parametrize("p_dark", [1e-9, 1e-11])
+    def test_two_user_search_equal_to_fsum_inv_cdf(self, ecc, p_dark, monkeypatch):
+        searches = [
+            params_for(2, 10.0**e, ecc, eta=0.5, p_dark=p_dark) for e in range(4, 13)
+        ]
+        got = [b.algorithm_two_user(p, v=0.98) for p in searches]
+        monkeypatch.setattr(b, "binomial_inv_cdf", reference_fsum_inv_cdf)
+        assert got == [b.algorithm_two_user(p, v=0.98) for p in searches]
+
+    @given(
+        n=hst.integers(min_value=1, max_value=10**13),
+        log_q=hst.floats(min_value=-13.0, max_value=0.0),
+        p=hst.floats(min_value=0.0, max_value=1.0),
+        flip=hst.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_equal_to_fsum_inv_cdf(self, n, log_q, p, flip):
+        q = 10.0**log_q
+        q = 1.0 - q if flip else q
+        if n * q * (1.0 - q) > 1e10:  # sd at most 1e5
+            q = 1e10 / n
+        assert b.binomial_inv_cdf(p, n, q) == reference_fsum_inv_cdf(p, n, q)
+
+    @pytest.mark.parametrize("n, q", _TIE_CASES)
+    @pytest.mark.parametrize("p0", [1e-5, 0.37, 0.5, 0.63, 0.9])
+    def test_near_ties_decide_like_the_fsum_walk(self, n, q, p0, monkeypatch):
+        fsum_calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: fsum_calls.append(1) or fsum(xs))
+        flips = 0
+        for ps in _near_tie_sets(n, q, p0):
+            fsum_calls.clear()
+            got = [b.binomial_inv_cdf(p, n, q) for p in ps]
+            assert got == [reference_fsum_inv_cdf(p, n, q) for p in ps], ps
+            assert fsum_calls, "a near tie must be re-decided with math.fsum"
+            flips += len(set(got)) > 1
+        assert flips >= 1
+
+    def test_fast_sum_decides_figure_14_grid(self, monkeypatch):
+        monkeypatch.setattr(math, "fsum", None)  # any exact re-decision fails
+        for args in _INV_CDF_GRID + _MEDIAN_GRID:
+            b.binomial_inv_cdf(*args)
+
+    def test_forced_fallback_keeps_the_answers(self, ecc, monkeypatch):
+        args = _INV_CDF_GRID + _MEDIAN_GRID
+        expect = [reference_fsum_inv_cdf(*a) for a in args]
+        params = params_for(2, 1e8, ecc, eta=0.5, p_dark=1e-9)
+        search = b.algorithm_two_user(params, v=0.98)
+        fsum_calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: fsum_calls.append(1) or fsum(xs))
+        monkeypatch.setattr(b, "_SUM_BAND", math.inf)  # every comparison is in doubt
+        assert [b.binomial_inv_cdf(*a) for a in args] == expect
+        assert b.algorithm_two_user(params, v=0.98) == search
+        assert len(fsum_calls) >= len(args)
+
+    @pytest.mark.parametrize(
+        "p, n, q, singles",
+        [
+            (1e-300, 300, 0.99, 100 - b._PAD),  # the lower tail's walk reads 100 pmfs up
+            (1 - 1e-16, 10**6, 0.5, 43 - b._PAD),  # the upper tail's walk reads 43 down
+            (1e-100, 50, 0.01, 50),  # a start at n: no tail, one pmf per step
+        ],
+    )
+    def test_walks_past_the_array(self, p, n, q, singles, monkeypatch):
+        calls = []
+        log_pmf_array = b._log_pmf_array
+
+        def spy(ks, *args):
+            calls.append(len(ks))
+            return log_pmf_array(ks, *args)
+
+        monkeypatch.setattr(b, "_log_pmf_array", spy)
+        k = b.binomial_inv_cdf(p, n, q)
+        assert calls.count(1) == singles
+        assert k == reference_fsum_inv_cdf(p, n, q)
 
 
 class TestTwoUserAlgorithm:

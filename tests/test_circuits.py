@@ -559,6 +559,100 @@ def test_malformed_element_is_rejected(case):
         qc.compose_layout(qc.layout_from_json(text))
 
 
+def reference_layout_from_json(text):
+    """The reader that checked each record with one ``_row`` call."""
+    data = json.loads(text)
+    rows = [
+        qc._row(e["kind"], e["ports"], e.get("t"), e.get("omega"), e.get("layer", 0))
+        for e in data["elements"]
+    ]
+    perm = data.get("output_perm")
+    return qc.CircuitLayout._from_columns(
+        data["dim"], data["design"], qc._columns(rows), tuple(perm) if perm else None
+    )
+
+
+_UBS_RECORD = {"kind": qc.UNBALANCED_BS, "ports": [1, 3], "t": 0.5, "omega": 0.7, "layer": 0}
+_PS_RECORD = {"kind": qc.PHASE_SHIFTER, "ports": [2], "t": None, "omega": 0.3, "layer": 1}
+_SBS_RECORD = {"kind": qc.SYMMETRIC_BS, "ports": [1, 2], "t": None, "omega": None, "layer": 2}
+
+#: One bad field per record: its kind, port count, t or phase, port type, value.
+BAD_RECORDS = {
+    "unknown-kind": _UBS_RECORD | {"kind": "mirror"},
+    "list-kind": _UBS_RECORD | {"kind": ["mirror"]},
+    "beamsplitter-one-port": _UBS_RECORD | {"ports": [1]},
+    "symmetric-three-ports": _SBS_RECORD | {"ports": [1, 2, 3]},
+    "shifter-two-ports": _PS_RECORD | {"ports": [1, 2]},
+    "shifter-no-port": _PS_RECORD | {"ports": []},
+    "beamsplitter-without-t": {k: v for k, v in _UBS_RECORD.items() if k != "t"},
+    "beamsplitter-null-t": _UBS_RECORD | {"t": None},
+    "shifter-without-phase": _PS_RECORD | {"omega": None},
+    "non-integer-port": _UBS_RECORD | {"ports": [1.5, 3]},
+    "string-port": _SBS_RECORD | {"ports": ["1", 3]},
+    "nested-port": _PS_RECORD | {"ports": [[2]]},
+    "string-t": _UBS_RECORD | {"t": "0.5"},
+    "t=nan": _UBS_RECORD | {"t": math.nan},
+    "phase=inf": _PS_RECORD | {"omega": -math.inf},
+}
+
+
+def _layout_text(records):
+    return json.dumps({"dim": 3, "design": "custom", "output_perm": None, "elements": records})
+
+
+def _error(read, text):
+    """Type and message of the error ``read`` raises (a ragged port list
+    makes numpy raise a ValueError, not a LayoutError)."""
+    with pytest.raises((LayoutError, ValueError)) as info:
+        read(text)
+    return type(info.value), str(info.value)
+
+
+class TestLayoutFromJsonChecks:
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_first_bad_record_names_the_error(self, case):
+        for other in BAD_RECORDS:
+            for records in (
+                [_UBS_RECORD, BAD_RECORDS[case], _PS_RECORD, BAD_RECORDS[other]],
+                [_SBS_RECORD, BAD_RECORDS[other], BAD_RECORDS[case]],
+            ):
+                text = _layout_text(records)
+                assert _error(qc.layout_from_json, text) == _error(reference_layout_from_json, text)
+
+    def test_messages(self):
+        def message(case):
+            text = _layout_text([_UBS_RECORD, BAD_RECORDS[case]])
+            kind, message = _error(qc.layout_from_json, text)
+            assert kind is LayoutError
+            return message
+
+        assert message("unknown-kind") == "unknown element kind: 'mirror'"
+        assert message("shifter-two-ports") == "phase-shifter needs 1 port(s), got [1, 2]"
+        assert message("beamsplitter-without-t") == (
+            "unbalanced-beamsplitter on ports [1, 3] without a t"
+        )
+        assert message("shifter-without-phase") == "phase-shifter on ports [2] without a phase"
+        assert message("non-integer-port") == (
+            "element ports must be integers, t and phases real numbers"
+        )
+        assert message("phase=inf") == "phase-shifter with a non-finite t or phase: -inf"
+
+    def test_unusual_records_read_like_the_record_reader(self):
+        records = [
+            _UBS_RECORD | {"t": 1},  # an integer t
+            _UBS_RECORD | {"ports": [True, 3]},  # a boolean port beside integer ones
+            _SBS_RECORD | {"t": "ignored", "omega": [0.1]},
+            {k: v for k, v in _PS_RECORD.items() if k not in ("t", "layer")},
+        ]
+        for chosen in ([records[0]], [records[1]], records, [_SBS_RECORD], [records[2]], []):
+            text = _layout_text(chosen)
+            got, want = qc.layout_from_json(text), reference_layout_from_json(text)
+            for name in ("kind", "ports", "value", "layer"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b, equal_nan=True), name
+
+
 class TestRowSumsAllDesigns:
     @pytest.mark.parametrize("design", qc.DESIGNS)
     def test_composed_matrix_row_structure(self, design):

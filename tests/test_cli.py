@@ -511,6 +511,45 @@ class TestDeterminism:
         assert (da / "figure14.csv").read_bytes() == (db / "figure14.csv").read_bytes()
 
 
+def reference_write_csv(path, rows, fieldnames):
+    """The writers that formatted every cell of the CSV and the .dat apart."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: cli._fmt(row.get(k)) for k in fieldnames})
+
+
+def reference_write_dat(path, rows, fieldnames):
+    with open(path, "w") as fh:
+        fh.write("# " + " ".join(fieldnames) + "\n")
+        for row in rows:
+            fh.write(" ".join(cli._fmt(row.get(k)) or "nan" for k in fieldnames) + "\n")
+
+
+@pytest.mark.parametrize("figure", [14, 15, 16, 17, 18])
+def test_figure_files_equal_the_record_writers(figure, tmp_path, monkeypatch):
+    tables = []
+    cells = cli._cells
+
+    def spy(rows, fields):
+        tables.append((rows, fields))
+        return cells(rows, fields)
+
+    monkeypatch.setattr(cli, "_cells", spy)
+    grid = ["--k-grid", "4,7"] if figure >= 17 else ["--n-min", "1e4", "--n-max", "1e9"]
+    run(["figure", "--id", str(figure), "--points-per-decade", "1", "--realizations", "20",
+         *grid, "--out-dir", str(tmp_path / "new")])
+    names = sorted(p.stem for p in (tmp_path / "new").glob("*.csv"))
+    assert len(names) == len(tables) == (1 if figure <= 16 else 2)
+    (tmp_path / "old").mkdir()
+    for name, (rows, fields) in zip(names, tables):
+        for suffix, write in ((".csv", reference_write_csv), (".dat", reference_write_dat)):
+            write(tmp_path / "old" / (name + suffix), rows, fields)
+            new = (tmp_path / "new" / (name + suffix)).read_bytes()
+            assert new == (tmp_path / "old" / (name + suffix)).read_bytes(), name + suffix
+
+
 BAD_INPUT = {
     "empty-verify-grid": (["verify", "--k-grid", "5:3"], 1),
     "empty-figure-grid": (["figure", "--id", "17", "--k-grid", "5:3", "--out-dir", "{tmp}"], 1),
