@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecompositionError, InvalidDimensionError, LayoutError
+from .errors import DecompositionError, InvalidDimensionError, LayoutError, ParameterError
 
 UNBALANCED_BS = "unbalanced-beamsplitter"
 SYMMETRIC_BS = "symmetric-beamsplitter"
@@ -52,12 +52,27 @@ _PHASE_EPS = 1e-14
 #: Largest multiport dimension a builder accepts; a dense K x K complex
 #: matrix at this size takes 16 MiB.
 MAX_DIM = 1024
+#: Largest stack of composed matrices, in bytes, that ``_compose`` builds:
+#: ``n`` complex K x K matrices take ``16 n K**2`` bytes (1 GiB holds 500
+#: realizations up to K = 366).  A larger request is a ``ParameterError``.
+MAX_STACK_BYTES = 1 << 30
 
 
 def _check_dim(k: int) -> None:
     if not isinstance(k, (int, np.integer)) or not 2 <= k <= MAX_DIM:
         raise InvalidDimensionError(
             f"multiport dimension must be an integer in 2..{MAX_DIM}, got {k!r}"
+        )
+
+
+def _check_stack(k: int, n: int) -> None:
+    """Raise ``ParameterError`` if ``n`` K x K complex matrices exceed
+    ``MAX_STACK_BYTES``."""
+    size = 16 * n * k * k
+    if size > MAX_STACK_BYTES:
+        raise ParameterError(
+            f"{n} matrices at K = {k} need {size:,} bytes, above the limit of "
+            f"{MAX_STACK_BYTES:,}; ask for fewer realizations or a smaller K"
         )
 
 
@@ -306,7 +321,8 @@ def optimal_tree_layout(k: int) -> CircuitLayout:
 
 #: Largest operand, in bytes, that one stacked row update gathers.  The
 #: elements of one level and kind are updated in chunks whose rows fit in
-#: it; a row larger than this is updated alone, in place through views.
+#: it; where one element's two rows do not, every element is updated
+#: alone, in place through views.
 _GATHER_BYTES = 256 * 1024
 
 
@@ -326,8 +342,20 @@ def _compose(layout: CircuitLayout, coef: np.ndarray, n: int = 1) -> np.ndarray:
     stacked row update per element kind, in chunks of at most
     ``_GATHER_BYTES`` of rows; every row sees the same operations, in the
     same order, as element by element.
+
+    Where two rows exceed ``_GATHER_BYTES`` (500 realizations from K = 17
+    on), each element is updated alone, and only over the columns that
+    can be nonzero: each storage row keeps the hull ``[left, right)`` of
+    its nonzero columns, starting from its ``output_perm`` column, and an
+    element updates the union hull of its two rows.  Outside it both rows
+    are zero, so the result equals the full-row update under ``==`` (a
+    full-row update could only have given -0.0 there).  An update is at
+    least 2 columns wide, since numpy can round a complex product over one
+    column differently from the same product over a longer row.  A tree's
+    rows stay narrow: at K = 100 its updates cover 7% of the full rows.
     """
     k = layout.dim
+    _check_stack(k, n)
     perm = list(range(k) if layout.output_perm is None else layout.output_perm)
     if sorted(perm) != list(range(k)):
         raise LayoutError(f"output_perm is not a permutation of 0..{k - 1}")
@@ -358,13 +386,23 @@ def _compose(layout: CircuitLayout, coef: np.ndarray, n: int = 1) -> np.ndarray:
     m = np.zeros((k, n, k), dtype=complex)
     m[np.arange(k), :, perm] = 1.0
     step = max(1, _GATHER_BYTES // m[0].nbytes)
+    if step == 1:
+        # columns [left, right) that can hold each storage row's nonzeros
+        left, right = perm[:], [p + 1 for p in perm]
+        pairs = rows.T.tolist()
     start = 0
     for end in ends:
         code = codes[start]
         for lo in range(start, end, step):
             if step == 1:
+                a, b = pairs[lo]
+                left[a] = left[b] = start_col = min(left[a], left[b])
+                right[a] = right[b] = stop_col = max(right[a], right[b])
+                if stop_col - start_col < 2:  # a shifter on an untouched row
+                    start_col = min(start_col, k - 2)
+                    stop_col = start_col + 2
                 c = coef[:, column[lo]] if code == _UBS else factor[lo]
-                _update_row(m, code, rows[:, lo], c)
+                _update_row(m[:, :, start_col:stop_col], code, (a, b), c)
             else:
                 hi = min(lo + step, end)
                 c = coef[:, column[lo:hi]] if code == _UBS else factor[lo:hi]
@@ -394,10 +432,11 @@ def _update(m: np.ndarray, code: int, rows: np.ndarray, c: np.ndarray) -> None:
         m[rows] = (1.0 / math.sqrt(2.0)) * (r + j[::-1])
 
 
-def _update_row(m: np.ndarray, code: int, rows: np.ndarray, c: np.ndarray) -> None:
+def _update_row(m: np.ndarray, code: int, rows: tuple[int, int], c: np.ndarray) -> None:
     """``_update`` for a single element, in place through views of its rows;
-    ``c`` is ``(4, ...)`` coefficients or a ``(1, 1)`` phase factor."""
-    a, b = rows.tolist()
+    ``rows`` is the pair of storage rows and ``c`` is ``(4, ...)``
+    coefficients or a ``(1, 1)`` phase factor."""
+    a, b = rows
     ra, rb = m[a], m[b]
     if code == _PS:
         ra *= c

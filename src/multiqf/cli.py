@@ -339,9 +339,17 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _check_stacks(k_values, realizations: int) -> None:
+    """Reject, before any work, a K whose realization stack is too large."""
+    for k in k_values:
+        circuits._check_stack(k, realizations)
+
+
 def cmd_visibility(args) -> int:
     rows = []
-    for k in parse_grid(args.k_grid):
+    k_values = parse_grid(args.k_grid)
+    _check_stacks(k_values, args.realizations)
+    for k in k_values:
         bg = batch_gains_for(
             k, args.sigma, args.bs_loss_db, args.realizations, args.seed,
             design=_DESIGN_ALIASES[args.design],
@@ -383,6 +391,7 @@ def cmd_figure(args) -> int:
         if not sweep:
             raise ParameterError(f"figure {args.id} sweeps p_dark; --p-dark is for figures 14-16")
         p_darks = (args.p_dark,)
+    _check_stacks(k_values, args.realizations)
     n_grid = log_spaced(
         n_min if args.n_min is None else args.n_min,
         n_max if args.n_max is None else args.n_max,

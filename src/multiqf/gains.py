@@ -96,13 +96,28 @@ def _single_flip_gains(transfers: np.ndarray, last: int) -> tuple[np.ndarray, np
     """First-group and last-detector gains, per unit mu_in, of an ``(n, K, K)``
     stack: ``(K + 1, n)`` each, row 0 for all inputs equal and row ``1 + j``
     for input ``j`` flipped.  All-equal output amplitudes are the row sums
-    ``s``; a flip of input ``j`` makes them ``s - 2 T[:, :, j]``."""
+    ``s``; a flip of input ``j`` makes them ``s - 2 T[:, :, j]``.
+
+    A flip changes only the outputs whose column ``j`` is nonzero in some
+    realization of the stack, so only those entries of the all-equal
+    ``mu`` are recomputed; elsewhere ``s - 2 * 0`` is ``s``.  The copy of
+    ``mu`` keeps its memory order, so ``mu.sum(axis=1)`` adds in the same
+    order as over a dense recomputation: for the row-first stacks of
+    ``noise.realize_batch`` ``s`` is F-ordered, and a C-ordered ``mu``
+    would be summed pairwise and round differently."""
     n, k, _ = transfers.shape
     s = transfers.sum(axis=2)
+    support = transfers.any(axis=0)  # (K, K): output a reads input j
+    mu_equal = s.real**2 + s.imag**2
     g_first, g_last = np.empty((2, k + 1, n))
     for j in range(k + 1):
-        amp = s if j == 0 else s - 2.0 * transfers[:, :, j - 1]
-        mu = amp.real**2 + amp.imag**2
+        if j == 0:
+            mu = mu_equal
+        else:
+            rows = np.flatnonzero(support[:, j - 1])
+            amp = s[:, rows] - 2.0 * transfers[:, rows, j - 1]
+            mu = mu_equal.copy(order="K")
+            mu[:, rows] = amp.real**2 + amp.imag**2
         g_last[j] = mu[:, last]
         g_first[j] = mu.sum(axis=1) - g_last[j]
     return g_first, g_last

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _UBS, CircuitLayout, _compose
+from .circuits import _UBS, CircuitLayout, _check_stack, _compose
 from .errors import ParameterError
 
 
@@ -70,8 +70,10 @@ def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
     ``draws[j, i]`` are the four standard normals of beamsplitter ``j`` in
     realization ``i``: the two symmetric-beamsplitter transmittance errors,
     then the two shifter phase errors.  Transmittance amplitudes are clipped
-    to [0, 1] so the block stays physical for large noise draws.  The four
-    factors are multiplied as stacked 2x2 matmuls, which round like single ones.
+    to [0, 1] so the block stays physical for large noise draws.  The flip
+    is applied as a scaled row swap of the first beamsplitter, and the
+    other factors are multiplied as stacked 2x2 matmuls, which round like
+    single ones.
     """
     t = np.asarray(t, dtype=float)
     bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
@@ -89,10 +91,11 @@ def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
         out[..., 0, 1] = out[..., 1, 0] = 1j * np.sqrt(1.0 - tau * tau)
         return out
 
-    flip = model.block_amplitude * np.array([[0.0, 1.0], [1.0, 0.0]])
     shift = np.zeros(ph_a.shape + (2, 2), dtype=complex)
     shift[..., 0, 0], shift[..., 1, 1] = np.exp(1j * ph_a), np.exp(1j * ph_b)
-    return flip @ sym(tau[..., 0]) @ shift @ sym(tau[..., 1])
+    # the flip times sym(tau1) is sym(tau1) with its rows swapped and scaled:
+    # each entry of that product has one nonzero term, so this is bit-equal
+    return (model.block_amplitude * sym(tau[..., 0])[..., ::-1, :]) @ shift @ sym(tau[..., 1])
 
 
 def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +107,9 @@ def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.nda
 def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
     """Realizations ``indices`` of a layout, ``(n, K, K)``.  Realization ``i``
     draws ``standard_normal((n_bs, 4))`` from its own stream: the same draws
-    as four at a time per unbalanced beamsplitter, in layout order."""
+    as four at a time per unbalanced beamsplitter, in layout order.  A
+    stack above ``circuits.MAX_STACK_BYTES`` is rejected before any draw."""
+    _check_stack(layout.dim, len(indices))
     t = layout.value[layout.kind == _UBS]
     draws = np.stack([_rng_for(model, i).standard_normal((len(t), 4)) for i in indices], 1)
     # (4, n_bs, n, 1): the four coefficients of each beamsplitter over realizations

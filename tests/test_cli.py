@@ -60,6 +60,17 @@ class TestVisibilityCommand:
         rho = (10.0 ** (-0.2 / 20.0)) ** 2
         assert float(row["v_first"]) == pytest.approx(0.5 * (1 + rho), abs=1e-12)
 
+    def test_large_stack_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        # K = 2 and 3 fit in 64 realizations under this limit, K = 4 does not
+        monkeypatch.setattr(qc, "MAX_STACK_BYTES", 16 * 64 * 9)
+        out = tmp_path / "vis.csv"
+        assert run(["visibility", "--k-grid", "2:4", "--realizations", "64",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: 64 matrices at K = 4 need 16,384 bytes, above the "
+                                "limit of 9,216; ask for fewer realizations or a smaller K\n")
+        assert captured.out == "" and not out.exists()
+
 
 class TestFigureCommand:
     def test_figure14_families_present(self, tmp_path):
@@ -82,6 +93,16 @@ class TestFigureCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: binomial mass exp(") and "overflows" in err
         assert not (tmp_path / "figure14.csv").exists()
+
+    def test_figure17_large_k_is_a_clean_error(self, tmp_path, capsys):
+        # 500 realizations at K = 1024 would take 7.8 GiB
+        code = run(["figure", "--id", "17", "--k-grid", "1024", "--out-dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: 500 matrices at K = 1024 need 8,388,608,000 bytes, "
+                                "above the limit of 1,073,741,824; ask for fewer realizations "
+                                "or a smaller K\n")
+        assert captured.out == "" and not list(tmp_path.iterdir())
 
     def test_figure16_validity_column(self, tmp_path):
         run(["figure", "--id", "16", "--points-per-decade", "1",

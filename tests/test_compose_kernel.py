@@ -81,6 +81,44 @@ def test_500_realizations_match_element_loop(layout):
         assert np.array_equal(batch[i], reference_realize_circuit(layout, NOISY, i))
 
 
+def untouched_row_layout():
+    """A run of three shifters on every port before any beamsplitter, so on
+    rows no element has touched yet (among them the first and the last
+    column of the identity), then beamsplitters and one more shifter."""
+    ps, ubs, sbs = qc.PHASE_SHIFTER, qc.UNBALANCED_BS, qc.SYMMETRIC_BS
+    phases = np.random.default_rng(5).uniform(-10.0, 10.0, (5, 3)).tolist()
+    elements = [qc.CircuitElement(ps, (port,), phase=phase)
+                for port in range(1, 6) for phase in phases[port - 1]]
+    elements += [qc.CircuitElement(ubs, (1, 2), t=0.3), qc.CircuitElement(sbs, (4, 5)),
+                 qc.CircuitElement(ps, (2,), phase=1.7), qc.CircuitElement(ubs, (2, 5), t=0.8)]
+    return qc.CircuitLayout(5, "untouched rows", tuple(elements), (2, 0, 4, 1, 3))
+
+
+def test_shifters_on_untouched_rows_one_row_at_a_time():
+    # on the single-row path a shifter on an untouched row would update one
+    # column; the update is widened to two
+    layout = untouched_row_layout()
+    with mock.patch.object(qc, "_GATHER_BYTES", 1):
+        assert np.array_equal(qc.compose_layout(layout), reference_compose(layout))
+        batch = realize_batch(layout, NOISY, 3)
+    for i in range(3):
+        assert np.array_equal(batch[i], reference_realize_circuit(layout, NOISY, i))
+
+
+CLIPPING = NoiseModel(sigma_t=0.8, sigma_p=1.0, seed=3)
+
+
+@pytest.mark.parametrize("model", [NOISY, CLIPPING], ids=["noisy", "clipping"])
+@pytest.mark.parametrize("design", [qc.DESIGN_OPTIMAL, qc.DESIGN_EXTENDABLE])
+def test_500_realizations_at_k100(design, model):
+    # figure 17's largest stack: rows of 800 KB, updated one at a time over
+    # their column hulls
+    layout = qc.build_design(100, design)[1]
+    batch = realize_batch(layout, model, 500)
+    for i in (0, 1, 250, 499):
+        assert np.array_equal(batch[i], reference_realize_circuit(layout, model, i))
+
+
 @pytest.fixture
 def updates(monkeypatch):
     """Counts the stacked (``_update``) and single-row (``_update_row``) updates,
@@ -119,6 +157,24 @@ def test_stacked_updates_at_k64(design, n_elements, expected, updates):
     updates.clear()  # build_design composes the tree
     qc.compose_layout(layout)
     assert updates == {"stacked": expected}
+
+
+@pytest.mark.parametrize("design, columns", [
+    # a full-row update would cover 99 x 100 = 9,900 columns
+    (qc.DESIGN_OPTIMAL, 672),
+    (qc.DESIGN_EXTENDABLE, 5049),
+])
+def test_single_row_updates_cover_the_column_hulls(design, columns, monkeypatch):
+    widths = []
+    single = qc._update_row
+
+    def spy(m, code, rows, c):
+        widths.append(m.shape[2])
+        single(m, code, rows, c)
+
+    monkeypatch.setattr(qc, "_update_row", spy)
+    realize_batch(qc.build_design(100, design)[1], NOISY, 500)
+    assert len(widths) == 99 and sum(widths) == columns
 
 
 def test_large_rows_are_updated_one_at_a_time(updates):

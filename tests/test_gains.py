@@ -186,6 +186,43 @@ def test_batch_gains_match_per_realization_average(k):
     assert got == pytest.approx(summary, rel=rel, abs=0)
 
 
+def reference_single_flip_gains(transfers, last):
+    """Dense single-flip gains: every output recomputed for every flip."""
+    n, k, _ = transfers.shape
+    s = transfers.sum(axis=2)
+    g_first, g_last = np.empty((2, k + 1, n))
+    for j in range(k + 1):
+        amp = s if j == 0 else s - 2.0 * transfers[:, :, j - 1]
+        mu = amp.real**2 + amp.imag**2
+        g_last[j] = mu[:, last]
+        g_first[j] = mu.sum(axis=1) - g_last[j]
+    return g_first, g_last
+
+
+#: The figure presets' noise, and noise large enough for tau to clip to 1,
+#: which makes blocks, and so transfer entries, exactly zero in some
+#: realizations only.
+FLIP_MODELS = {
+    "presets": NoiseModel(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=4),
+    "clipping": NoiseModel(sigma_t=0.8, sigma_p=1.0, seed=3),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FLIP_MODELS))
+@pytest.mark.parametrize("k", [2, 7, 33, 60, 100])
+@pytest.mark.parametrize("design", qc.DESIGNS)
+def test_single_flip_gains_match_dense_loop(design, k, model):
+    # realize_batch's row-first stacks, whose all-equal amplitudes are F-ordered
+    transfers = realize_batch(qc.build_design(k, design)[1], FLIP_MODELS[model], 24)
+    if model == "clipping":
+        zero = transfers == 0
+        assert (zero.any(axis=0) & ~zero.all(axis=0)).any()
+    last = gn.find_last_label(transfers[0]) - 1
+    got = gn._single_flip_gains(transfers, last)
+    want = reference_single_flip_gains(transfers, last)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 class TestPatternScan:
     def test_ideal_k4_l1_vs_l2(self):
         m = design_matrix(qc.DESIGN_OPTIMAL, 4)

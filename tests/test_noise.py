@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multiqf import circuits as qc
+from multiqf import noise
 from multiqf.errors import ParameterError
 from multiqf.noise import NoiseModel, noisy_block, realize_batch, realize_circuit
 
@@ -212,3 +213,24 @@ def test_bad_transmittance_in_layout_is_rejected():
     bad = qc.CircuitLayout(3, "custom", (qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=1.5),))
     with pytest.raises(ParameterError):
         realize_circuit(bad, NOISY)
+
+
+def test_stack_above_the_limit_is_rejected_before_any_draw(monkeypatch):
+    layout = qc.optimal_tree_layout(4)  # 16 * 4**2 = 256 bytes per realization
+    monkeypatch.setattr(qc, "MAX_STACK_BYTES", 256 * 10)
+    assert realize_batch(layout, NOISY, 10).shape == (10, 4, 4)
+
+    def no_draw(*args):
+        raise AssertionError("drew before the stack size was checked")
+
+    monkeypatch.setattr(noise, "_rng_for", no_draw)
+    with pytest.raises(ParameterError, match="11 matrices at K = 4"):
+        realize_batch(layout, NOISY, 11)
+    monkeypatch.setattr(qc, "MAX_STACK_BYTES", 255)
+    with pytest.raises(ParameterError, match="need 256 bytes, above the limit of 255"):
+        qc.compose_layout(layout)
+
+
+def test_stack_limit_admits_figure_17():
+    # 500 realizations fit up to K = 366
+    assert 16 * 500 * 366**2 <= qc.MAX_STACK_BYTES < 16 * 500 * 367**2
