@@ -568,6 +568,10 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
 #: one or two steps.
 _PAD = 16
 
+#: Log-pmf terms fetched at once when the walk leaves its array: a start
+#: far from the answer then costs one array call per _WALK_BLOCK steps.
+_WALK_BLOCK = 256
+
 
 class _InDoubt(Exception):
     """A comparison of the fast tail sum lies within its error bound."""
@@ -600,11 +604,15 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
         if target < 0.0:
             h = -h
 
-    def pmf(kk: int) -> float:
-        i = kk - first
-        if logs is not None and 0 <= i < len(logs):
-            return _mass(logs.item(i), n)
-        return _mass(_log_pmf_array(np.array([float(kk)]), nf, log_q, log_1mq)[0], n)
+    def pmf(kk: int, down: bool) -> float:
+        nonlocal logs, first
+        if logs is None or not 0 <= kk - first < len(logs):
+            # the next _WALK_BLOCK terms on the walk's way; each rounds as
+            # it would in a one-element array
+            first = max(kk - _WALK_BLOCK + 1, 0) if down else kk
+            ks = np.arange(first, min(first + _WALK_BLOCK, n + 1)).astype(float)
+            logs = _log_pmf_array(ks, nf, log_q, log_1mq)
+        return _mass(logs.item(kk - first), n)
 
     def decided(h: float) -> float:
         """h, once its comparison with target is sure to be the exact walk's."""
@@ -614,7 +622,7 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
 
     if decided(h) >= target:
         while k > 0:
-            h_prev = h - pmf(k)
+            h_prev = h - pmf(k, True)
             err += 2.0**-51 * (abs(h_prev) + err)  # the rounding of both walks' steps
             if decided(h_prev) < target:
                 return k
@@ -622,7 +630,7 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
         return 0
     while k < n:
         k += 1
-        h += pmf(k)
+        h += pmf(k, False)
         err += 2.0**-51 * (abs(h) + err)
         if decided(h) >= target:
             return k

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits, classical
+from . import circuits, classical, gains, noise
 from .bounds import (
     STRATEGY_FIRST,
     STRATEGY_LAST,
@@ -166,6 +166,20 @@ def _bound_row(res: BoundResult, k: int, n: float, **extra) -> dict:
     )
 
 
+#: Largest stack of realized matrices, in bytes, that ``batch_gains_for``
+#: holds at once.  At 16 MiB, 500 realizations at K = 60, 80 and 100 take
+#: 2, 4 and 5 chunks, whose rows all stay on the compose kernel's
+#: single-row path (above ``circuits._GATHER_BYTES / 2``).
+_CHUNK_BYTES = 16 << 20
+
+
+def _chunk_sizes(k: int, realizations: int) -> list[int]:
+    """Realizations per chunk: the fewest chunks of at most ``_CHUNK_BYTES``
+    of K x K complex matrices, sizes differing by at most one."""
+    count = -(-realizations // max(1, _CHUNK_BYTES // (16 * k * k)))
+    return [realizations // count + (i < realizations % count) for i in range(count)]
+
+
 def batch_gains_for(
     k: int,
     sigma: float,
@@ -174,9 +188,28 @@ def batch_gains_for(
     seed: int,
     design: str = circuits.DESIGN_OPTIMAL,
 ) -> BatchGains:
+    """``batch_gain_set`` of realizations ``0 .. realizations - 1``.
+
+    Above ``_CHUNK_BYTES`` the realizations are realized and reduced to
+    their gain tables one chunk at a time, and the joined tables are
+    aggregated once; realization ``i`` is still drawn from
+    ``(layout, seed, i)`` and its gains do not depend on its chunk, so the
+    result is bit-identical to one whole stack.
+    """
     layout = circuits.build_design(k, design)[1]
     model = NoiseModel(sigma_t=sigma, sigma_p=sigma, bs_loss_db=bs_loss_db, seed=seed)
-    return batch_gain_set(realize_batch(layout, model, realizations))
+    noise._check_nonnegative_int("number of realizations", realizations)
+    sizes = _chunk_sizes(k, realizations)
+    if len(sizes) <= 1:  # one stack, on the public (traced) path; or none, which it rejects
+        return batch_gain_set(realize_batch(layout, model, realizations))
+    last, tables, start = None, [], 0
+    for size in sizes:
+        stack = realize_batch(layout, model, size, start=start)
+        last = last or gains._last_label(None, stack[0])
+        tables.append(gains._single_flip_gains(stack, last - 1))
+        del stack  # the next chunk is realized with no other stack alive
+        start += size
+    return gains._batch_gains(last, *(np.concatenate(t, axis=1) for t in zip(*tables)))
 
 
 def _params(k: int, n: float, cfg: dict) -> ProtocolParams:

@@ -101,10 +101,12 @@ def _single_flip_gains(transfers: np.ndarray, last: int) -> tuple[np.ndarray, np
     A flip changes only the outputs whose column ``j`` is nonzero in some
     realization of the stack, so only those entries of the all-equal
     ``mu`` are recomputed; elsewhere ``s - 2 * 0`` is ``s``.  The copy of
-    ``mu`` keeps its memory order, so ``mu.sum(axis=1)`` adds in the same
-    order as over a dense recomputation: for the row-first stacks of
-    ``noise.realize_batch`` ``s`` is F-ordered, and a C-ordered ``mu``
-    would be summed pairwise and round differently."""
+    ``mu`` keeps its memory order, so its row sums add in the same order
+    as over a dense recomputation (``_add_columns``).
+
+    Each realization's gains depend only on its own matrix, not on the
+    stack around it, so a batch can be reduced in chunks and the tables
+    joined along their second axis."""
     n, k, _ = transfers.shape
     s = transfers.sum(axis=2)
     support = transfers.any(axis=0)  # (K, K): output a reads input j
@@ -119,8 +121,22 @@ def _single_flip_gains(transfers: np.ndarray, last: int) -> tuple[np.ndarray, np
             mu = mu_equal.copy(order="K")
             mu[:, rows] = amp.real**2 + amp.imag**2
         g_last[j] = mu[:, last]
-        g_first[j] = mu.sum(axis=1) - g_last[j]
+        g_first[j] = _add_columns(mu) - g_last[j]
     return g_first, g_last
+
+
+def _add_columns(mu: np.ndarray) -> np.ndarray:
+    """Row sums of an ``(n, K)`` table, adding its K columns one after another.
+
+    That is how numpy sums an F-ordered table of two or more rows, such as
+    the ``mu`` of a row-first stack from ``noise.realize_batch``.  A single
+    row, or a C-ordered table, numpy would sum pairwise, which rounds
+    differently from K = 8 on; a running sum keeps the order there, so a
+    realization's gains do not depend on the size or layout of its stack.
+    """
+    if len(mu) > 1 and mu.flags.f_contiguous:
+        return mu.sum(axis=1)
+    return np.cumsum(mu, axis=1)[:, -1]
 
 
 def _last_label(last_label: int | None, transfer: np.ndarray) -> int:
@@ -226,9 +242,14 @@ def batch_gain_set(matrices: np.ndarray, last_label: int | None = None) -> Batch
     matrices = np.asarray(matrices)
     if matrices.ndim != 3:
         raise ParameterError("expected a (n, K, K) stack of matrices")
-    n, k, _ = matrices.shape
     last_label = _last_label(last_label, matrices[0])
-    g_first, g_last = _single_flip_gains(matrices, last_label - 1)
+    return _batch_gains(last_label, *_single_flip_gains(matrices, last_label - 1))
+
+
+def _batch_gains(last_label: int, g_first: np.ndarray, g_last: np.ndarray) -> BatchGains:
+    """``BatchGains`` of the ``(K + 1, n)`` tables of ``_single_flip_gains``,
+    which may be the tables of several stacks joined along axis 1."""
+    k, n = g_first.shape[0] - 1, g_first.shape[1]
     mean, each = _mean_gain_set(k, last_label, g_first, g_last)
     vis = np.column_stack(_visibilities(k, *each))
     v_first, v_last = visibilities(mean)

@@ -33,7 +33,7 @@ from .bounds import (
 )
 from .errors import ParameterError, ValidityError
 from .gains import GainSet, _last_label, gain_set, output_photon_numbers
-from .noise import _check_seed
+from .noise import _check_nonnegative_int
 
 ALL_EQUAL = "all-equal"
 WORST_DIFFERENT = "worst-different"
@@ -130,7 +130,7 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     analytical bounds rely on is checked where a bound is planned
     (``plan_check``).
     """
-    _check_seed(seed)
+    _check_nonnegative_int("seed", seed)
     params = config.params
     k = params.k
     m = params.m_pulses

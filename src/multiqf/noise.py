@@ -18,14 +18,16 @@ from .circuits import _UBS, CircuitLayout, _check_stack, _compose
 from .errors import ParameterError
 
 
-def _check_seed(seed) -> None:
-    """Raise ``ParameterError`` unless ``seed`` is a nonnegative integer.
+def _check_nonnegative_int(name: str, value) -> None:
+    """Raise ``ParameterError`` unless ``value`` is a nonnegative integer (not a bool).
 
-    numpy's ``SeedSequence`` takes only those; checked up front, a bad seed
-    is a typed error rather than numpy's ``ValueError`` at the first draw.
+    Seeds, realization counts and realization indices are checked up front
+    with it: numpy's ``SeedSequence`` takes only nonnegative integers, and a
+    bad value is a typed error rather than numpy's ``ValueError`` or
+    ``TypeError`` at the first draw (or ``True`` taken as 1).
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class NoiseModel:
             raise ParameterError("noise std-devs must be finite and nonnegative")
         if not self.bs_loss_db <= 0:
             raise ParameterError("bs_loss_db is a loss and must be <= 0")
-        _check_seed(self.seed)
+        _check_nonnegative_int("seed", self.seed)
 
     @property
     def block_amplitude(self) -> float:
@@ -127,15 +129,22 @@ def realize_circuit(
     values (the imperfections of the shifters internal to each block are
     already part of the block model).
     """
+    _check_nonnegative_int("realization index", index)
     return _realize(layout, model, [index])[0]
 
 
-def realize_batch(layout: CircuitLayout, model: NoiseModel, n: int) -> np.ndarray:
-    """n independent realizations with per-index RNG substreams, ``(n, K, K)``.
+def realize_batch(
+    layout: CircuitLayout, model: NoiseModel, n: int, start: int = 0
+) -> np.ndarray:
+    """Realizations ``start .. start + n - 1`` with per-index RNG substreams,
+    ``(n, K, K)``.
 
     Realization i depends only on (layout, model.seed, i), so batches are
-    reproducible regardless of evaluation order or batch size.
+    reproducible regardless of evaluation order or batch size, and a batch
+    from ``start`` is that slice of any larger batch from 0.
     """
+    _check_nonnegative_int("number of realizations", n)
+    _check_nonnegative_int("first realization index", start)
     if n < 1:
         raise ParameterError("need at least one realization")
-    return _realize(layout, model, range(n))
+    return _realize(layout, model, range(start, start + n))

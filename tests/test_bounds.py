@@ -806,17 +806,50 @@ class TestFastTailSum:
         ],
     )
     def test_walks_past_the_array(self, p, n, q, singles, monkeypatch):
-        calls = []
-        log_pmf_array = b._log_pmf_array
+        # the walk reads `singles` pmfs past the tail's array (or with no
+        # tail); they come in one block of up to _WALK_BLOCK terms
+        calls, masses, tails = [], [], []
+        log_pmf_array, log_tail, mass = b._log_pmf_array, b._log_tail, b._mass
 
         def spy(ks, *args):
             calls.append(len(ks))
             return log_pmf_array(ks, *args)
 
+        def tail_spy(*args):
+            out = log_tail(*args)
+            tails.append(len(calls))
+            return out
+
         monkeypatch.setattr(b, "_log_pmf_array", spy)
+        monkeypatch.setattr(b, "_log_tail", tail_spy)
+        monkeypatch.setattr(b, "_mass", lambda *args: masses.append(1) or mass(*args))
         k = b.binomial_inv_cdf(p, n, q)
-        assert calls.count(1) == singles
+        assert len(masses) == singles + (1 + b._PAD if tails else 0)
+        walk = calls[tails[-1] if tails else 0 :]
+        assert len(walk) == 1 and singles <= walk[0] <= b._WALK_BLOCK
         assert k == reference_fsum_inv_cdf(p, n, q)
+
+    def test_far_start_walks_in_blocks(self, monkeypatch):
+        # the Cornish-Fisher start lies 84,391 above the answer: the walk
+        # fetches its pmfs a block at a time, not one array call per step
+        calls, tails = [], []
+        log_pmf_array, log_tail = b._log_pmf_array, b._log_tail
+
+        def spy(ks, *args):
+            calls.append(len(ks))
+            return log_pmf_array(ks, *args)
+
+        def tail_spy(*args):
+            out = log_tail(*args)
+            tails.append(len(calls))
+            return out
+
+        monkeypatch.setattr(b, "_log_pmf_array", spy)
+        monkeypatch.setattr(b, "_log_tail", tail_spy)
+        assert b.binomial_inv_cdf(1 - 1e-16, 4_170_000_000_000, 0.5) == 2_085_008_297_783
+        walk = calls[tails[-1] :]
+        assert walk == [b._WALK_BLOCK] * len(walk)
+        assert len(walk) == -(-(84_391 - b._PAD) // b._WALK_BLOCK)
 
 
 class TestTwoUserAlgorithm:

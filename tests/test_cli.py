@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -626,3 +627,79 @@ def test_bad_input_is_a_clean_error(case, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not list(tmp_path.glob("*.csv"))
+
+
+# --------------------------------------------------------------------------
+# Streamed realizations: batch_gains_for against one whole stack
+
+def assert_batch_gains_equal(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "mean":
+            assert_batch_gains_equal(a, b)
+        else:
+            assert np.array_equal(a, b), field.name
+
+
+#: Realizations per chunk for each count: chunks of one realization, a
+#: remainder of one ([2, 1]) and uneven splits ([125, 125, 125, 124],
+#: [167, 167, 166], [101, 100, 100, 100, 100]); one realization is one stack.
+PER_CHUNK = {1: 1, 2: 1, 3: 2, 499: 166, 500: 249, 501: 125}
+
+
+#: (design, K, n) of the streaming oracle.  The meshes' hundreds of
+#: realizations at K >= 60 take 3-12 s a case and are left out; the tree
+#: and the chain cover those splits.
+STREAM_CASES = [
+    (design, k, n)
+    for design in qc.DESIGNS for k in (2, 7, 33, 60, 100) for n in sorted(PER_CHUNK)
+    if not (design in (qc.DESIGN_RECK, qc.DESIGN_CLEMENTS) and k >= 60 and n > 3)
+]
+
+
+@pytest.mark.parametrize("design, k, n", STREAM_CASES)
+def test_streamed_gains_equal_one_stack(design, k, n, monkeypatch):
+    model = cli.NoiseModel(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=6)
+    want = cli.batch_gain_set(cli.realize_batch(qc.build_design(k, design)[1], model, n))
+    chunks = []
+    realize = cli.realize_batch
+
+    def spy(layout, model, size, start=0):
+        chunks.append((start, size))
+        return realize(layout, model, size, start=start)
+
+    monkeypatch.setattr(cli, "realize_batch", spy)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 16 * k * k * PER_CHUNK[n])
+    got = cli.batch_gains_for(k, 0.01, -0.2, n, 6, design=design)
+    sizes = [size for _, size in chunks]
+    assert [start for start, _ in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert sum(sizes) == n and max(sizes) <= PER_CHUNK[n] and max(sizes) - min(sizes) <= 1
+    assert len(chunks) == -(-n // PER_CHUNK[n])
+    assert_batch_gains_equal(got, want)
+
+
+def test_preset_chunks_hold_at_most_chunk_bytes():
+    # figure 17's K values at 500 realizations: K = 60, 80 and 100 stream in
+    # 2, 4 and 5 chunks, and every chunk row stays on the compose kernel's
+    # single-row path wherever the whole stack's row was on it
+    counts = {}
+    for k in cli.FIGURES[17][2]:
+        sizes = cli._chunk_sizes(k, 500)
+        assert sum(sizes) == 500 and max(sizes) - min(sizes) <= 1
+        assert 16 * max(sizes) * k * k <= cli._CHUNK_BYTES
+        whole_row, chunk_row = 16 * 500 * k, 16 * min(sizes) * k
+        assert (chunk_row > qc._GATHER_BYTES // 2) == (whole_row > qc._GATHER_BYTES // 2)
+        counts[k] = len(sizes)
+    assert {k: c for k, c in counts.items() if c > 1} == {60: 2, 80: 4, 100: 5}
+
+
+def test_streamed_peak_memory_is_one_chunk():
+    # the whole (500, 100, 100) stack takes 80 MB; streamed, no more than one
+    # chunk of it is alive at a time
+    tracemalloc.start()
+    try:
+        cli.batch_gains_for(100, 0.01, -0.2, 500, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 500 * 100 * 100 / 3

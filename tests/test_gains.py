@@ -223,6 +223,23 @@ def test_single_flip_gains_match_dense_loop(design, k, model):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("k", [8, 16, 100])
+def test_gains_do_not_depend_on_the_stack(k):
+    # realization 2 alone, inside a 3-stack and in C-ordered copies of both:
+    # numpy would sum a lone row, or a C-ordered table, pairwise, and from
+    # K = 8 on that rounds apart from the F-ordered tables of a larger stack
+    lay = qc.optimal_tree_layout(k)
+    model = NoiseModel(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=3)
+    three = realize_batch(lay, model, 3)
+    last = gn.find_last_label(three[0]) - 1
+    want = [t[:, 2] for t in gn._single_flip_gains(three, last)]
+    alone = realize_batch(lay, model, 1, start=2)
+    for stack, i in ((alone, 0), (np.ascontiguousarray(alone), 0),
+                     (np.ascontiguousarray(three), 2)):
+        got = gn._single_flip_gains(stack, last)
+        assert np.array_equal(got[0][:, i], want[0]) and np.array_equal(got[1][:, i], want[1])
+
+
 class TestPatternScan:
     def test_ideal_k4_l1_vs_l2(self):
         m = design_matrix(qc.DESIGN_OPTIMAL, 4)

@@ -209,6 +209,40 @@ def test_batch_prefix_is_smaller_batch():
     assert np.array_equal(five[:3], three)
 
 
+@pytest.mark.parametrize("start, n", [(0, 4), (1, 1), (3, 2), (5, 4), (8, 1)])
+def test_batch_from_start_is_a_slice(start, n):
+    layout = qc.optimal_tree_layout(9)
+    whole = realize_batch(layout, NOISY, 9)
+    assert np.array_equal(realize_batch(layout, NOISY, n, start=start), whole[start : start + n])
+    assert np.array_equal(realize_batch(layout, NOISY, 1, start=start)[0],
+                          realize_circuit(layout, NOISY, index=start))
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, False, -1, None, np.float64(2.0)])
+def test_counts_and_indices_are_typed(bad, monkeypatch):
+    layout = qc.optimal_tree_layout(4)
+
+    def no_draw(*args):
+        raise AssertionError("drew before the arguments were checked")
+
+    monkeypatch.setattr(noise, "_rng_for", no_draw)
+    with pytest.raises(ParameterError, match="number of realizations"):
+        realize_batch(layout, NOISY, bad)
+    with pytest.raises(ParameterError, match="first realization index"):
+        realize_batch(layout, NOISY, 2, start=bad)
+    with pytest.raises(ParameterError, match="realization index"):
+        realize_circuit(layout, NOISY, bad)
+    with pytest.raises(ParameterError, match="need at least one realization"):
+        realize_batch(layout, NOISY, 0)
+
+
+def test_numpy_integer_counts_and_indices_are_accepted():
+    layout = qc.optimal_tree_layout(4)
+    batch = realize_batch(layout, NOISY, np.int64(2), start=np.int32(1))
+    assert np.array_equal(batch, realize_batch(layout, NOISY, 3)[1:])
+    assert np.array_equal(realize_circuit(layout, NOISY, np.uint8(2)), batch[1])
+
+
 def test_bad_transmittance_in_layout_is_rejected():
     bad = qc.CircuitLayout(3, "custom", (qc.CircuitElement(qc.UNBALANCED_BS, (1, 2), t=1.5),))
     with pytest.raises(ParameterError):
