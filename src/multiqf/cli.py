@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits, classical, gains, noise
+from . import circuits, classical
 from .bounds import (
     STRATEGY_FIRST,
     STRATEGY_LAST,
@@ -30,8 +31,20 @@ from .bounds import (
     ideal_bound,
     max_users_energy_advantage,
 )
-from .errors import FeasibilityError, MultiqfError, ParameterError, ValidityError
-from .gains import BatchGains, batch_gain_set, gain_set, ideal_gain_set
+from .errors import (
+    FeasibilityError,
+    MultiqfError,
+    ParameterError,
+    ValidityError,
+    check_nonnegative_int,
+)
+from .gains import (  # noqa: F401  (batch_gain_set is re-exported)
+    BatchGains,
+    batch_gain_set,
+    gain_set,
+    ideal_gain_set,
+    streamed_gain_set,
+)
 from .mcsim import BoundCheck, plan_check, run_checks
 from .noise import NoiseModel, realize_batch, realize_circuit
 
@@ -188,28 +201,19 @@ def batch_gains_for(
     seed: int,
     design: str = circuits.DESIGN_OPTIMAL,
 ) -> BatchGains:
-    """``batch_gain_set`` of realizations ``0 .. realizations - 1``.
-
-    Above ``_CHUNK_BYTES`` the realizations are realized and reduced to
-    their gain tables one chunk at a time, and the joined tables are
-    aggregated once; realization ``i`` is still drawn from
-    ``(layout, seed, i)`` and its gains do not depend on its chunk, so the
-    result is bit-identical to one whole stack.
+    """``batch_gain_set`` of realizations ``0 .. realizations - 1``, realized
+    and reduced one chunk of ``_chunk_sizes`` at a time by
+    ``streamed_gain_set``.  Realization ``i`` is still drawn from
+    ``(layout, seed, i)``, so the result is bit-identical to one whole stack.
     """
     layout = circuits.build_design(k, design)[1]
     model = NoiseModel(sigma_t=sigma, sigma_p=sigma, bs_loss_db=bs_loss_db, seed=seed)
-    noise._check_nonnegative_int("number of realizations", realizations)
+    check_nonnegative_int("number of realizations", realizations)
     sizes = _chunk_sizes(k, realizations)
-    if len(sizes) <= 1:  # one stack, on the public (traced) path; or none, which it rejects
-        return batch_gain_set(realize_batch(layout, model, realizations))
-    last, tables, start = None, [], 0
-    for size in sizes:
-        stack = realize_batch(layout, model, size, start=start)
-        last = last or gains._last_label(None, stack[0])
-        tables.append(gains._single_flip_gains(stack, last - 1))
-        del stack  # the next chunk is realized with no other stack alive
-        start += size
-    return gains._batch_gains(last, *(np.concatenate(t, axis=1) for t in zip(*tables)))
+    return streamed_gain_set(
+        realize_batch(layout, model, size, start=start)
+        for start, size in zip(itertools.accumulate(sizes, initial=0), sizes)
+    )
 
 
 def _params(k: int, n: float, cfg: dict) -> ProtocolParams:

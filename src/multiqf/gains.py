@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,16 +240,45 @@ def batch_gain_set(matrices: np.ndarray, last_label: int | None = None) -> Batch
     before averaging, mirroring how a per-experiment worst case would be
     measured.
     """
-    matrices = np.asarray(matrices)
-    if matrices.ndim != 3:
-        raise ParameterError("expected a (n, K, K) stack of matrices")
-    last_label = _last_label(last_label, matrices[0])
-    return _batch_gains(last_label, *_single_flip_gains(matrices, last_label - 1))
+    return _joined_gain_set([matrices], last_label)
 
 
-def _batch_gains(last_label: int, g_first: np.ndarray, g_last: np.ndarray) -> BatchGains:
-    """``BatchGains`` of the ``(K + 1, n)`` tables of ``_single_flip_gains``,
-    which may be the tables of several stacks joined along axis 1."""
+def streamed_gain_set(stacks: Iterable[np.ndarray], last_label: int | None = None) -> BatchGains:
+    """``batch_gain_set`` of the realizations of several stacks, in order.
+
+    Each stack is reduced to its gain tables before the next is taken from
+    ``stacks``, so a generator of stacks keeps one of them alive at a time.
+    The result is bit-identical to ``batch_gain_set`` of the concatenated
+    stack (see ``_joined_gain_set``).
+    """
+    return _joined_gain_set(stacks, last_label)
+
+
+def _joined_gain_set(stacks: Iterable[np.ndarray], last_label: int | None) -> BatchGains:
+    """The ``(K + 1, n)`` gain tables of each stack, joined along the
+    realization axis before any mean, min or standard deviation is taken.
+
+    A realization's tables depend only on its own matrix, not on the stack
+    around it (``_single_flip_gains``), and ``last_label`` defaults to the
+    photon-keeping output of the first realization, so how the realizations
+    are split into stacks does not change the result.
+    """
+    tables, shape = [], None
+    for stack in stacks:
+        stack = np.asarray(stack)
+        if stack.ndim != 3:
+            raise ParameterError("expected a (n, K, K) stack of matrices")
+        if len(stack) == 0:
+            raise ParameterError("need at least one realization")
+        if shape is None:
+            shape, last_label = stack.shape[1:], _last_label(last_label, stack[0])
+        elif stack.shape[1:] != shape:
+            raise ParameterError(f"every stack must hold {shape} matrices, got {stack.shape[1:]}")
+        tables.append(_single_flip_gains(stack, last_label - 1))
+        del stack  # the next stack is made with no other stack alive
+    if not tables:
+        raise ParameterError("need at least one realization")
+    g_first, g_last = (np.concatenate(t, axis=1) for t in zip(*tables))
     k, n = g_first.shape[0] - 1, g_first.shape[1]
     mean, each = _mean_gain_set(k, last_label, g_first, g_last)
     vis = np.column_stack(_visibilities(k, *each))

@@ -31,9 +31,8 @@ from .bounds import (
     bound_last_detector,
     qubit_cost,
 )
-from .errors import ParameterError, ValidityError
+from .errors import ParameterError, ValidityError, check_nonnegative_int
 from .gains import GainSet, _last_label, gain_set, output_photon_numbers
-from .noise import _check_nonnegative_int
 
 ALL_EQUAL = "all-equal"
 WORST_DIFFERENT = "worst-different"
@@ -130,7 +129,7 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     analytical bounds rely on is checked where a bound is planned
     (``plan_check``).
     """
-    _check_nonnegative_int("seed", seed)
+    check_nonnegative_int("seed", seed)
     params = config.params
     k = params.k
     m = params.m_pulses

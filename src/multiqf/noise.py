@@ -15,19 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import _UBS, CircuitLayout, _check_stack, _compose
-from .errors import ParameterError
-
-
-def _check_nonnegative_int(name: str, value) -> None:
-    """Raise ``ParameterError`` unless ``value`` is a nonnegative integer (not a bool).
-
-    Seeds, realization counts and realization indices are checked up front
-    with it: numpy's ``SeedSequence`` takes only nonnegative integers, and a
-    bad value is a typed error rather than numpy's ``ValueError`` or
-    ``TypeError`` at the first draw (or ``True`` taken as 1).
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+from .errors import ParameterError, check_nonnegative_int
 
 
 @dataclass(frozen=True)
@@ -53,7 +41,7 @@ class NoiseModel:
             raise ParameterError("noise std-devs must be finite and nonnegative")
         if not self.bs_loss_db <= 0:
             raise ParameterError("bs_loss_db is a loss and must be <= 0")
-        _check_nonnegative_int("seed", self.seed)
+        check_nonnegative_int("seed", self.seed)
 
     @property
     def block_amplitude(self) -> float:
@@ -129,7 +117,7 @@ def realize_circuit(
     values (the imperfections of the shifters internal to each block are
     already part of the block model).
     """
-    _check_nonnegative_int("realization index", index)
+    check_nonnegative_int("realization index", index)
     return _realize(layout, model, [index])[0]
 
 
@@ -143,8 +131,8 @@ def realize_batch(
     reproducible regardless of evaluation order or batch size, and a batch
     from ``start`` is that slice of any larger batch from 0.
     """
-    _check_nonnegative_int("number of realizations", n)
-    _check_nonnegative_int("first realization index", start)
+    check_nonnegative_int("number of realizations", n)
+    check_nonnegative_int("first realization index", start)
     if n < 1:
         raise ParameterError("need at least one realization")
     return _realize(layout, model, range(start, start + n))

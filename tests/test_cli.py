@@ -703,3 +703,13 @@ def test_streamed_peak_memory_is_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 500 * 100 * 100 / 3
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+def test_streamed_counts_are_checked_before_any_draw(bad, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("realized before the count was checked")
+
+    monkeypatch.setattr(cli, "realize_batch", no_draw)
+    with pytest.raises(ParameterError, match="realization"):
+        cli.batch_gains_for(4, 0.01, -0.2, bad, 0)

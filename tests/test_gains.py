@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -238,6 +239,48 @@ def test_gains_do_not_depend_on_the_stack(k):
                      (np.ascontiguousarray(three), 2)):
         got = gn._single_flip_gains(stack, last)
         assert np.array_equal(got[0][:, i], want[0]) and np.array_equal(got[1][:, i], want[1])
+
+
+def assert_fields_equal(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if dataclasses.is_dataclass(b):
+            assert_fields_equal(a, b)
+        else:
+            assert np.array_equal(a, b), field.name
+
+
+@pytest.mark.parametrize("k, splits", [(4, [5]), (8, [1, 4]), (16, [2, 2, 1]), (33, [1, 1, 1, 1, 1])])
+def test_streamed_gain_set_equals_one_stack(k, splits):
+    # the stacks' tables are joined before any mean, min or sd, and the last
+    # label comes from the first realization of the first stack
+    lay = qc.optimal_tree_layout(k)
+    model = NoiseModel(sigma_t=0.05, sigma_p=0.05, bs_loss_db=-0.2, seed=4)
+    starts = np.cumsum([0, *splits])
+    stacks = (realize_batch(lay, model, n, start=s) for s, n in zip(starts, splits))
+    want = gn.batch_gain_set(realize_batch(lay, model, sum(splits)))
+    assert_fields_equal(gn.streamed_gain_set(stacks), want)
+    label = k // 2
+    stacks = (realize_batch(lay, model, n, start=s) for s, n in zip(starts, splits))
+    assert_fields_equal(
+        gn.streamed_gain_set(stacks, last_label=label),
+        gn.batch_gain_set(realize_batch(lay, model, sum(splits)), last_label=label),
+    )
+
+
+def test_streamed_gain_set_rejects_bad_stacks():
+    stack = realize_batch(qc.optimal_tree_layout(4), NoiseModel(seed=1), 2)
+    other = realize_batch(qc.optimal_tree_layout(5), NoiseModel(seed=1), 2)
+    with pytest.raises(ParameterError, match="need at least one realization"):
+        gn.streamed_gain_set(iter(()))
+    with pytest.raises(ParameterError, match="need at least one realization"):
+        gn.streamed_gain_set([stack, stack[:0]])
+    with pytest.raises(ParameterError, match="need at least one realization"):
+        gn.batch_gain_set(stack[:0])
+    with pytest.raises(ParameterError, match="every stack must hold"):
+        gn.streamed_gain_set([stack, other])
+    with pytest.raises(ParameterError, match="expected a"):
+        gn.streamed_gain_set([stack, stack[0]])
 
 
 class TestPatternScan:
