@@ -46,7 +46,7 @@ from .gains import (  # noqa: F401  (batch_gain_set is re-exported)
     streamed_gain_set,
 )
 from .mcsim import BoundCheck, plan_check, run_checks
-from .noise import NoiseModel, realize_batch, realize_circuit
+from .noise import NoiseModel, realization_bytes, realize_batch, realize_circuit
 
 #: Shared defaults for all figure presets, individually overridable by flag.
 PRESETS = {
@@ -179,17 +179,18 @@ def _bound_row(res: BoundResult, k: int, n: float, **extra) -> dict:
     )
 
 
-#: Largest stack of realized matrices, in bytes, that ``batch_gains_for``
-#: holds at once.  At 16 MiB, 500 realizations at K = 60, 80 and 100 take
-#: 2, 4 and 5 chunks, whose rows all stay on the compose kernel's
-#: single-row path (above ``circuits._GATHER_BYTES / 2``).
+#: Most bytes of realizations that ``batch_gains_for`` holds at once
+#: (``noise.realization_bytes`` each).  At 16 MiB, 500 tree realizations at
+#: K = 60, 80 and 100 take 2, 4 and 5 chunks, whose rows all stay on the
+#: compose kernel's single-row path (above ``circuits._GATHER_BYTES / 2``);
+#: a mesh's chunks are set by its noisy blocks.
 _CHUNK_BYTES = 16 << 20
 
 
-def _chunk_sizes(k: int, realizations: int) -> list[int]:
-    """Realizations per chunk: the fewest chunks of at most ``_CHUNK_BYTES``
-    of K x K complex matrices, sizes differing by at most one."""
-    count = -(-realizations // max(1, _CHUNK_BYTES // (16 * k * k)))
+def _chunk_sizes(layout: circuits.CircuitLayout, realizations: int) -> list[int]:
+    """Realizations per chunk: the fewest chunks of at most ``_CHUNK_BYTES``,
+    sizes differing by at most one."""
+    count = -(-realizations // max(1, _CHUNK_BYTES // realization_bytes(layout)))
     return [realizations // count + (i < realizations % count) for i in range(count)]
 
 
@@ -209,7 +210,7 @@ def batch_gains_for(
     layout = circuits.build_design(k, design)[1]
     model = NoiseModel(sigma_t=sigma, sigma_p=sigma, bs_loss_db=bs_loss_db, seed=seed)
     check_nonnegative_int("number of realizations", realizations)
-    sizes = _chunk_sizes(k, realizations)
+    sizes = _chunk_sizes(layout, realizations)
     return streamed_gain_set(
         realize_batch(layout, model, size, start=start)
         for start, size in zip(itertools.accumulate(sizes, initial=0), sizes)

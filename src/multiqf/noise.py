@@ -49,9 +49,103 @@ class NoiseModel:
         return 10.0 ** (self.bs_loss_db / 20.0)
 
 
-def _rng_for(model: NoiseModel, index: int) -> np.random.Generator:
-    """Documented deterministic map (seed, realization index) -> RNG stream."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((model.seed, index))))
+#: numpy's ``SeedSequence`` hash: a pool of 4 uint32 words mixed with these
+#: constants (O'Neill's seed hashing), and PCG64's 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words of a nonnegative int, least significant first: at
+    least one, as ``SeedSequence`` splits each int of its entropy."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(8, uint32)`` over arrays: entry
+    ``i`` of ``entropy[w]`` is word ``w`` of the ``i``-th entropy.  The hash
+    constants step the same way whatever the data, so one pass of uint32
+    array arithmetic (which wraps modulo 2**32) serves every entry."""
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # entropy longer than the pool is folded in word by word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _pcg64_states(seed: int, indices) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence((seed, i)))`` for each index.
+
+    The seed words are shared; the indices are hashed together, one group
+    per word count.  PCG64 reads ``generate_state(4, uint64)`` as its
+    initial state (words 0-1, high first) and stream (words 2-3), and
+    seeds as ``pcg_setseq_128_srandom_r``: ``inc = 2 * stream + 1``, then
+    ``state = (inc + initial) * multiplier + inc``, all modulo 2**128.
+    """
+    seed_words, indices = _words(int(seed)), [int(i) for i in indices]
+    groups: dict[int, list[int]] = {}
+    for pos, index in enumerate(indices):
+        groups.setdefault(len(_words(index)), []).append(pos)
+    out: list[tuple[int, int]] = [(0, 0)] * len(indices)
+    for width, pos in groups.items():
+        group = [indices[p] for p in pos]
+        entropy = [np.full(len(group), w, dtype=np.uint32) for w in seed_words]
+        entropy += [
+            np.array([index >> 32 * w & _MASK32 for index in group], dtype=np.uint32)
+            for w in range(width)
+        ]
+        state = np.array(_hash_words(entropy), dtype=np.uint64)
+        # generate_state(4, uint64) pairs the uint32 words, low word first
+        words = (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+        for p, (init_hi, init_lo, seq_hi, seq_lo) in zip(pos, words):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            out[p] = (((init_hi << 64 | init_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    return out
+
+
+#: Bytes that ``_noisy_blocks`` holds per block at its peak: the four draws,
+#: the two transmittances and two phases, and three ``(2, 2)`` complex arrays.
+_BLOCK_BYTES = 4 * 8 + 4 * 8 + 3 * 64
+
+
+def realization_bytes(layout: CircuitLayout) -> int:
+    """Most bytes that ``realize_batch`` holds per realization of a layout:
+    its K x K complex matrix, or its noisy blocks while they are built,
+    whichever is larger (a mesh's K(K-1)/2 blocks outweigh its matrix)."""
+    blocks = int(np.count_nonzero(layout.kind == _UBS))
+    return max(16 * layout.dim**2, blocks * _BLOCK_BYTES)
 
 
 def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
@@ -61,9 +155,9 @@ def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
     realization ``i``: the two symmetric-beamsplitter transmittance errors,
     then the two shifter phase errors.  Transmittance amplitudes are clipped
     to [0, 1] so the block stays physical for large noise draws.  The flip
-    is applied as a scaled row swap of the first beamsplitter, and the
-    other factors are multiplied as stacked 2x2 matmuls, which round like
-    single ones.
+    is applied as a scaled row swap of the first beamsplitter, the diagonal
+    shift as a scaling of its columns, and the second beamsplitter as a
+    stacked 2x2 matmul, which rounds like single ones.
     """
     t = np.asarray(t, dtype=float)
     bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
@@ -81,11 +175,16 @@ def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
         out[..., 0, 1] = out[..., 1, 0] = 1j * np.sqrt(1.0 - tau * tau)
         return out
 
-    shift = np.zeros(ph_a.shape + (2, 2), dtype=complex)
-    shift[..., 0, 0], shift[..., 1, 1] = np.exp(1j * ph_a), np.exp(1j * ph_b)
-    # the flip times sym(tau1) is sym(tau1) with its rows swapped and scaled:
-    # each entry of that product has one nonzero term, so this is bit-equal
-    return (model.block_amplitude * sym(tau[..., 0])[..., ::-1, :]) @ shift @ sym(tau[..., 1])
+    # the flip times sym(tau1) is sym(tau1) with its rows swapped and scaled,
+    # and the diagonal shift scales its columns.  Each entry of both products
+    # is a real or an imaginary number times a complex one: one rounded
+    # product per part, fused or not, so both are bit-equal to the matmuls
+    # (up to the sign of an exact zero).  The last product sums two complex
+    # products per entry, so it stays a matmul: fusing would change its bits.
+    first = model.block_amplitude * sym(tau[..., 0])[..., ::-1, :]
+    first[..., 0] *= np.exp(1j * ph_a)[..., None]
+    first[..., 1] *= np.exp(1j * ph_b)[..., None]
+    return first @ sym(tau[..., 1])
 
 
 def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
@@ -96,12 +195,22 @@ def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.nda
 
 def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
     """Realizations ``indices`` of a layout, ``(n, K, K)``.  Realization ``i``
-    draws ``standard_normal((n_bs, 4))`` from its own stream: the same draws
-    as four at a time per unbalanced beamsplitter, in layout order.  A
-    stack above ``circuits.MAX_STACK_BYTES`` is rejected before any draw."""
+    draws ``standard_normal((n_bs, 4))`` from its own stream,
+    ``PCG64(SeedSequence((seed, i)))``: the same draws as four at a time per
+    unbalanced beamsplitter, in layout order.  The streams are seeded in
+    bulk (``_pcg64_states``).  A stack above ``circuits.MAX_STACK_BYTES``
+    is rejected before any draw."""
     _check_stack(layout.dim, len(indices))
     t = layout.value[layout.kind == _UBS]
-    draws = np.stack([_rng_for(model, i).standard_normal((len(t), 4)) for i in indices], 1)
+    draws, one = np.empty((len(t), len(indices), 4)), np.empty((len(t), 4))
+    # one generator per call, reseeded per realization: calls share no state
+    rng = np.random.Generator(np.random.PCG64(0))
+    for i, (state, inc) in enumerate(_pcg64_states(model.seed, indices)):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        draws[:, i] = rng.standard_normal(out=one)
     # (4, n_bs, n, 1): the four coefficients of each beamsplitter over realizations
     coef = _noisy_blocks(t, model, draws).reshape(len(t), len(indices), 4).transpose(2, 0, 1)
     return _compose(layout, coef[..., None], len(indices))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multiqf import bounds, classical, mcsim
+from multiqf import bounds, classical, mcsim, noise
 from multiqf import circuits as qc
 from multiqf import cli
 from multiqf.errors import FeasibilityError, ParameterError
@@ -669,7 +669,8 @@ def test_streamed_gains_equal_one_stack(design, k, n, monkeypatch):
         return realize(layout, model, size, start=start)
 
     monkeypatch.setattr(cli, "realize_batch", spy)
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", 16 * k * k * PER_CHUNK[n])
+    layout = qc.build_design(k, design)[1]
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", cli.realization_bytes(layout) * PER_CHUNK[n])
     got = cli.batch_gains_for(k, 0.01, -0.2, n, 6, design=design)
     sizes = [size for _, size in chunks]
     assert [start for start, _ in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
@@ -684,7 +685,7 @@ def test_preset_chunks_hold_at_most_chunk_bytes():
     # single-row path wherever the whole stack's row was on it
     counts = {}
     for k in cli.FIGURES[17][2]:
-        sizes = cli._chunk_sizes(k, 500)
+        sizes = cli._chunk_sizes(qc.optimal_tree_layout(k), 500)
         assert sum(sizes) == 500 and max(sizes) - min(sizes) <= 1
         assert 16 * max(sizes) * k * k <= cli._CHUNK_BYTES
         whole_row, chunk_row = 16 * 500 * k, 16 * min(sizes) * k
@@ -703,6 +704,21 @@ def test_streamed_peak_memory_is_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 500 * 100 * 100 / 3
+
+
+def test_mesh_chunks_bound_the_noisy_blocks():
+    # a Reck mesh at K = 100 has 4,950 noisy blocks per realization, which
+    # outweigh its K x K matrix; its chunks are sized by the blocks
+    layout = qc.build_design(100, qc.DESIGN_RECK)[1]
+    assert cli.realization_bytes(layout) == 4950 * noise._BLOCK_BYTES > 16 * 100 * 100
+    assert max(cli._chunk_sizes(layout, 500)) * 4950 * noise._BLOCK_BYTES <= cli._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        cli.batch_gains_for(100, 0.01, -0.2, 500, 0, design="generalized-bs-reck")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True])

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,10 +125,15 @@ def test_extreme_noise_stays_physical():
         assert np.linalg.svd(m, compute_uv=False).max() <= 1.0 + 1e-9
 
 
-def reference_noisy_block(t, model, rng):
+def _rng_for(model, index):
+    """The per-realization stream, built one index at a time: the oracle of
+    the bulk seeding in ``noise._pcg64_states``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((model.seed, index))))
+
+
+def reference_noisy_block(t, model, draws):
     """One block from four scalar draws and three 2x2 matmuls."""
     omega = math.asin(math.sqrt(t))
-    draws = rng.standard_normal(4)
     tau1 = min(1.0, max(0.0, (1.0 + model.sigma_t * draws[0]) / math.sqrt(2.0)))
     tau2 = min(1.0, max(0.0, (1.0 + model.sigma_t * draws[1]) / math.sqrt(2.0)))
     ph_a = omega + math.pi + model.sigma_p * draws[2]
@@ -144,13 +151,13 @@ def reference_noisy_block(t, model, rng):
 def reference_realize_circuit(layout, model, index):
     """Element-by-element realization: one block, four draws, per beamsplitter."""
     k = layout.dim
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((model.seed, index))))
+    rng = _rng_for(model, index)
     m = np.eye(k, dtype=complex)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for el in layout.elements:
         if el.kind == qc.UNBALANCED_BS:
             a, b = el.ports[0] - 1, el.ports[1] - 1
-            blk = reference_noisy_block(el.t, model, rng)
+            blk = reference_noisy_block(el.t, model, rng.standard_normal(4))
             ra = m[a].copy()
             m[a] = blk[0, 0] * ra + blk[0, 1] * m[b]
             m[b] = blk[1, 0] * ra + blk[1, 1] * m[b]
@@ -180,16 +187,54 @@ def test_realizations_match_element_loop(name, k):
                           reference_realize_circuit(layout, NOISY, 9))
 
 
-@pytest.mark.parametrize(
-    "model", [NOISY, NoiseModel(), NoiseModel(sigma_t=0.8, sigma_p=1.0, seed=3)]
-)
+#: Noise models of the block tests; the large-noise one clips tau at both ends.
+BLOCK_MODELS = [NOISY, NoiseModel(), NoiseModel(sigma_t=0.8, sigma_p=1.0, seed=3)]
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS)
 def test_block_matches_reference_block(model):
-    # the large-noise model clips tau at both ends
     for i, t in enumerate((0.0, 1.0, 0.5, 0.3, 0.999)):
         for j in range(20):
             seed = (i, j)
             got = noisy_block(t, model, np.random.default_rng(seed))
-            assert np.array_equal(got, reference_noisy_block(t, model, np.random.default_rng(seed)))
+            want = reference_noisy_block(t, model, np.random.default_rng(seed).standard_normal(4))
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", BLOCK_MODELS)
+@pytest.mark.parametrize("n_bs, n", [(99, 500), (120, 7)])
+def test_stacked_blocks_match_reference_block(model, n_bs, n):
+    # transmittances 0, 0.5, 1 and random ones along the beamsplitters; under
+    # clipping an exact zero may differ in sign only, which np.array_equal
+    # ignores and no output reads
+    rng = np.random.default_rng(n_bs)
+    t = np.resize(np.concatenate([[0.0, 0.5, 1.0], rng.random(7)]), n_bs)
+    draws = rng.standard_normal((n_bs, n, 4))
+    got = noise._noisy_blocks(t, model, draws)
+    assert got.shape == (n_bs, n, 2, 2)
+    for j, i in np.ndindex(n_bs, n):
+        want = reference_noisy_block(t[j], model, draws[j, i])
+        assert np.array_equal(got[j, i], want), (j, i)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**70, 2**128 + 3])
+def test_bulk_seeding_equals_per_index_streams(seed):
+    # the last two seeds span three and five uint32 words: with a two-word
+    # index (2**32, 2**40) or at five words, the entropy is longer than
+    # SeedSequence's pool of four words
+    model = NoiseModel(seed=seed)
+    indices = [*range(1000), 2**32, 2**40]
+    got = noise._pcg64_states(seed, indices)
+    for index, (state, inc) in zip(indices, got):
+        want = _rng_for(model, index).bit_generator.state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), index
+
+
+def test_realization_at_a_two_word_index():
+    layout = qc.optimal_tree_layout(6)
+    index = 2**32 + 3
+    assert np.array_equal(realize_circuit(layout, NOISY, index=index),
+                          reference_realize_circuit(layout, NOISY, index))
 
 
 def test_block_rows_are_successive_four_draws():
@@ -218,6 +263,24 @@ def test_batch_from_start_is_a_slice(start, n):
                           realize_circuit(layout, NOISY, index=start))
 
 
+def test_concurrent_batches_are_independent():
+    # each call loads its own generator: a shared one would let one thread
+    # reseed it between another's state load and its draws
+    layout = qc.optimal_tree_layout(9)
+    whole = realize_batch(layout, NOISY, 40)
+    starts = [0, 10, 20, 30] * 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(realize_batch, layout, NOISY, 10, start=s) for s in starts]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for start, batch in zip(starts, got):
+        assert np.array_equal(batch, whole[start : start + 10]), start
+
+
 @pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, False, -1, None, np.float64(2.0)])
 def test_counts_and_indices_are_typed(bad, monkeypatch):
     layout = qc.optimal_tree_layout(4)
@@ -225,7 +288,7 @@ def test_counts_and_indices_are_typed(bad, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew before the arguments were checked")
 
-    monkeypatch.setattr(noise, "_rng_for", no_draw)
+    monkeypatch.setattr(noise, "_pcg64_states", no_draw)
     with pytest.raises(ParameterError, match="number of realizations"):
         realize_batch(layout, NOISY, bad)
     with pytest.raises(ParameterError, match="first realization index"):
@@ -257,7 +320,7 @@ def test_stack_above_the_limit_is_rejected_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew before the stack size was checked")
 
-    monkeypatch.setattr(noise, "_rng_for", no_draw)
+    monkeypatch.setattr(noise, "_pcg64_states", no_draw)
     with pytest.raises(ParameterError, match="11 matrices at K = 4"):
         realize_batch(layout, NOISY, 11)
     monkeypatch.setattr(qc, "MAX_STACK_BYTES", 255)
