@@ -162,9 +162,26 @@ class CircuitLayout:
         return self._depth
 
     @cached_property
+    def _plan(self) -> _Plan:
+        """The composition plan of a stack (``_compose``)."""
+        return _make_plan(self, hulls=True)
+
+    @cached_property
+    def _omega(self) -> np.ndarray:
+        """``asin(sqrt(t))`` of each unbalanced beamsplitter, in layout order:
+        the angle of a noisy block (``noise``).  Every t must lie in [0, 1]."""
+        return _asin_sqrt(self.value[self.kind == _UBS])
+
+    @cached_property
     def _depth(self) -> int:
         ports = self.ports[self.kind != _PS] - 1
         return _levels(self.dim, ports[:, 0].tolist(), ports[:, 1].tolist())[1] // 2
+
+
+def _asin_sqrt(t: np.ndarray) -> np.ndarray:
+    """``asin(sqrt(t))`` elementwise for t in [0, 1]."""
+    # math.asin, not np.arcsin: the two differ in the last bit
+    return np.array([math.asin(math.sqrt(x)) for x in t.tolist()])
 
 
 def _row(kind, ports, t, phase, layer) -> tuple:
@@ -319,43 +336,37 @@ def optimal_tree_layout(k: int) -> CircuitLayout:
     return CircuitLayout._from_columns(k, DESIGN_OPTIMAL, columns, depth=depth)
 
 
-#: Largest operand, in bytes, that one stacked row update gathers.  The
-#: elements of one level and kind are updated in chunks whose rows fit in
-#: it; where one element's two rows do not, every element is updated
-#: alone, in place through views.
+#: Largest operand, in bytes, that one stacked row update of a single
+#: product gathers: the elements of one level and kind are updated in
+#: chunks whose rows fit in it.
 _GATHER_BYTES = 256 * 1024
 
 
-def _compose(layout: CircuitLayout, coef: np.ndarray, n: int = 1) -> np.ndarray:
-    """Stack of ``n`` ordered products of a layout's elements, first element first.
+class _Plan(NamedTuple):
+    """What composing a layout needs of it besides the beamsplitters'
+    coefficients (``_make_plan``).
 
-    ``coef`` holds the complex coefficients ``(b00, b01, b10, b11)`` of the
-    unbalanced beamsplitters in layout order: ``(4, n_bs, 1, 1)`` for one
-    ideal product, ``(4, n_bs, n, 1)`` for one block per product.  The
-    stack is stored row first, ``(K, n, K)``, so row ``a`` of every product
-    is one contiguous ``(n, K)`` slice, with rows at their ``output_perm``
-    position from the start; the result is the ``(n, K, K)`` transposed view.
-
-    Elements are applied by level (``_levels`` over the ports, a phase
-    shifter being a one-port step), so the elements of one level touch
-    disjoint rows and commute exactly.  Each level is applied as one
-    stacked row update per element kind, in chunks of at most
-    ``_GATHER_BYTES`` of rows; every row sees the same operations, in the
-    same order, as element by element.
-
-    Where two rows exceed ``_GATHER_BYTES`` (500 realizations from K = 17
-    on), each element is updated alone, and only over the columns that
-    can be nonzero: each storage row keeps the hull ``[left, right)`` of
-    its nonzero columns, starting from its ``output_perm`` column, and an
-    element updates the union hull of its two rows.  Outside it both rows
-    are zero, so the result equals the full-row update under ``==`` (a
-    full-row update could only have given -0.0 there).  An update is at
-    least 2 columns wide, since numpy can round a complex product over one
-    column differently from the same product over a longer row.  A tree's
-    rows stay narrow: at K = 100 its updates cover 7% of the full rows.
+    The elements are in group order: one group per (level, kind), each in
+    layout order, ending at each of ``ends``.  Per element in that order,
+    ``codes`` holds the kind, ``rows`` (``(2, E)``) the storage rows (a
+    shifter's first row twice), ``column`` the index among the unbalanced
+    beamsplitters and ``factor`` (``(E, 1, 1)``) a shifter's phase factor.
+    ``hulls``, built for stacks only, holds each element's two storage rows
+    and the columns ``[left, right)`` it updates on the single-row path.
     """
+
+    perm: list[int]
+    ends: list[int]
+    codes: list[int]
+    rows: np.ndarray
+    column: np.ndarray
+    factor: np.ndarray
+    hulls: list[tuple[int, int, int, int]] | None
+
+
+def _make_plan(layout: CircuitLayout, hulls: bool) -> _Plan:
+    """Validate a layout and schedule its elements by level (``_Plan``)."""
     k = layout.dim
-    _check_stack(k, n)
     perm = list(range(k) if layout.output_perm is None else layout.output_perm)
     if sorted(perm) != list(range(k)):
         raise LayoutError(f"output_perm is not a permutation of 0..{k - 1}")
@@ -371,42 +382,83 @@ def _compose(layout: CircuitLayout, coef: np.ndarray, n: int = 1) -> np.ndarray:
     rows = np.argsort(perm)[ports - 1]  # 1-based port -> storage row
     rows[:, 1] = np.where(kind == _PS, rows[:, 0], rows[:, 1])
     levels = _levels(k, rows[:, 0].tolist(), rows[:, 1].tolist())[0]
-    # one group per (level, kind), each in layout order
     key = np.array(levels, dtype=np.intp) * len(KINDS) + kind
     order = np.argsort(key, kind="stable")
     ends = (np.flatnonzero(np.diff(key[order], append=-1)) + 1).tolist()
-    # per element in group order: storage rows, kind, the column of a
-    # beamsplitter's coefficients and the factor of a shifter
     rows, codes = rows[order].T, kind[order]
     column = (np.cumsum(kind == _UBS) - 1)[order]
     factor = np.ones((len(order), 1, 1), dtype=complex)
     ps = codes == _PS
     factor[ps, 0, 0] = [cmath.exp(1j * v) for v in layout.value[order[ps]].tolist()]
-    codes = codes.tolist()
-    m = np.zeros((k, n, k), dtype=complex)
-    m[np.arange(k), :, perm] = 1.0
-    step = max(1, _GATHER_BYTES // m[0].nbytes)
-    if step == 1:
+    spans = None
+    if hulls:
         # columns [left, right) that can hold each storage row's nonzeros
         left, right = perm[:], [p + 1 for p in perm]
-        pairs = rows.T.tolist()
+        spans = []
+        for a, b in rows.T.tolist():
+            left[a] = left[b] = lo = min(left[a], left[b])
+            right[a] = right[b] = hi = max(right[a], right[b])
+            if hi - lo < 2:  # a shifter on an untouched row
+                lo = min(lo, k - 2)
+                hi = lo + 2
+            spans.append((a, b, lo, hi))
+    return _Plan(perm, ends, codes.tolist(), rows, column, factor, spans)
+
+
+def _compose(layout: CircuitLayout, blocks, n: int = 1) -> np.ndarray:
+    """Stack of ``n`` ordered products of a layout's elements, first element first.
+
+    ``blocks(columns)`` gives the complex coefficients ``(b00, b01, b10,
+    b11)`` of the unbalanced beamsplitters ``columns`` (indices among them,
+    in layout order) as ``(4, len(columns), n, 1)``: one block per product,
+    or ``n = 1`` for one ideal product.  It is called once per group, so a
+    noisy stack holds one group's blocks at a time.  The stack is stored
+    row first, ``(K, n, K)``, so row ``a`` of every product is one
+    contiguous ``(n, K)`` slice, with rows at their ``output_perm``
+    position from the start; the result is the ``(n, K, K)`` transposed
+    view.
+
+    Elements are applied by level (``_levels`` over the ports, a phase
+    shifter being a one-port step), so the elements of one level touch
+    disjoint rows and commute exactly; every row sees the same operations,
+    in the same order, as element by element.  The path depends on ``n``
+    alone.  A single product (``compose_layout``, ``realize_circuit``)
+    applies each level as one stacked row update per element kind, in
+    chunks of at most ``_GATHER_BYTES`` of rows.  A stack of ``n > 1``
+    updates each element alone, in place through views, and only over the
+    columns that can be nonzero: each storage row keeps the hull ``[left,
+    right)`` of its nonzero columns, starting from its ``output_perm``
+    column, and an element updates the union hull of its two rows.  Outside
+    it both rows are zero, so the result equals the full-row update under
+    ``==`` (a full-row update could only have given -0.0 there).  An update
+    is at least 2 columns wide, since numpy can round a complex product
+    over one column differently from the same product over a longer row.
+    A tree's rows stay narrow: at K = 100 its updates cover 7% of the full
+    rows.
+
+    A stack's plan (``_make_plan``: validation, levels, groups, shifter
+    factors and hulls) is built once and kept on the layout, which a stream
+    composes chunk after chunk; a single product's is built per call.
+    """
+    k = layout.dim
+    _check_stack(k, n)
+    plan = layout._plan if n > 1 else _make_plan(layout, hulls=False)
+    m = np.zeros((k, n, k), dtype=complex)
+    m[np.arange(k), :, plan.perm] = 1.0
+    step = max(1, _GATHER_BYTES // m[0].nbytes)
     start = 0
-    for end in ends:
-        code = codes[start]
-        for lo in range(start, end, step):
-            if step == 1:
-                a, b = pairs[lo]
-                left[a] = left[b] = start_col = min(left[a], left[b])
-                right[a] = right[b] = stop_col = max(right[a], right[b])
-                if stop_col - start_col < 2:  # a shifter on an untouched row
-                    start_col = min(start_col, k - 2)
-                    stop_col = start_col + 2
-                c = coef[:, column[lo]] if code == _UBS else factor[lo]
-                _update_row(m[:, :, start_col:stop_col], code, (a, b), c)
-            else:
+    for end in plan.ends:
+        code = plan.codes[start]
+        ubs = code == _UBS
+        c = blocks(plan.column[start:end]) if ubs else plan.factor[start:end]
+        if n > 1:
+            for j, (a, b, lo, hi) in enumerate(plan.hulls[start:end]):
+                _update_row(m[:, :, lo:hi], code, (a, b), c[:, j] if ubs else c[j])
+        else:
+            for lo in range(start, end, step):
                 hi = min(lo + step, end)
-                c = coef[:, column[lo:hi]] if code == _UBS else factor[lo:hi]
-                _update(m, code, rows[:, lo:hi], c)
+                part = slice(lo - start, hi - start)
+                _update(m, code, plan.rows[:, lo:hi], c[:, part] if ubs else c[part])
         start = end
     return m.transpose(1, 0, 2)
 
@@ -458,8 +510,8 @@ def compose_layout(layout: CircuitLayout) -> np.ndarray:
         st, sr = np.sqrt(t), np.sqrt(1.0 - t)
     # complex, not float: numpy multiplies by a real scalar as by that
     # complex number, only slower
-    coef = np.stack([st, sr, -sr, st]).astype(complex)
-    return _compose(layout, coef[..., None, None])[0]
+    coef = np.stack([st, sr, -sr, st]).astype(complex)[..., None, None]
+    return _compose(layout, lambda columns: coef[:, columns])[0]
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +124,7 @@ def parse_grid(spec: str) -> list[int]:
     return grid
 
 
-def write_csv(path: Path, cells: list[tuple[str, ...]], fieldnames: list[str]) -> None:
+def write_csv(path: Path, cells: Iterable[tuple[str, ...]], fieldnames: list[str]) -> None:
     """Header and formatted rows (``_cells``) as CSV; an empty cell stays empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -131,16 +132,16 @@ def write_csv(path: Path, cells: list[tuple[str, ...]], fieldnames: list[str]) -
         writer.writerows(cells)
 
 
-def write_dat(path: Path, cells: list[tuple[str, ...]], fieldnames: list[str]) -> None:
+def write_dat(path: Path, cells: Iterable[tuple[str, ...]], fieldnames: list[str]) -> None:
     """The same rows space-separated for gnuplot; an empty cell becomes nan."""
     with open(path, "w") as fh:
         fh.write("# " + " ".join(fieldnames) + "\n")
         fh.writelines(" ".join(c or "nan" for c in row) + "\n" for row in cells)
 
 
-def _cells(rows: list[dict], fieldnames: list[str]) -> list[tuple[str, ...]]:
-    """Each row's fields formatted once by ``_fmt``."""
-    return [tuple(_fmt(row.get(k)) for k in fieldnames) for row in rows]
+def _cells(rows: list[dict], fieldnames: list[str]) -> Iterator[tuple[str, ...]]:
+    """Each row's fields formatted by ``_fmt``, one row at a time."""
+    return (tuple(_fmt(row.get(k)) for k in fieldnames) for row in rows)
 
 
 def _fmt(value) -> str:
@@ -180,11 +181,10 @@ def _bound_row(res: BoundResult, k: int, n: float, **extra) -> dict:
 
 
 #: Most bytes of realizations that ``batch_gains_for`` holds at once
-#: (``noise.realization_bytes`` each).  At 16 MiB, 500 tree realizations at
-#: K = 60, 80 and 100 take 2, 4 and 5 chunks, whose rows all stay on the
-#: compose kernel's single-row path (above ``circuits._GATHER_BYTES / 2``);
-#: a mesh's chunks are set by its noisy blocks.
-_CHUNK_BYTES = 16 << 20
+#: (``noise.realization_bytes`` each: the matrix and the draws).  At 8 MiB,
+#: 500 tree realizations at K = 40, 60, 80 and 100 take 2, 4, 7 and 10
+#: chunks, and a Reck mesh at K = 100 takes 20.
+_CHUNK_BYTES = 8 << 20
 
 
 def _chunk_sizes(layout: circuits.CircuitLayout, realizations: int) -> list[int]:
@@ -443,10 +443,18 @@ def cmd_figure(args) -> int:
         return batch_gains_for(k, sigma, args.bs_loss_db, args.realizations, args.seed)
 
     def emit(name: str, rows: list[dict], fields: list[str]) -> None:
+        # each row is formatted once, and its CSV line written with its .dat line
         rows = sorted(rows, key=lambda r: tuple(str(r.get(k)) for k in fields))
-        cells = _cells(rows, fields)
-        write_csv(out_dir / f"{name}.csv", cells, fields)
-        write_dat(out_dir / f"{name}.dat", cells, fields)
+        with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fields)
+
+            def also_csv(cells: Iterator[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
+                for row in cells:
+                    writer.writerow(row)
+                    yield row
+
+            write_dat(out_dir / f"{name}.dat", also_csv(_cells(rows, fields)), fields)
         print(f"wrote {out_dir / name}.csv ({len(rows)} rows)")
 
     if sweep:

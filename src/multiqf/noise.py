@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _UBS, CircuitLayout, _check_stack, _compose
+from .circuits import _UBS, CircuitLayout, _asin_sqrt, _check_stack, _compose
 from .errors import ParameterError, check_nonnegative_int
 
 
@@ -135,17 +135,22 @@ def _pcg64_states(seed: int, indices) -> list[tuple[int, int]]:
     return out
 
 
-#: Bytes that ``_noisy_blocks`` holds per block at its peak: the four draws,
-#: the two transmittances and two phases, and three ``(2, 2)`` complex arrays.
-_BLOCK_BYTES = 4 * 8 + 4 * 8 + 3 * 64
+#: Bytes of one noisy block's four standard normals.
+_DRAW_BYTES = 4 * 8
 
 
 def realization_bytes(layout: CircuitLayout) -> int:
-    """Most bytes that ``realize_batch`` holds per realization of a layout:
-    its K x K complex matrix, or its noisy blocks while they are built,
-    whichever is larger (a mesh's K(K-1)/2 blocks outweigh its matrix)."""
-    blocks = int(np.count_nonzero(layout.kind == _UBS))
-    return max(16 * layout.dim**2, blocks * _BLOCK_BYTES)
+    """Bytes that ``realize_batch`` holds per realization of a layout: its
+    K x K complex matrix and the draws of its unbalanced beamsplitters
+    (``_DRAW_BYTES`` each).  The noisy blocks are built one group at a time
+    as the composition reaches them, so only one group's are alive."""
+    return 16 * layout.dim**2 + _DRAW_BYTES * int(np.count_nonzero(layout.kind == _UBS))
+
+
+def _check_transmittance(t: np.ndarray) -> None:
+    bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
+    if bad.any():
+        raise ParameterError(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
 
 
 def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
@@ -153,18 +158,24 @@ def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
 
     ``draws[j, i]`` are the four standard normals of beamsplitter ``j`` in
     realization ``i``: the two symmetric-beamsplitter transmittance errors,
-    then the two shifter phase errors.  Transmittance amplitudes are clipped
-    to [0, 1] so the block stays physical for large noise draws.  The flip
-    is applied as a scaled row swap of the first beamsplitter, the diagonal
-    shift as a scaling of its columns, and the second beamsplitter as a
-    stacked 2x2 matmul, which rounds like single ones.
+    then the two shifter phase errors (see ``_blocks``).
     """
     t = np.asarray(t, dtype=float)
-    bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
-    if bad.any():
-        raise ParameterError(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
-    # math.asin, not np.arcsin: the two differ in the last bit
-    omega = np.array([math.asin(math.sqrt(x)) for x in t.tolist()]).reshape(-1, 1)
+    _check_transmittance(t)
+    return _blocks(_asin_sqrt(t), model, draws)
+
+
+def _blocks(omega: np.ndarray, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
+    """``_noisy_blocks`` from each beamsplitter's ``asin(sqrt(t))``.
+
+    Transmittance amplitudes are clipped to [0, 1] so the block stays
+    physical for large noise draws.  The flip is applied as a scaled row
+    swap of the first beamsplitter, the diagonal shift as a scaling of its
+    columns, and the second beamsplitter as a stacked 2x2 matmul, which
+    rounds like single ones.  Every operation acts on each block alone, so
+    a block's bits do not depend on which others are built with it.
+    """
+    omega = omega.reshape(-1, 1)
     tau = np.clip((1.0 + model.sigma_t * draws[..., :2]) / math.sqrt(2.0), 0.0, 1.0)
     ph_a = omega + math.pi + model.sigma_p * draws[..., 2]
     ph_b = -omega + model.sigma_p * draws[..., 3]
@@ -198,11 +209,14 @@ def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
     draws ``standard_normal((n_bs, 4))`` from its own stream,
     ``PCG64(SeedSequence((seed, i)))``: the same draws as four at a time per
     unbalanced beamsplitter, in layout order.  The streams are seeded in
-    bulk (``_pcg64_states``).  A stack above ``circuits.MAX_STACK_BYTES``
-    is rejected before any draw."""
-    _check_stack(layout.dim, len(indices))
-    t = layout.value[layout.kind == _UBS]
-    draws, one = np.empty((len(t), len(indices), 4)), np.empty((len(t), 4))
+    bulk (``_pcg64_states``), and the blocks are built from the draws one
+    group at a time as ``_compose`` asks for them.  A stack above
+    ``circuits.MAX_STACK_BYTES`` is rejected before any draw."""
+    n = len(indices)
+    _check_stack(layout.dim, n)
+    _check_transmittance(layout.value[layout.kind == _UBS])
+    omega = layout._omega
+    draws, one = np.empty((len(omega), n, 4)), np.empty((len(omega), 4))
     # one generator per call, reseeded per realization: calls share no state
     rng = np.random.Generator(np.random.PCG64(0))
     for i, (state, inc) in enumerate(_pcg64_states(model.seed, indices)):
@@ -211,9 +225,13 @@ def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
             "has_uint32": 0, "uinteger": 0,
         }
         draws[:, i] = rng.standard_normal(out=one)
-    # (4, n_bs, n, 1): the four coefficients of each beamsplitter over realizations
-    coef = _noisy_blocks(t, model, draws).reshape(len(t), len(indices), 4).transpose(2, 0, 1)
-    return _compose(layout, coef[..., None], len(indices))
+
+    def blocks(columns: np.ndarray) -> np.ndarray:
+        # (4, L, n, 1): the four coefficients of each beamsplitter over realizations
+        out = _blocks(omega[columns], model, draws[columns])
+        return out.reshape(len(columns), n, 4).transpose(2, 0, 1)[..., None]
+
+    return _compose(layout, blocks, n)
 
 
 def realize_circuit(

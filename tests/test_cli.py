@@ -680,45 +680,62 @@ def test_streamed_gains_equal_one_stack(design, k, n, monkeypatch):
 
 
 def test_preset_chunks_hold_at_most_chunk_bytes():
-    # figure 17's K values at 500 realizations: K = 60, 80 and 100 stream in
-    # 2, 4 and 5 chunks, and every chunk row stays on the compose kernel's
-    # single-row path wherever the whole stack's row was on it
+    # figure 17's K values at 500 realizations: a chunk holds its matrices
+    # and its draws (32 B per beamsplitter and realization), and K = 40,
+    # 60, 80 and 100 stream in 2, 4, 7 and 10 chunks
     counts = {}
     for k in cli.FIGURES[17][2]:
         sizes = cli._chunk_sizes(qc.optimal_tree_layout(k), 500)
         assert sum(sizes) == 500 and max(sizes) - min(sizes) <= 1
-        assert 16 * max(sizes) * k * k <= cli._CHUNK_BYTES
-        whole_row, chunk_row = 16 * 500 * k, 16 * min(sizes) * k
-        assert (chunk_row > qc._GATHER_BYTES // 2) == (whole_row > qc._GATHER_BYTES // 2)
+        assert max(sizes) * (16 * k * k + 32 * (k - 1)) <= cli._CHUNK_BYTES
         counts[k] = len(sizes)
-    assert {k: c for k, c in counts.items() if c > 1} == {60: 2, 80: 4, 100: 5}
+    assert {k: c for k, c in counts.items() if c > 1} == {40: 2, 60: 4, 80: 7, 100: 10}
 
 
 def test_streamed_peak_memory_is_one_chunk():
-    # the whole (500, 100, 100) stack takes 80 MB; streamed, no more than one
-    # chunk of it is alive at a time
+    # the whole (500, 100, 100) stack takes 80 MB; streamed, one chunk of
+    # at most 8 MiB of matrices and draws is alive at a time, next to one
+    # level's noisy blocks and the gain tables
     tracemalloc.start()
     try:
         cli.batch_gains_for(100, 0.01, -0.2, 500, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 500 * 100 * 100 / 3
+    assert peak <= 10 << 20
 
 
 def test_mesh_chunks_bound_the_noisy_blocks():
-    # a Reck mesh at K = 100 has 4,950 noisy blocks per realization, which
-    # outweigh its K x K matrix; its chunks are sized by the blocks
+    # a Reck mesh at K = 100 has 4,950 noisy blocks per realization.  A
+    # chunk counts only their draws next to its matrices, since the blocks
+    # are built one level at a time as the composition reaches them, so 500
+    # realizations stream in 20 chunks of 25 and the peak stays near one
+    # chunk
     layout = qc.build_design(100, qc.DESIGN_RECK)[1]
-    assert cli.realization_bytes(layout) == 4950 * noise._BLOCK_BYTES > 16 * 100 * 100
-    assert max(cli._chunk_sizes(layout, 500)) * 4950 * noise._BLOCK_BYTES <= cli._CHUNK_BYTES
+    assert cli.realization_bytes(layout) == 16 * 100 * 100 + 4950 * noise._DRAW_BYTES
+    assert cli._chunk_sizes(layout, 500) == [25] * 20
     tracemalloc.start()
     try:
         cli.batch_gains_for(100, 0.01, -0.2, 500, 0, design="generalized-bs-reck")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak <= 12 << 20
+
+
+@pytest.mark.parametrize("design", qc.DESIGNS)
+@pytest.mark.parametrize("k", [3, 8, 17, 30])
+def test_chunk_size_moves_no_bit(design, k, monkeypatch):
+    # chunks of one realization (single products, on the compose kernel's
+    # gather path), the default chunks and the whole stack in one chunk
+    layout = qc.build_design(k, design)[1]
+    got = []
+    for chunk_bytes in (cli.realization_bytes(layout), cli._CHUNK_BYTES,
+                        64 * cli.realization_bytes(layout)):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+        got.append(cli.batch_gains_for(k, 0.01, -0.2, 64, 6, design=design))
+    assert_batch_gains_equal(got[0], got[1])
+    assert_batch_gains_equal(got[0], got[2])
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True])

@@ -1,7 +1,8 @@
 """The level-scheduled composition kernel against element-by-element oracles.
 
-``circuits._compose`` applies a layout level by level, one stacked row
-update per element kind and level; ``reference_compose`` and
+``circuits._compose`` applies a single product level by level, one stacked
+row update per element kind and level, and a stack of several element by
+element over its column hulls; ``reference_compose`` and
 ``reference_realize_circuit`` apply it one element at a time.  They must
 agree bit for bit on any valid layout, whatever the order of its elements,
 its ``layer`` column or the gather bound.
@@ -23,7 +24,7 @@ from test_noise import reference_realize_circuit
 
 NOISY = NoiseModel(sigma_t=0.02, sigma_p=0.03, bs_loss_db=-0.2, seed=17)
 
-#: Gather bounds: every update a single row, chunks of a few rows, the default.
+#: Gather bounds of a single product: one element per update, a few, the default.
 BOUNDS = (1, 4096, qc._GATHER_BYTES)
 
 phases = hst.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -74,8 +75,7 @@ def test_realizations_match_element_loop(layout, n, bound):
 @given(layout=layouts(max_dim=24))
 @settings(max_examples=8, deadline=None)
 def test_500_realizations_match_element_loop(layout):
-    # at the default bound, rows of 500 realizations are stacked a few at a
-    # time for small K and updated one at a time from K = 33 on
+    # a stack of 500 updates one element at a time over its column hulls
     batch = realize_batch(layout, NOISY, 500)
     for i in range(500):
         assert np.array_equal(batch[i], reference_realize_circuit(layout, NOISY, i))
@@ -95,14 +95,45 @@ def untouched_row_layout():
 
 
 def test_shifters_on_untouched_rows_one_row_at_a_time():
-    # on the single-row path a shifter on an untouched row would update one
-    # column; the update is widened to two
+    # on the single-row path of a stack a shifter on an untouched row would
+    # update one column; the update is widened to two
     layout = untouched_row_layout()
     with mock.patch.object(qc, "_GATHER_BYTES", 1):
         assert np.array_equal(qc.compose_layout(layout), reference_compose(layout))
         batch = realize_batch(layout, NOISY, 3)
     for i in range(3):
         assert np.array_equal(batch[i], reference_realize_circuit(layout, NOISY, i))
+
+
+@pytest.mark.parametrize("design", qc.DESIGNS)
+@pytest.mark.parametrize("k", [3, 8, 17, 30])
+def test_batches_of_any_size_match_the_per_index_oracle(design, k):
+    # one realization takes the gather path, 7 and 64 the single-row path
+    layout = qc.build_design(k, design)[1]
+    want = [reference_realize_circuit(layout, NOISY, i) for i in range(64)]
+    for n in (1, 7, 64):
+        batch = realize_batch(layout, NOISY, n)
+        for i in range(n):
+            assert np.array_equal(batch[i], want[i]), (n, i)
+
+
+def test_a_stack_plan_is_built_once_per_layout(monkeypatch):
+    layout, other = (qc.build_design(8, design)[1]
+                     for design in (qc.DESIGN_CLEMENTS, qc.DESIGN_RECK))
+    calls = []
+    levels = qc._levels
+
+    def spy(*args):
+        calls.append(args)
+        return levels(*args)
+
+    monkeypatch.setattr(qc, "_levels", spy)
+    chunks = [realize_batch(layout, NOISY, 5, start=start) for start in (0, 5, 10)]
+    assert len(calls) == 1
+    assert np.array_equal(np.concatenate(chunks), realize_batch(layout, NOISY, 15))
+    # a single product is planned per call and leaves nothing on the layout
+    qc.compose_layout(other)
+    assert len(calls) == 2 and "_plan" not in vars(other)
 
 
 CLIPPING = NoiseModel(sigma_t=0.8, sigma_p=1.0, seed=3)
@@ -177,11 +208,14 @@ def test_single_row_updates_cover_the_column_hulls(design, columns, monkeypatch)
     assert len(widths) == 99 and sum(widths) == columns
 
 
-def test_large_rows_are_updated_one_at_a_time(updates):
-    # a row of 300 realizations at K = 30 takes 144 KB, so two exceed the bound
+def test_stacks_take_the_single_row_path_whatever_their_size(updates):
+    # the path depends on the stack size alone: a stack of 2, 100 or 300
+    # realizations updates each element alone, a single product by level
     layout = qc.optimal_tree_layout(30)
-    realize_batch(layout, NOISY, 300)
-    assert updates == {"single": 29}
+    for n in (2, 100, 300):
+        updates.clear()
+        realize_batch(layout, NOISY, n)
+        assert updates == {"single": 29}, n
     updates.clear()
-    realize_batch(layout, NOISY, 100)  # 48 KB rows, five per update
-    assert updates["single"] == 0 and 0 < updates["stacked"] < 29
+    realize_batch(layout, NOISY, 1)
+    assert updates == {"stacked": layout.optical_depth}
