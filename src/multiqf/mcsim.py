@@ -5,7 +5,12 @@ produces an independent click per detector with the exact coherent-state
 probability 1 - exp(-eta * mu), OR-ed with an independent dark click.
 Because slots of one type are i.i.d., per-trial detector counts are drawn
 directly from the matching binomials, which is distribution-identical to
-slot-by-slot sampling and fast enough for thousands of trials.
+slot-by-slot sampling.  Each (detector, slot type) binomial is drawn in
+consecutive blocks of ``_TRIAL_BLOCK`` trials, each added straight into
+the strategy statistic; consecutive draws continue the stream exactly as
+one draw over all the trials would, so the blocks change no output.  A
+simulation holds 4 B per trial (8 B once M * K reaches 2**31) plus one
+block on its worker thread.
 
 The oracle knows nothing about the analytical tail bounds; feeding it a
 bound's (alpha2, threshold) and checking the empirical error rate against
@@ -21,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import circuits
 from .bounds import (
     STRATEGY_FIRST,
     STRATEGY_LAST,
@@ -40,6 +46,9 @@ SCENARIOS = (ALL_EQUAL, WORST_DIFFERENT)
 
 #: One-sided 95% normal quantile for the Wilson score bound.
 _Z95 = 1.6448536269514722
+
+#: Trials per binomial draw in ``simulate``: 256 KiB of int64 counts.
+_TRIAL_BLOCK = 1 << 15
 
 
 def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
@@ -81,8 +90,15 @@ class SimConfig:
     worst_pattern: int | None = None
 
     def __post_init__(self):
+        check_nonnegative_int("trials", self.trials)
         if self.trials < 1:
             raise ParameterError("need at least one trial")
+        if 8 * self.trials > circuits.MAX_STACK_BYTES:
+            raise ParameterError(
+                f"{self.trials:,} trials need {8 * self.trials:,} bytes of int64 "
+                f"statistic, above the limit of {circuits.MAX_STACK_BYTES:,}; "
+                "ask for fewer trials"
+            )
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"unknown scenario {self.scenario!r}")
         if self.strategy not in (STRATEGY_FIRST, STRATEGY_LAST):
@@ -127,7 +143,10 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
 
     The sampling is exact at any alpha2; the small-photon regime the
     analytical bounds rely on is checked where a bound is planned
-    (``plan_check``).
+    (``plan_check``).  Counts are drawn in blocks of ``_TRIAL_BLOCK``
+    trials and added into the statistic, int32 when ``m_pulses * K <
+    2**31`` (at most K - 1 detectors of at most M clicks each) and int64
+    otherwise, so a call holds 4 or 8 B per trial plus one block.
     """
     check_nonnegative_int("seed", seed)
     params = config.params
@@ -172,26 +191,32 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     # strategy statistic and dropped: first-K-1 sums the detectors other
     # than the last, last-only keeps the last alone.  Drawing stops after
     # the last detector the statistic reads, which leaves the earlier
-    # draws' stream positions as they are.
+    # draws' stream positions as they are.  Consecutive binomial calls
+    # consume the stream as one call of their summed size does, so each
+    # (detector, slot type) draw is split into blocks of trials.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
-    stat = np.zeros(config.trials, dtype=np.int64)
+    trials = config.trials
+    stat = np.zeros(trials, dtype=np.int32 if int(m) * int(k) < 2**31 else np.int64)
+    slot_types = [(m_equal, p_equal)] + ([(m_diff, p_diff)] if m_diff else [])
     stop = (k - 1 if last == k - 1 else k) if first else last + 1
     for det in range(stop):
-        counts = rng.binomial(m_equal, p_equal[det], size=config.trials)
-        if m_diff:
-            counts += rng.binomial(m_diff, p_diff[det], size=config.trials)
-        if (det != last) == first:
-            stat += counts
-    says_different = stat > config.threshold_r if first else stat <= config.threshold_r
-    truly_different = config.scenario == WORST_DIFFERENT
-    errors = int(np.count_nonzero(says_different != truly_different))
+        reads = (det != last) == first
+        for slots, p in slot_types:
+            for lo in range(0, trials, _TRIAL_BLOCK):
+                counts = rng.binomial(slots, p[det], size=min(_TRIAL_BLOCK, trials - lo))
+                if reads:
+                    stat[lo:lo + counts.size] += counts
+    # First-K-1 says "different" above the threshold, last-only at or
+    # below it; a trial errs where that disagrees with the scenario.
+    above = int(np.count_nonzero(stat > config.threshold_r))
+    errors = above if first != (config.scenario == WORST_DIFFERENT) else trials - above
     return SimOutcome(
         scenario=config.scenario,
         strategy=config.strategy,
-        trials=config.trials,
+        trials=trials,
         errors=errors,
-        error_rate=errors / config.trials,
-        wilson_upper_95=wilson_upper(errors, config.trials),
+        error_rate=errors / trials,
+        wilson_upper_95=wilson_upper(errors, trials),
     )
 
 

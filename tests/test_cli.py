@@ -385,6 +385,18 @@ class TestAdvantageRows:
 
 
 class TestVerifyCommand:
+    def test_oversized_trial_count_is_a_clean_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mcsim, "simulate", None)  # refused before any draw
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--k-grid", "3", "--trials", str(2**27 + 1),
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: 134,217,729 trials need 1,073,741,832 bytes of int64 statistic, "
+            "above the limit of 1,073,741,824; ask for fewer trials\n"
+        )
+        assert captured.out == "" and not out.exists()
+
     def test_default_grid_passes(self, tmp_path):
         out = tmp_path / "verify.json"
         code = run(["verify", "--k-grid", "2,3,4", "--seed", "5", "--out", str(out)])

@@ -91,15 +91,19 @@ def noisy_config(ecc, k, strategy, scenario, trials=2000, last_label=None):
     model = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=5)
     t = realize_circuit(qc.optimal_tree_layout(k), model, index=0)
     params = make_params(ecc, k, 10**4, 0.05, eta=0.5, p_dark=1e-4)
-    cfg = mc.SimConfig(
+    return at_mean(mc.SimConfig(
         trials=trials, scenario=scenario, strategy=strategy, params=params,
         transfer=t, alpha2=0.05 * params.m_pulses / k, threshold_r=0.0,
         last_label=last_label,
-    )
+    ))
+
+
+def at_mean(cfg):
+    """``cfg`` thresholded at the mean of its statistic over a seed-99 sample."""
     counts, last = reference_counts(cfg, seed=99)
     mean = sum(
-        float(counts[det].mean()) for det in range(k)
-        if (det == last) == (strategy == b.STRATEGY_LAST)
+        float(counts[det].mean()) for det in range(cfg.params.k)
+        if (det == last) == (cfg.strategy == b.STRATEGY_LAST)
     )
     return replace(cfg, threshold_r=mean)
 
@@ -206,6 +210,19 @@ class TestSimulate:
                 trials=0, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_FIRST,
                 params=params, transfer=tree_matrix(3), alpha2=1.0, threshold_r=0.0,
             )
+        for trials in (2000.5, True):
+            with pytest.raises(ParameterError, match="trials must be a nonnegative integer"):
+                mc.SimConfig(
+                    trials=trials, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_FIRST,
+                    params=params, transfer=tree_matrix(3), alpha2=1.0, threshold_r=0.0,
+                )
+        # the int64 statistic of more than 2**27 trials exceeds the 1 GiB
+        # array limit; refused before any draw
+        with pytest.raises(ParameterError, match="134,217,729 trials need .* above the limit"):
+            mc.SimConfig(
+                trials=2**27 + 1, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_FIRST,
+                params=params, transfer=tree_matrix(3), alpha2=1.0, threshold_r=0.0,
+            )
         with pytest.raises(ParameterError):
             mc.SimConfig(
                 trials=10, scenario="sideways", strategy=b.STRATEGY_FIRST,
@@ -253,6 +270,75 @@ def test_draws_stop_after_the_last_detector_read(ecc, strategy, scenario, last_l
     out = mc.simulate(cfg, seed=3)
     assert out == reference_simulate(cfg, seed=3)
     assert 0 < out.errors < cfg.trials
+
+
+@pytest.mark.parametrize("trials", [
+    1, mc._TRIAL_BLOCK - 1, mc._TRIAL_BLOCK, mc._TRIAL_BLOCK + 1, 2 * mc._TRIAL_BLOCK + 3,
+])
+@pytest.mark.parametrize("scenario", mc.SCENARIOS)
+@pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
+def test_trial_blocks_match_materialized(ecc, strategy, scenario, trials):
+    # one trial, a block and either side of it, two blocks and a tail; the
+    # photon-losing detector is the second of four, so each strategy draws
+    # the blocks of a detector its statistic skips
+    cfg = noisy_config(ecc, 4, strategy, scenario, trials=trials, last_label=2)
+    assert mc.simulate(cfg, seed=11) == reference_simulate(cfg, seed=11)
+
+
+@pytest.mark.parametrize("m_pulses", [2**29 - 1, 2**29, 2**30])
+@pytest.mark.parametrize("scenario", mc.SCENARIOS)
+@pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
+def test_statistic_exact_across_its_dtypes(ecc, strategy, scenario, m_pulses):
+    # M * K just below 2**31 (an int32 statistic), at it and at 2**32 (int64);
+    # every detector clicks in 90% of the slots, so first-K-1 sums about
+    # 2.7 M clicks, beyond the int32 range at M = 2**30
+    k = 4
+    params = make_params(ecc, k, m_pulses, 0.05)
+    assert params.m_pulses == m_pulses
+    cfg = at_mean(mc.SimConfig(
+        trials=mc._TRIAL_BLOCK + 1, scenario=scenario, strategy=strategy, params=params,
+        transfer=np.eye(k), alpha2=math.log(10.0) * m_pulses, threshold_r=0.0,
+        last_label=k, worst_pattern=0,
+    ))
+    out = mc.simulate(cfg, seed=5)
+    assert out == reference_simulate(cfg, seed=5)
+    assert 0 < out.errors < cfg.trials
+    if strategy == b.STRATEGY_FIRST and m_pulses == 2**30:
+        assert cfg.threshold_r > 2**31
+
+
+@pytest.mark.parametrize("n, p", [(7, 0.3), (10**4, 0.02), (10**4, 0.97), (2**30, 0.9)])
+def test_consecutive_binomial_calls_continue_one_stream(n, p):
+    # what the trial blocks rely on: two calls draw what one call of the
+    # summed size draws, and leave the stream at the same position
+    def rng():
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, 0))))
+
+    split, whole = rng(), rng()
+    drawn = np.concatenate([split.binomial(n, p, size=1000), split.binomial(n, p, size=337)])
+    assert np.array_equal(drawn, whole.binomial(n, p, size=1337))
+    assert split.random() == whole.random()
+
+
+def test_simulate_memory_is_bounded_by_the_statistic(ecc):
+    # 200,000 trials at K = 16: an int32 statistic (0.76 MiB), one block of
+    # int64 counts (0.25 MiB) and one comparison (0.19 MiB)
+    import tracemalloc
+
+    k = 16
+    cfg = mc.SimConfig(
+        trials=200_000, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+        params=make_params(ecc, k, 10**4, 0.05), transfer=tree_matrix(k),
+        alpha2=b.ideal_alpha2(k, ecc, 0.05), threshold_r=0.0,
+    )
+    mc.simulate(replace(cfg, trials=1), seed=1)  # first-use imports are not counted
+    tracemalloc.start()
+    try:
+        mc.simulate(cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2**20
 
 
 def serial(jobs):
