@@ -18,6 +18,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from numbers import Real
 from statistics import NormalDist
 
 import numpy as np
@@ -406,6 +407,18 @@ _BLOCK = 256
 
 
 @functools.lru_cache(maxsize=64)
+def _lgamma_k1_block(j: int) -> np.ndarray:
+    """lgamma(k + 1) for every k in block j, unclipped: it is shared by all n.
+
+    The array is read-only because the cache hands it to every caller.
+    """
+    ks = np.arange(j * _BLOCK + 1.0, (j + 1) * _BLOCK + 1.0)
+    out = np.fromiter(map(math.lgamma, ks.tolist()), float, _BLOCK)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
 def _log_binom_block(n: float, j: int) -> np.ndarray:
     """(lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1) for k in block j.
 
@@ -413,25 +426,46 @@ def _log_binom_block(n: float, j: int) -> np.ndarray:
     """
     lg = math.lgamma
     ks = np.arange(j * _BLOCK, min((j + 1) * _BLOCK, n + 1.0), dtype=float)
-    lgk = np.fromiter(map(lg, (ks + 1.0).tolist()), float, len(ks))
     lgnk = np.fromiter(map(lg, (n - ks + 1.0).tolist()), float, len(ks))
-    out = (lg(n + 1.0) - lgk) - lgnk
+    out = (lg(n + 1.0) - _lgamma_k1_block(j)[: len(ks)]) - lgnk
     out.flags.writeable = False
     return out
 
 
-def _log_pmf_array(ks: np.ndarray, n: float, log_q: float, log_1mq: float) -> np.ndarray:
-    """Binomial log-pmf over ``ks``, a run of consecutive integers in [0, n].
+def _build_run(n: float, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lgamma prefix, k and n - k over blocks j0 .. j1, each contiguous
+    and read-only."""
+    prefix = np.concatenate([_log_binom_block(n, j) for j in range(j0, j1 + 1)])
+    ks = np.arange(j0 * _BLOCK, j0 * _BLOCK + len(prefix), dtype=float)
+    nks = n - ks
+    for a in (prefix, ks, nks):
+        a.flags.writeable = False
+    return prefix, ks, nks
+
+
+#: Runs of at most this many blocks are cached, 16 of them (576 KiB at
+#: most); with 64 prefix blocks and 64 lgamma(k + 1) blocks, the caches hold
+#: at most 832 KiB.  Figure 14's windows span one to six blocks, and the two
+#: searches at one N need a few runs each.
+_RUN_BLOCKS = 6
+_cached_run = functools.lru_cache(maxsize=16)(_build_run)
+
+
+def _log_pmf_array(ks: range | np.ndarray, n: float, log_q: float, log_1mq: float) -> np.ndarray:
+    """Binomial log-pmf over ``ks``, a run of consecutive integers in [0, n]
+    (a ``range``, or an array of them).
 
     Rounds exactly like lgn - lg(k + 1) - lg(n - k + 1) + k log q + (n - k) log(1 - q)
-    term by term; the lgamma prefix comes from the cached blocks.
+    term by term; the lgamma prefix, k and n - k come from the cached runs.
     """
-    a = int(ks[0])
-    j0, j1 = a // _BLOCK, (a + len(ks) - 1) // _BLOCK
-    blocks = [_log_binom_block(n, j) for j in range(j0, j1 + 1)]
-    prefix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    start = a - j0 * _BLOCK
-    return prefix[start : start + len(ks)] + ks * log_q + (n - ks) * log_1mq
+    first, count = int(ks[0]), len(ks)
+    j0, j1 = first // _BLOCK, (first + count - 1) // _BLOCK
+    prefix, k, n_k = (_cached_run if j1 - j0 < _RUN_BLOCKS else _build_run)(n, j0, j1)
+    w = slice(first - j0 * _BLOCK, first - j0 * _BLOCK + count)
+    out = k[w] * log_q
+    out += prefix[w]  # float addition commutes: prefix + k log q, bit for bit
+    out += n_k[w] * log_1mq
+    return out
 
 
 #: Unit of the a-priori error bound of the fast window sum.  For L terms of at
@@ -450,7 +484,8 @@ def _logsumexp(values: np.ndarray, exact: bool) -> tuple[float, float]:
     m = float(values.max())
     if m == -math.inf:
         return -math.inf, 0.0
-    terms = np.exp(values - m)
+    terms = values - m
+    np.exp(terms, out=terms)
     if exact:
         # fsum keeps the accumulation exactly rounded, but the lgamma
         # cancellation in _log_pmf_array errs in the log by ~1e-10 at n = 4e4,
@@ -495,7 +530,7 @@ def _log_tail(
             first, last = a, min(b + pad, n, _MAX_K - 1)
         else:
             first, last = max(a - pad, 0.0), b
-        logs = _log_pmf_array(np.arange(first, last + 1, dtype=float), n, log_q, log_1mq)
+        logs = _log_pmf_array(range(int(first), int(last) + 1), n, log_q, log_1mq)
         window = logs[int(a - first) : int(b - first) + 1]
         total, err = _logsumexp(window, exact)
         if (a == lo and from_top) or (b == hi and not from_top):
@@ -522,6 +557,16 @@ def _mass(log_mass: float, n: float) -> float:
 _TIE_FUZZ = 5e-12
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number that is not a bool (numpy scalars count)."""
+    return type(x) in (float, int) or (not isinstance(x, bool) and isinstance(x, Real))
+
+
+#: The Cornish-Fisher start's normal quantile, by p: a search asks for the
+#: same two error targets again and again.
+_normal_quantile = functools.lru_cache(maxsize=16)(_NORMAL.inv_cdf)
+
+
 def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     """Smallest k with Binomial(n, q) CDF(k) >= p.
 
@@ -530,11 +575,14 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     in log space, so the comparison precision tracks the tail, not 1: the
     CDF F(k) for p <= 1/2 and the survival G(k) = 1 - F(k), carried as -G(k),
     for p > 1/2.  ``n`` must be a positive integer; an integral float is
-    accepted.
+    accepted.  Bools and values that are not real numbers raise
+    ``ParameterError``; numpy integer and float scalars are accepted.
     """
-    if not 1 <= n <= sys.float_info.max or n != int(n):
+    if not _is_real(n) or not 1 <= n <= sys.float_info.max or n != int(n):
         raise ParameterError(f"number of trials must be a positive integer, got {n!r}")
     n = int(n)
+    if not (_is_real(p) and _is_real(q)):
+        raise ParameterError(f"probabilities must be real numbers, got p={p!r}, q={q!r}")
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
         raise ParameterError("probabilities must lie in [0, 1]")
     if p <= 0.0 or q <= 0.0:
@@ -547,7 +595,7 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     log_q, log_1mq = math.log(q), math.log1p(-q)
     mean = n * q
     sd = math.sqrt(n * q * (1.0 - q))
-    z = _NORMAL.inv_cdf(min(max(p, 1e-300), 1.0 - 1e-16))
+    z = _normal_quantile(min(max(p, 1e-300), 1.0 - 1e-16))
     guess = mean + z * sd + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
     k = int(min(max(round(guess), 0), n))
 
@@ -610,7 +658,7 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
             # the next _WALK_BLOCK terms on the walk's way; each rounds as
             # it would in a one-element array
             first = max(kk - _WALK_BLOCK + 1, 0) if down else kk
-            ks = np.arange(first, min(first + _WALK_BLOCK, n + 1)).astype(float)
+            ks = range(first, min(first + _WALK_BLOCK, n + 1))
             logs = _log_pmf_array(ks, nf, log_q, log_1mq)
         return _mass(logs.item(kk - first), n)
 

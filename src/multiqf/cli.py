@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -144,14 +145,38 @@ def _cells(rows: list[dict], fieldnames: list[str]) -> Iterator[tuple[str, ...]]
     return (tuple(_fmt(row.get(k)) for k in fieldnames) for row in rows)
 
 
+def _sorted_cells(rows: list[dict], fields: list[str]) -> list[tuple[str, ...]]:
+    """The formatted rows (``_cells``) sorted by the ``str`` of their fields.
+
+    Each cell is formatted once for both.  ``rows`` is emptied as it is
+    read, so that a row is freed once its cells exist.
+    """
+    keyed = []
+    while rows:  # from the end, reversed below: equal keys keep their order
+        row = rows.pop()
+        keyed.append(tuple(zip(*map(_key_and_cell, map(row.get, fields)))))
+    keyed.reverse()
+    keyed.sort(key=operator.itemgetter(0))
+    return [cells for _, cells in keyed]
+
+
 def _fmt(value) -> str:
+    return _key_and_cell(value)[1]
+
+
+def _key_and_cell(value) -> tuple[str, str]:
+    """``str(value)``, the key figure rows sort by, and the cell ``_fmt`` writes."""
+    if type(value) is float:  # a float's str is its repr
+        text = repr(value)
+        return text, text
     if value is None:
-        return ""
+        return "None", ""
     if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+        return str(value), "1" if value else "0"
+    if isinstance(value, float):  # np.float64, whose str differs from its repr
+        return str(value), repr(float(value))
+    text = str(value)
+    return text, text
 
 
 def _row(n: float, m: int, strategy: str, alpha2=None, r=None, q=None, feasible=True,
@@ -260,6 +285,22 @@ def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], v: float | None = 
                          classical.photonic_limit_photons(k, n, p_error, eta),
                          q=classical.classical_limit(k, n, p_error), **extra))
     return rows
+
+
+def _sweep_n_outer(cfg: dict, k: int, gains, n_grid: list[float], v: float | None,
+                   p_darks: Iterable[float], **extra) -> list[dict]:
+    """``sweep_rows`` of every p_dark series, N outside and p_dark inside.
+
+    The two-user searches of one N share its codeword length M, so run back
+    to back they find their log-pmf runs in ``bounds``' small caches.  The
+    rows are those of the series one after another, in another order.
+    """
+    return [
+        row
+        for n in n_grid
+        for p_dark in p_darks
+        for row in sweep_rows(dict(cfg, p_dark=p_dark), k, gains, [n], v, p_dark=p_dark, **extra)
+    ]
 
 
 def _classical_costs(k: int, n_grid: list[float], cfg: dict, energy: bool):
@@ -443,19 +484,10 @@ def cmd_figure(args) -> int:
         return batch_gains_for(k, sigma, args.bs_loss_db, args.realizations, args.seed)
 
     def emit(name: str, rows: list[dict], fields: list[str]) -> None:
-        # each row is formatted once, and its CSV line written with its .dat line
-        rows = sorted(rows, key=lambda r: tuple(str(r.get(k)) for k in fields))
-        with open(out_dir / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-
-            def also_csv(cells: Iterator[tuple[str, ...]]) -> Iterator[tuple[str, ...]]:
-                for row in cells:
-                    writer.writerow(row)
-                    yield row
-
-            write_dat(out_dir / f"{name}.dat", also_csv(_cells(rows, fields)), fields)
-        print(f"wrote {out_dir / name}.csv ({len(rows)} rows)")
+        cells = _sorted_cells(rows, fields)
+        write_csv(out_dir / f"{name}.csv", cells, fields)
+        write_dat(out_dir / f"{name}.dat", cells, fields)
+        print(f"wrote {out_dir / name}.csv ({len(cells)} rows)")
 
     if sweep:
         rows = []
@@ -464,9 +496,7 @@ def cmd_figure(args) -> int:
                 sigma = args.sigma if sigma is None else sigma
                 bg = gains_for(k, sigma)
                 v = bg.v_first if k == 2 else None
-                for p_dark in p_darks:
-                    rows += sweep_rows(dict(cfg, p_dark=p_dark), k, bg.mean, n_grid, v,
-                                       K=k, p_dark=p_dark, sigma=sigma)
+                rows += _sweep_n_outer(cfg, k, bg.mean, n_grid, v, p_darks, K=k, sigma=sigma)
         fields = _SWEEP_FIELDS + (["k_alpha2_over_m"] if args.id == 16 else [])
         emit(f"figure{args.id}", rows, fields)
         return 0

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -479,6 +481,9 @@ def _windows(n):
         (top - 300, top), (top - 1, top), (edge - 3, edge + 3), (edge - 1, edge),
         (250, 262), (255, 256), (200, 1100), (511, 1280),
         (top // 2 - 600, top // 2 + 600),
+        # three blocks, from the last k of one to the first of the third;
+        # a run clipped at n; more blocks than a cached run holds
+        (255, 512), (edge - 257, top), (0, 1800),
     ]
     out = []
     for a, c in cands:
@@ -486,6 +491,12 @@ def _windows(n):
         if a <= c and c - a <= 5000 and (a, c) not in out:
             out.append((a, c))
     return out
+
+
+def clear_log_pmf_caches():
+    """Empty every cache behind ``_log_pmf_array``."""
+    for cache in (b._lgamma_k1_block, b._log_binom_block, b._cached_run):
+        cache.cache_clear()
 
 
 class TestLogPmfBlocks:
@@ -503,25 +514,39 @@ class TestLogPmfBlocks:
         def check(order, clear_each):
             for a, c in order:
                 if clear_each:
-                    b._log_binom_block.cache_clear()
+                    clear_log_pmf_caches()
                 got = b._log_pmf_array(np.arange(a, c + 1, dtype=float), n, log_q, log_1mq)
+                assert np.array_equal(got, expect[(a, c)]), (a, c)
+                got = b._log_pmf_array(range(a, c + 1), n, log_q, log_1mq)
                 assert np.array_equal(got, expect[(a, c)]), (a, c)
 
         check(windows, clear_each=True)
         for order in (windows, windows[::-1]):
-            b._log_binom_block.cache_clear()
-            check(order, clear_each=False)  # fills the cache in this order
-            check(order, clear_each=False)  # every block warm
+            clear_log_pmf_caches()
+            check(order, clear_each=False)  # fills the caches in this order
+            check(order, clear_each=False)  # every block and run warm
 
     def test_warm_blocks_shared_across_q(self):
         n = 4.17e6
         ks = np.arange(1000.0, 1700.0)
-        b._log_binom_block.cache_clear()
+        clear_log_pmf_caches()
         for q in (0.3, 1e-6):
             log_q, log_1mq = math.log(q), math.log1p(-q)
             got = b._log_pmf_array(ks, n, log_q, log_1mq)
             assert np.array_equal(got, reference_log_pmf_array(ks, n, log_q, log_1mq))
-        assert b._log_binom_block.cache_info().hits >= 4
+        # the second q reads the run the first one cached, built from 4 blocks
+        assert b._cached_run.cache_info().hits == 1
+        assert b._log_binom_block.cache_info().misses == 4
+
+    def test_lgamma_k1_blocks_shared_across_n(self):
+        clear_log_pmf_caches()
+        log_q, log_1mq = math.log(0.3), math.log1p(-0.3)
+        for n in (511.0, 1000.0, 4.17e6, 4.17e12):
+            ks = range(200, 400)
+            got = b._log_pmf_array(ks, n, log_q, log_1mq)
+            assert np.array_equal(got, reference_log_pmf_array(ks, n, log_q, log_1mq))
+        assert b._lgamma_k1_block.cache_info().misses == 2  # blocks 0 and 1
+        assert b._log_binom_block.cache_info().misses == 8
 
     def test_cached_block_is_read_only(self):
         blk = b._log_binom_block(1000.0, 1)
@@ -531,6 +556,38 @@ class TestLogPmfBlocks:
         assert b._log_binom_block(1000.0, 1) is blk
         out = b._log_pmf_array(np.arange(256.0, 300.0), 1000.0, math.log(0.3), math.log1p(-0.3))
         assert out.flags.writeable and not np.shares_memory(out, blk)
+        for cached in (b._lgamma_k1_block(1), *b._cached_run(1000.0, 0, 2)):
+            assert not cached.flags.writeable
+            assert not np.shares_memory(out, cached)
+
+    def test_caches_hold_at_most_1_mib(self, ecc):
+        """Every cache full, after figure 14's 402 searches in N-outer order
+        and after the largest entries each can hold."""
+        clear_log_pmf_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in _FIGURE_14_N:
+                for p_dark in (1e-9, 1e-11):
+                    b.algorithm_two_user(params_for(2, n, ecc, eta=0.5, p_dark=p_dark), v=0.98)
+            after_sweep = tracemalloc.get_traced_memory()[0]
+            log_q, log_1mq = math.log(0.3), math.log1p(-0.3)
+            width = b._RUN_BLOCKS * b._BLOCK
+            for i in range(64):  # runs of the most blocks cached, at distinct n and k
+                b._log_pmf_array(range(i * width, (i + 1) * width), 1e9 + i, log_q, log_1mq)
+            after_largest = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        for cache in (b._lgamma_k1_block, b._log_binom_block, b._cached_run):
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize
+        assert after_sweep - before <= 1 << 20
+        assert after_largest - before <= 1 << 20
+
+
+#: Figure 14's N grid: 1e4 to 1e12, 25 points per decade.
+_FIGURE_14_N = sorted({float(round(v)) for v in np.logspace(4.0, 12.0, 201)})
 
 
 #: (p, n, q) over small n, where the reference enumerates every outcome up to
@@ -564,7 +621,7 @@ _MEDIAN_GRID = [
 
 class TestBinomialInvCdf:
     def test_equal_to_reference_loop(self, monkeypatch):
-        b._log_binom_block.cache_clear()
+        clear_log_pmf_caches()
         got = [b.binomial_inv_cdf(*args) for args in _INV_CDF_GRID]
         monkeypatch.setattr(b, "_log_pmf_array", reference_log_pmf_array)
         assert got == [b.binomial_inv_cdf(*args) for args in _INV_CDF_GRID]
@@ -602,6 +659,29 @@ class TestBinomialInvCdf:
         # tail mass beyond the float range (an OverflowError before)
         with pytest.raises(ParameterError, match="overflows"):
             b.binomial_inv_cdf(p, 416_957_673_522_205_120, 1e-9)
+
+    @pytest.mark.parametrize("args", [
+        (0.5, True, 0.3), (0.5, False, 0.3), (True, 10, 0.3), (0.5, 10, True),
+        (False, 10, 0.3), (0.5, 10, False), (0.5, np.bool_(True), 0.3), (np.bool_(True), 10, 0.3),
+    ])
+    def test_rejects_bools(self, args):
+        with pytest.raises(ParameterError):
+            b.binomial_inv_cdf(*args)
+
+    @pytest.mark.parametrize("args", [
+        (0.5, "10", 0.3), (0.5, None, 0.3), (0.5, 10, None), ("0.5", 10, 0.3),
+        (0.5, 10, 0.3 + 0j), (0.5, [10], 0.3),
+    ])
+    def test_rejects_non_real_values(self, args):
+        with pytest.raises(ParameterError):
+            b.binomial_inv_cdf(*args)
+
+    def test_accepts_numpy_scalars(self):
+        want = b.binomial_inv_cdf(0.37, 300, 0.3)
+        assert b.binomial_inv_cdf(np.float64(0.37), np.int64(300), np.float64(0.3)) == want
+        assert b.binomial_inv_cdf(0.37, np.float64(300.0), 0.3) == want
+        assert b.binomial_inv_cdf(0.37, np.int32(300), np.float32(0.5)) == b.binomial_inv_cdf(
+            0.37, 300, 0.5)
 
     def test_accepts_integral_floats(self):
         k = b.binomial_inv_cdf(0.37, 300.0, 0.3)

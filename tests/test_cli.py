@@ -312,6 +312,25 @@ class TestSweepRows:
         assert len(infeasible_rows) == (len(n_grid) if infeasible else 0)
 
 
+@pytest.mark.parametrize("figure, k", [(14, 2), (15, 7), (16, 15)])
+def test_sweep_rows_do_not_depend_on_the_sweep_order(sweep_gains, figure, k):
+    bg, sigma = sweep_gains[k], 0.01
+    v = bg.v_first if k == 2 else None
+    p_darks = cli.FIGURES[figure][3] + (1e-10,)
+    n_grid = cli.log_spaced(*cli.FIGURES[figure][0], 2)
+    cfg = dict(cli.PRESETS, sigma=sigma)
+    series = [
+        row
+        for p_dark in p_darks
+        for row in cli.sweep_rows(dict(cfg, p_dark=p_dark), k, bg.mean, n_grid, v,
+                                  K=k, p_dark=p_dark, sigma=sigma)
+    ]
+    n_outer = cli._sweep_n_outer(cfg, k, bg.mean, n_grid, v, p_darks, K=k, sigma=sigma)
+    fields = cli._SWEEP_FIELDS + ["k_alpha2_over_m"]
+    assert len(n_outer) == len(series)
+    assert cli._sorted_cells(n_outer, fields) == cli._sorted_cells(series, fields)
+
+
 def reference_advantage_rows(cfg, k_grid, p_dark_grid, gains_by_k, n_grid, energy):
     """advantage_rows as one scalar bound per (K, circuit, p_dark, N) point,
     kept as the oracle for the one-call-per-family rows."""
@@ -545,32 +564,60 @@ class TestDeterminism:
         assert (da / "figure14.csv").read_bytes() == (db / "figure14.csv").read_bytes()
 
 
+def reference_fmt(value):
+    """The cell formatter before the sort key and the cell came from one pass."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_sorted(rows, fieldnames):
+    """Rows in the order figure files keep: by the str of every field."""
+    return sorted(rows, key=lambda r: tuple(str(r.get(k)) for k in fieldnames))
+
+
 def reference_write_csv(path, rows, fieldnames):
-    """The writers that formatted every cell of the CSV and the .dat apart."""
+    """The writers that sorted the rows, then formatted every cell of the
+    CSV and the .dat apart."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: cli._fmt(row.get(k)) for k in fieldnames})
+        for row in reference_sorted(rows, fieldnames):
+            writer.writerow({k: reference_fmt(row.get(k)) for k in fieldnames})
 
 
 def reference_write_dat(path, rows, fieldnames):
     with open(path, "w") as fh:
         fh.write("# " + " ".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(" ".join(cli._fmt(row.get(k)) or "nan" for k in fieldnames) + "\n")
+        for row in reference_sorted(rows, fieldnames):
+            fh.write(" ".join(reference_fmt(row.get(k)) or "nan" for k in fieldnames) + "\n")
+
+
+def test_sorted_cells_keep_the_str_order_and_the_cells():
+    fields = ["a", "b"]
+    values = [None, True, False, np.bool_(True), np.bool_(False), 0.1, -2.5, 1e16, 3,
+              "last-only", np.float64(0.1), np.float64(1e-300), np.float64(2.0), 1, 10, 2.0]
+    rows = [{"a": x, "b": y} for x in values for y in values[::3]] + [{"b": 1.5}]
+    want = [tuple(reference_fmt(r.get(k)) for k in fields) for r in reference_sorted(rows, fields)]
+    assert cli._sorted_cells(rows, fields) == want
+    assert rows == []
+    assert [cli._fmt(v) for v in values] == [reference_fmt(v) for v in values]
 
 
 @pytest.mark.parametrize("figure", [14, 15, 16, 17, 18])
 def test_figure_files_equal_the_record_writers(figure, tmp_path, monkeypatch):
     tables = []
-    cells = cli._cells
+    sorted_cells = cli._sorted_cells
 
     def spy(rows, fields):
-        tables.append((rows, fields))
-        return cells(rows, fields)
+        tables.append((list(rows), fields))  # _sorted_cells empties rows
+        return sorted_cells(rows, fields)
 
-    monkeypatch.setattr(cli, "_cells", spy)
+    monkeypatch.setattr(cli, "_sorted_cells", spy)
     grid = ["--k-grid", "4,7"] if figure >= 17 else ["--n-min", "1e4", "--n-max", "1e9"]
     run(["figure", "--id", str(figure), "--points-per-decade", "1", "--realizations", "20",
          *grid, "--out-dir", str(tmp_path / "new")])
