@@ -24,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, ParameterError
-from .gains import GainSet
+from .gains import GainSet, click_probability
 
 STRATEGY_FIRST = "first-K-minus-1"
 STRATEGY_LAST = "last-only"
@@ -153,9 +153,13 @@ class BoundResult:
     def dominant_dark_term(self) -> bool:
         return self.dominance_ratio >= DOMINANCE_FACTOR
 
+    def photon_load(self, k: int) -> float:
+        """K * alpha2 / M, which the small-photon regime keeps below 0.1."""
+        return k * self.alpha2 / self.m_pulses
+
     def within_validity(self, k: int) -> bool:
         """Small-photon-regime check K * alpha2 / M < 0.1 for this result."""
-        return k * self.alpha2 / self.m_pulses < PHOTON_REGIME_LIMIT
+        return self.photon_load(k) < PHOTON_REGIME_LIMIT
 
 
 def ideal_alpha2(k: int, ecc: ECCParams, p_error: float) -> float:
@@ -689,17 +693,12 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
 # Iterative two-user threshold search and the naive multi-user composition
 
 
-def _two_user_thresholds(
-    alpha2: float,
-    m: int,
-    v: float,
-    delta: float,
-    p_dark: float,
-    p_error_equal: float,
-    p_error_diff: float,
-) -> tuple[int, int]:
-    p_e = min(1.0, -math.expm1(-2.0 * (1.0 - v) * alpha2 / m) + p_dark)
-    p_d = min(1.0, -math.expm1(-2.0 * v * alpha2 / m) + p_dark)
+def _two_user_thresholds(alpha2: float, m: int, v: float, delta: float, p_dark: float,
+                         p_error_equal: float, p_error_diff: float) -> tuple[int, int]:
+    """Equal- and different-sequence thresholds at the detector-side ``alpha2``,
+    so the click model takes eta = 1."""
+    p_e = click_probability(2.0 * (1.0 - v) * alpha2 / m, 1.0, p_dark)
+    p_d = click_probability(2.0 * v * alpha2 / m, 1.0, p_dark)
     mix = min(1.0, (1.0 - delta) * p_d + delta * p_e)
     r_equal = binomial_inv_cdf(1.0 - p_error_equal, m, p_e)
     r_diff = binomial_inv_cdf(p_error_diff, m, mix) - 1

@@ -201,7 +201,7 @@ def _bound_row(res: BoundResult, k: int, n: float, **extra) -> dict:
     return _row(
         n, res.m_pulses, res.strategy, res.alpha2, res.threshold_r, res.q_qubits,
         res.feasible, res.dominant_dark_term, res.within_validity(k),
-        k * res.alpha2 / res.m_pulses, **extra,
+        res.photon_load(k), **extra,
     )
 
 

@@ -72,11 +72,11 @@ class GainSet:
 def output_photon_numbers(
     transfer: np.ndarray, pattern, mu_in: float
 ) -> np.ndarray:
-    """Mean photon number at each output for +/-sqrt(mu_in) inputs."""
+    """Mean photon number at each output for +/-sqrt(mu_in) inputs (zeros at 0)."""
     t = np.asarray(transfer)
     k = t.shape[0]
-    if mu_in <= 0:
-        raise ParameterError("mu_in must be positive")
+    if not mu_in >= 0:
+        raise ParameterError("mu_in must be nonnegative")
     if pattern is EQUAL:
         labels = np.ones(k)
     else:
@@ -85,6 +85,14 @@ def output_photon_numbers(
             raise ParameterError(f"pattern length {labels.shape} != dimension {k}")
     amp = t @ (labels * math.sqrt(mu_in))
     return np.abs(amp) ** 2
+
+
+def click_probability(mu, eta: float, p_dark):
+    """Click probability of a detector in a pulse slot of mean photon number
+    ``mu`` (scalar or array): 1 - exp(-eta * mu), OR-ed with a dark click."""
+    expm1 = np.expm1 if isinstance(mu, np.ndarray) else math.expm1
+    p = -expm1(-eta * mu)
+    return 1.0 - (1.0 - p) * (1.0 - p_dark)
 
 
 def find_last_label(transfer: np.ndarray) -> int:

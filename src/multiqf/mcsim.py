@@ -1,16 +1,15 @@
 """Event-level click-sampling oracle.
 
 Simulates complete protocol runs at the detector level: every pulse slot
-produces an independent click per detector with the exact coherent-state
-probability 1 - exp(-eta * mu), OR-ed with an independent dark click.
-Because slots of one type are i.i.d., per-trial detector counts are drawn
-directly from the matching binomials, which is distribution-identical to
-slot-by-slot sampling.  Each (detector, slot type) binomial is drawn in
-consecutive blocks of ``_TRIAL_BLOCK`` trials, each added straight into
-the strategy statistic; consecutive draws continue the stream exactly as
-one draw over all the trials would, so the blocks change no output.  A
-simulation holds 4 B per trial (8 B once M * K reaches 2**31) plus one
-block on its worker thread.
+produces an independent click per detector with ``gains.click_probability``,
+1 - exp(-eta * mu) OR-ed with an independent dark click.  Because slots of
+one type are i.i.d., per-trial detector counts are drawn directly from the
+matching binomials, which is distribution-identical to slot-by-slot sampling.
+Each (detector, slot type) binomial is drawn in consecutive blocks of
+``_TRIAL_BLOCK`` trials, each added straight into the strategy statistic;
+consecutive draws continue the stream exactly as one draw over all the
+trials would, so the blocks change no output.  A simulation holds 4 B per
+trial (8 B once M * K reaches 2**31) plus one block on its worker thread.
 
 The oracle knows nothing about the analytical tail bounds; feeding it a
 bound's (alpha2, threshold) and checking the empirical error rate against
@@ -33,12 +32,13 @@ from .bounds import (
     PHOTON_REGIME_LIMIT,
     BoundResult,
     ProtocolParams,
+    _is_real,
     bound_first_detectors,
     bound_last_detector,
     qubit_cost,
 )
 from .errors import ParameterError, ValidityError, check_nonnegative_int
-from .gains import GainSet, _last_label, gain_set, output_photon_numbers
+from .gains import GainSet, _last_label, click_probability, gain_set, output_photon_numbers
 
 ALL_EQUAL = "all-equal"
 WORST_DIFFERENT = "worst-different"
@@ -52,9 +52,12 @@ _TRIAL_BLOCK = 1 << 15
 
 
 def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
-    """One-sided Wilson score upper confidence bound on an error rate."""
-    if trials < 1:
-        raise ParameterError("need at least one trial")
+    """One-sided Wilson score upper confidence bound on ``errors`` of ``trials``,
+    integers with 0 <= errors <= trials and trials >= 1."""
+    check_nonnegative_int("errors", errors)
+    check_nonnegative_int("trials", trials)
+    if trials < 1 or errors > trials:
+        raise ParameterError(f"need errors <= trials and trials >= 1, got {errors} of {trials}")
     phat = errors / trials
     z2 = z * z
     center = phat + z2 / (2.0 * trials)
@@ -63,7 +66,9 @@ def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
 
 
 def default_trials(p_error: float) -> int:
-    """Trial budget: enough resolution below p_error, capped for desk runs."""
+    """Trial budget: enough resolution below p_error in (0, 1), capped for desk runs."""
+    if not (_is_real(p_error) and 0.0 < p_error < 1.0):
+        raise ParameterError(f"p_error must be a real number in (0, 1), got {p_error!r}")
     return int(min(5000, math.ceil(50.0 / p_error)))
 
 
@@ -160,12 +165,10 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     last = last_label - 1
     first = config.strategy == STRATEGY_FIRST
 
-    def photon_numbers(pattern) -> np.ndarray:
-        if mu_in == 0.0:
-            return np.zeros(k)
-        return output_photon_numbers(transfer, pattern, mu_in)
-
-    mu_equal = photon_numbers(None)
+    # (slots, per-detector photon numbers) of the equal slots, then of the
+    # slots where the flipped input differs, if there are any.
+    mu_equal = output_photon_numbers(transfer, None, mu_in)
+    slot_types = [(m, mu_equal)]
     if config.scenario == WORST_DIFFERENT:
         flip = config.worst_pattern
         if flip is None:
@@ -173,19 +176,11 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
             flip = gains.worst_pattern_first if first else gains.worst_pattern_last
         pattern = np.ones(k)
         pattern[flip] = -1.0
-        mu_diff = photon_numbers(pattern)
         m_diff = math.floor((1.0 - params.ecc.delta) * m)
-    else:
-        mu_diff = mu_equal
-        m_diff = 0
-    m_equal = m - m_diff
-
-    def click_prob(mu: np.ndarray) -> np.ndarray:
-        p = -np.expm1(-params.eta * mu)
-        return 1.0 - (1.0 - p) * (1.0 - params.p_dark)
-
-    p_equal = click_prob(mu_equal)
-    p_diff = click_prob(mu_diff)
+        if m_diff:
+            mu_diff = output_photon_numbers(transfer, pattern, mu_in)
+            slot_types = [(m - m_diff, mu_equal), (m_diff, mu_diff)]
+    slot_types = [(n, click_probability(mu, params.eta, params.p_dark)) for n, mu in slot_types]
 
     # Each detector's counts are drawn in detector order, folded into the
     # strategy statistic and dropped: first-K-1 sums the detectors other
@@ -197,7 +192,6 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     trials = config.trials
     stat = np.zeros(trials, dtype=np.int32 if int(m) * int(k) < 2**31 else np.int64)
-    slot_types = [(m_equal, p_equal)] + ([(m_diff, p_diff)] if m_diff else [])
     stop = (k - 1 if last == k - 1 else k) if first else last + 1
     for det in range(stop):
         reads = (det != last) == first
@@ -324,10 +318,9 @@ def plan_check(
         q_qubits=q_qubits,
         delta_cap=delta_cap,
     )
-    ratio = params.k * alpha2 / params.m_pulses
-    if ratio >= PHOTON_REGIME_LIMIT:
+    if not bound.within_validity(params.k):
         raise ValidityError(
-            f"K * alpha2 / M = {ratio:.4g} is outside the "
+            f"K * alpha2 / M = {bound.photon_load(params.k):.4g} is outside the "
             f"small-photon regime (< {PHOTON_REGIME_LIMIT})"
         )
     jobs = tuple(

@@ -470,6 +470,15 @@ class TestStrategyBounds:
         res = b.bound_last_detector(params_for(4, 10**7, ecc, eta=0.5), g)
         assert res.within_validity(4)
 
+    def test_photon_load(self, ecc):
+        # K * alpha2 / M in that operation order, scalar and array alike
+        g = ideal_gain_set(4)
+        res = b.bound_last_detector(params_for(4, 10**3, ecc, eta=0.5), g)
+        assert res.photon_load(4) == 4 * res.alpha2 / res.m_pulses
+        assert res.within_validity(4) == (res.photon_load(4) < b.PHOTON_REGIME_LIMIT)
+        arr = b.bound_last_detector(params_for(4, np.array([1e3, 1e7]), ecc, eta=0.5), g)
+        assert np.array_equal(arr.photon_load(4), 4 * arr.alpha2 / arr.m_pulses)
+
 
 def _windows(n):
     """Inclusive k windows in [0, n]: at either end, single elements, across block edges."""
@@ -1073,23 +1082,38 @@ class TestQubitSlackEquality:
 
 
 class TestTwoUserIndependentReplication:
-    def test_matches_scipy_linear_scan(self, ecc):
-        # full independent re-derivation: linear scan from zero photons with
-        # scipy quantiles must land on the same grid point and threshold
-        params = params_for(2, 5000, ecc, p_dark=1e-7)
-        v = 0.97
-        res = b.algorithm_two_user(params, v)
-        m, delta = params.m_pulses, ecc.delta
+    @staticmethod
+    def scan(params, v):
+        """Full independent re-derivation: a linear scan from zero photons
+        with scipy quantiles and the exact OR of photon and dark clicks;
+        returns the detector-side grid point and its threshold."""
+        m, delta, p_dark = params.m_pulses, params.ecc.delta, params.p_dark
         a = 0.0
         while True:
             a += 1.0
-            p_e = min(1.0, -math.expm1(-2 * (1 - v) * a / m) + 1e-7)
-            p_d = min(1.0, -math.expm1(-2 * v * a / m) + 1e-7)
+            p_e = 1 - math.exp(-2 * (1 - v) * a / m) * (1 - p_dark)
+            p_d = 1 - math.exp(-2 * v * a / m) * (1 - p_dark)
             mix = (1 - delta) * p_d + delta * p_e
             r_e = int(st.binom.ppf(1 - 1e-5, m, p_e))
             r_d = int(st.binom.ppf(1e-5, m, mix)) - 1
             if r_d >= r_e:
-                break
+                return a, r_d
             assert a < 1e5, "scan runaway"
+
+    def test_matches_scipy_linear_scan(self, ecc):
+        # the search must land on the scan's grid point and threshold
+        params = params_for(2, 5000, ecc, p_dark=1e-7)
+        res = b.algorithm_two_user(params, 0.97)
+        a, r_d = self.scan(params, 0.97)
         assert res.alpha2 == pytest.approx(a, abs=1e-9)
+        assert res.threshold_r == r_d
+
+    def test_dark_clicks_or_ed_not_added(self, ecc):
+        # Adding p_dark to the photon click probability counts the both-click
+        # event twice; at this dark-count level that search stopped at
+        # alpha2 = 498, the exact OR stops at 500.
+        params = params_for(2, 2e4, ecc, p_dark=1e-3, eta=0.5)
+        res = b.algorithm_two_user(params, 0.97)
+        a, r_d = self.scan(params, 0.97)
+        assert res.alpha2 == a / 0.5 == 500.0
         assert res.threshold_r == r_d

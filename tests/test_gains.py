@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from multiqf import circuits as qc
 from multiqf import gains as gn
@@ -34,12 +37,57 @@ class TestOutputPhotonNumbers:
         with pytest.raises(ParameterError):
             gn.output_photon_numbers(np.eye(3), (1, -1), mu_in=1.0)
 
+    def test_zero_light_gives_zeros(self):
+        m = design_matrix(qc.DESIGN_OPTIMAL, 4)
+        for pattern in (gn.EQUAL, (1, -1, 1, 1)):
+            mu = gn.output_photon_numbers(m, pattern, mu_in=0.0)
+            assert mu.tolist() == [0.0] * 4
+
+    def test_rejects_negative_or_nan_mu_in(self):
+        for mu_in in (-1e-9, float("nan")):
+            with pytest.raises(ParameterError, match="mu_in must be nonnegative"):
+                gn.output_photon_numbers(np.eye(3), gn.EQUAL, mu_in)
+
     def test_conservation_for_unitary(self):
         for k in (2, 5, 9):
             m = design_matrix(qc.DESIGN_OPTIMAL, k)
             for pattern in (gn.EQUAL, tuple([-1] + [1] * (k - 1))):
                 mu = gn.output_photon_numbers(m, pattern, mu_in=0.3)
                 assert mu.sum() == pytest.approx(k * 0.3, abs=1e-10)
+
+
+#: The click model's 1 - (1 - p)(1 - p_dark) rounds at the scale of 1, so it
+#: is compared with the direct formula, and with p_dark, to this absolute
+#: tolerance: four ulps of 1.
+_CLICK_TOL = 4 * sys.float_info.epsilon
+
+_MUS = hst.floats(0.0, 1e4, allow_nan=False)
+_ETAS = hst.floats(1e-6, 1.0)
+_DARKS = hst.one_of(hst.just(0.0), hst.floats(1e-15, 0.999))
+
+
+class TestClickProbability:
+    @given(mu=_MUS, eta=_ETAS, p_dark=_DARKS)
+    def test_range_and_direct_formula(self, mu, eta, p_dark):
+        direct = 1.0 - math.exp(-eta * mu) * (1.0 - p_dark)
+        for got in (gn.click_probability(mu, eta, p_dark),
+                    gn.click_probability(np.array([mu]), eta, p_dark)[0]):
+            assert p_dark - _CLICK_TOL <= got <= 1.0
+            assert abs(got - direct) <= _CLICK_TOL
+
+    @given(mus=hst.lists(_MUS, min_size=2, max_size=8), eta=_ETAS, p_dark=_DARKS)
+    def test_nondecreasing_in_mu(self, mus, eta, p_dark):
+        mus = sorted(mus)
+        scalar = [gn.click_probability(mu, eta, p_dark) for mu in mus]
+        array = gn.click_probability(np.array(mus), eta, p_dark)
+        assert scalar == sorted(scalar)
+        assert np.all(np.diff(array) >= 0.0)
+
+    def test_or_of_photon_and_dark_clicks(self):
+        # 1 - (1 - 0.5)(1 - 0.5): the both-click event is counted once
+        assert gn.click_probability(math.log(2.0), 1.0, 0.5) == pytest.approx(0.75, abs=1e-15)
+        assert gn.click_probability(0.0, 0.5, 1e-3) == pytest.approx(1e-3, rel=1e-12)
+        assert isinstance(gn.click_probability(1.0, 0.5, 1e-3), float)
 
 
 class TestGainSet:
@@ -311,6 +359,23 @@ class TestPatternScan:
         m = design_matrix(qc.DESIGN_OPTIMAL, 16)
         with pytest.raises(ParameterError):
             gn.worst_case_pattern_scan(m, max_l=8, pattern_budget=100)
+
+    @pytest.mark.parametrize("design", [qc.DESIGN_OPTIMAL, qc.DESIGN_EXTENDABLE])
+    @pytest.mark.parametrize("k", [6, 8])
+    @pytest.mark.parametrize("sigma", [0.01, 0.1])
+    def test_single_flip_extremality_on_noisy_devices(self, design, k, sigma):
+        # Criterion 06 on fabricated devices: over every pattern with up to
+        # K/2 flips, no first-group gain falls below the smallest single-flip
+        # one and no last-detector gain rises above the largest.  Rounding
+        # is allowed a relative 1e-12; the margins seen are above 30%.
+        layout = qc.build_design(k, design)[1]
+        model = NoiseModel(sigma_t=sigma, sigma_p=sigma, bs_loss_db=-0.2, seed=0)
+        for m in realize_batch(layout, model, 5):
+            rows = gn.worst_case_pattern_scan(m, max_l=k // 2)
+            l1_first = min(gf for p, gf, _ in rows if p.l_count == 1)
+            l1_last = max(gl for p, _, gl in rows if p.l_count == 1)
+            assert min(gf for _, gf, _ in rows) >= l1_first * (1.0 - 1e-12)
+            assert max(gl for _, _, gl in rows) <= l1_last * (1.0 + 1e-12)
 
     def test_realized_extremes_at_l1(self):
         lay = qc.optimal_tree_layout(8)

@@ -130,6 +130,34 @@ class TestWilson:
         assert mc.default_trials(1e-5) == 5000
         assert mc.default_trials(0.1) == 500
 
+    @pytest.mark.parametrize("errors, trials", [
+        pytest.param(-1, 1000, id="negative-errors"),
+        pytest.param(2000, 1000, id="errors-above-trials"),
+        pytest.param(float("nan"), 1000, id="nan-errors"),
+        pytest.param(True, 1000, id="bool-errors"),
+        pytest.param(1, 10.5, id="fractional-trials"),
+        pytest.param(0, 0, id="zero-trials"),
+    ])
+    def test_wilson_rejects(self, errors, trials):
+        with pytest.raises(ParameterError):
+            mc.wilson_upper(errors, trials)
+
+    @pytest.mark.parametrize("p_error", [
+        pytest.param(0, id="zero"),
+        pytest.param(float("nan"), id="nan"),
+        pytest.param(-1, id="negative"),
+        pytest.param(1.0, id="one"),
+        pytest.param(True, id="bool"),
+        pytest.param("0.1", id="string"),
+    ])
+    def test_default_trials_rejects(self, p_error):
+        with pytest.raises(ParameterError, match="p_error must be a real number in"):
+            mc.default_trials(p_error)
+
+    def test_numpy_integers_accepted(self):
+        assert mc.wilson_upper(np.int64(10), np.int32(1000)) == mc.wilson_upper(10, 1000)
+        assert mc.default_trials(np.float64(0.1)) == 500
+
 
 class TestSimulate:
     def test_matches_exact_no_click_product(self, ecc):
