@@ -8,8 +8,19 @@ matching binomials, which is distribution-identical to slot-by-slot sampling.
 Each (detector, slot type) binomial is drawn in consecutive blocks of
 ``_TRIAL_BLOCK`` trials, each added straight into the strategy statistic;
 consecutive draws continue the stream exactly as one draw over all the
-trials would, so the blocks change no output.  A simulation holds 4 B per
-trial (8 B once M * K reaches 2**31) plus one block on its worker thread.
+trials would, so the blocks change no output.
+
+The counts are bit-identical to ``Generator.binomial``'s, stream position
+included.  Where numpy samples by inversion (p <= 0.5 and n * p <= 30: the
+dark counts and most photon counts), ``_binomial_blocks`` reads the same
+uniforms with ``Generator.random`` and maps them to counts with a guide table
+(Chen & Asau) of ``_GUIDE_CELLS`` cells over numpy's own cumulative pmf; a
+block holding a uniform too close to a cumulative sum for the rounding of
+numpy's loop to be known goes through that loop, transcribed.  Above
+n * p = 30 numpy's BTPE sampler draws the counts.  A simulation holds 4 B
+per trial (8 B once M * K reaches 2**31) plus one block on its worker thread:
+128 KiB of int64 counts from BTPE, or 128 KiB of uniforms and 64 KiB of cell
+indices, counts and masks.
 
 The oracle knows nothing about the analytical tail bounds; feeding it a
 bound's (alpha2, threshold) and checking the empirical error rate against
@@ -18,6 +29,7 @@ the target is the package's empirical gate on the bound mathematics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -47,8 +59,11 @@ SCENARIOS = (ALL_EQUAL, WORST_DIFFERENT)
 #: One-sided 95% normal quantile for the Wilson score bound.
 _Z95 = 1.6448536269514722
 
-#: Trials per binomial draw in ``simulate``: 256 KiB of int64 counts.
-_TRIAL_BLOCK = 1 << 15
+#: Trials per block in ``simulate``: 128 KiB of int64 counts or of uniforms.
+_TRIAL_BLOCK = 1 << 14
+
+#: Cells of the guide table that maps a uniform to a low-mean binomial count.
+_GUIDE_CELLS = 1 << 10
 
 
 def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
@@ -96,6 +111,9 @@ class SimConfig:
 
     def __post_init__(self):
         check_nonnegative_int("trials", self.trials)
+        # a numpy integer would make the outcome's counts numpy scalars,
+        # which the JSON report cannot hold
+        object.__setattr__(self, "trials", int(self.trials))
         if self.trials < 1:
             raise ParameterError("need at least one trial")
         if 8 * self.trials > circuits.MAX_STACK_BYTES:
@@ -108,6 +126,10 @@ class SimConfig:
             raise ParameterError(f"unknown scenario {self.scenario!r}")
         if self.strategy not in (STRATEGY_FIRST, STRATEGY_LAST):
             raise ParameterError(f"unknown strategy {self.strategy!r}")
+        for name in ("alpha2", "threshold_r"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.alpha2) and math.isfinite(self.threshold_r)):
             raise ParameterError("alpha2 and threshold_r must be finite")
         if self.alpha2 < 0:
@@ -115,7 +137,7 @@ class SimConfig:
         k = self.params.k
         for name, lo, hi in (("last_label", 1, k), ("worst_pattern", 0, k - 1)):
             value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer))
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if value is not None and not (integer and lo <= value <= hi):
                 raise ParameterError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
 
@@ -149,7 +171,7 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     The sampling is exact at any alpha2; the small-photon regime the
     analytical bounds rely on is checked where a bound is planned
     (``plan_check``).  Counts are drawn in blocks of ``_TRIAL_BLOCK``
-    trials and added into the statistic, int32 when ``m_pulses * K <
+    trials (``_binomial_blocks``) and added into the statistic, int32 when ``m_pulses * K <
     2**31`` (at most K - 1 detectors of at most M clicks each) and int64
     otherwise, so a call holds 4 or 8 B per trial plus one block.
     """
@@ -196,10 +218,11 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     for det in range(stop):
         reads = (det != last) == first
         for slots, p in slot_types:
-            for lo in range(0, trials, _TRIAL_BLOCK):
-                counts = rng.binomial(slots, p[det], size=min(_TRIAL_BLOCK, trials - lo))
+            lo = 0
+            for counts in _binomial_blocks(rng, slots, float(p[det]), trials):
                 if reads:
                     stat[lo:lo + counts.size] += counts
+                lo += counts.size
     # First-K-1 says "different" above the threshold, last-only at or
     # below it; a trial errs where that disagrees with the scenario.
     above = int(np.count_nonzero(stat > config.threshold_r))
@@ -214,6 +237,86 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     )
 
 
+def _binomial_blocks(rng: np.random.Generator, n: int, p: float, trials: int):
+    """Yield ``rng.binomial(n, p, size)`` for consecutive blocks of at most
+    ``_TRIAL_BLOCK`` of ``trials`` draws: the same counts, and the stream
+    left where numpy leaves it.  Each block is valid until the next.
+
+    Where numpy samples by inversion (0 < p <= 0.5 and n * p <= 30), a draw
+    without a restart reads one ``next_double``, so the block's uniforms
+    come from ``rng.random`` and a guide table of ``_GUIDE_CELLS`` cells
+    over numpy's own pmf turns them into counts.  A uniform within
+    ``band`` of a cumulative sum, or in the restart region above the last
+    one, may round the other way in numpy's subtractive loop; a block that
+    holds one is redone by ``_inversion_loop``, numpy's loop itself.
+    """
+    sizes = [min(_TRIAL_BLOCK, trials - lo) for lo in range(0, trials, _TRIAL_BLOCK)]
+    if not (n > 0 and 0.0 < p <= 0.5 and p * n <= 30.0):
+        for size in sizes:
+            yield rng.binomial(n, p, size=size)
+        return
+    # numpy's constants (random_binomial_inversion), then the cumulative
+    # sums in units of one cell, which scales every uniform exactly.  numpy
+    # subtracts the pmf from the uniform term by term where the sums add it;
+    # each step of either rounds by at most 2**-53, so the two can disagree
+    # only within (bound + 1) * 2**-52 of a sum, inside ``band``.
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    pmf = [qn]
+    for x in range(1, bound + 1):
+        pmf.append(((n - x + 1) * p * pmf[-1]) / (x * q))
+    cum = np.cumsum(pmf) * _GUIDE_CELLS
+    band = (bound + 2) * 2.0**-52 * _GUIDE_CELLS
+    # A cell maps to its count when no sum lies within band of it; -1 marks
+    # the others, and the restart region.  bound <= 30 + 10 * sqrt(31) < 86,
+    # so every count fits an int8.
+    edges = np.arange(_GUIDE_CELLS + 1.0)
+    low = np.searchsorted(cum, edges[:-1] - band)
+    pure = (low == np.searchsorted(cum, edges[1:] + band, side="right")) & (low <= bound)
+    guide = np.where(pure, low, -1).astype(np.int8)
+    buf = np.empty(_TRIAL_BLOCK)
+    cells = np.empty(_TRIAL_BLOCK, dtype=np.int16)
+    out = np.empty(_TRIAL_BLOCK, dtype=np.int8)
+    for size in sizes:
+        u = rng.random(out=buf[:size])
+        u *= _GUIDE_CELLS
+        cells[:size] = u
+        # every cell index is in range: "wrap" only skips the bounds check
+        counts = guide.take(cells[:size], out=out[:size], mode="wrap")
+        mixed = np.flatnonzero(counts < 0)
+        if mixed.size:
+            v = u[mixed]
+            x = np.searchsorted(cum, v - band)
+            if x.max() > bound or np.any(x != np.searchsorted(cum, v + band, side="right")):
+                counts = _inversion_loop(rng, n, p, qn, bound, u / _GUIDE_CELLS)
+            else:
+                counts[mixed] = x
+        yield counts
+
+
+def _inversion_loop(
+    rng: np.random.Generator, n: int, p: float, qn: float, bound: int, uniforms: np.ndarray
+) -> np.ndarray:
+    """numpy's inversion sampler, draw by draw, reading ``uniforms`` and
+    then ``rng.random()``: a restart takes one more uniform."""
+    q = 1.0 - p
+    draws = itertools.chain(uniforms.tolist(), iter(rng.random, None))
+    counts = np.empty(uniforms.size, dtype=np.int64)
+    for i in range(uniforms.size):
+        x, px, u = 0, qn, next(draws)
+        while u > px:
+            x += 1
+            if x > bound:
+                x, px, u = 0, qn, next(draws)
+            else:
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+        counts[i] = x
+    return counts
+
+
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -224,8 +327,8 @@ def _usable_cores() -> int:
 def simulate_batch(jobs: Sequence[tuple[SimConfig, int]]) -> list[SimOutcome]:
     """Run ``simulate(config, seed)`` for every job, one thread per usable core.
 
-    Every job draws from its own seeded stream and numpy's binomial sampler
-    releases the GIL, so the jobs run concurrently and each outcome equals
+    Every job draws from its own seeded stream and numpy's samplers and
+    array operations release the GIL, so the jobs run concurrently and each outcome equals
     that of a serial call.  Returns the outcomes in job order; the first
     exception in job order propagates.  The thread count is ``min(len(jobs),
     usable cores)``, the usable cores being the CPU affinity of this process.

@@ -277,6 +277,35 @@ class TestSimulate:
                     )
 
 
+@pytest.mark.parametrize("field, value, match", [
+    pytest.param("alpha2", True, "alpha2 must be a real number", id="alpha2-bool"),
+    pytest.param("threshold_r", True, "threshold_r must be a real number", id="threshold_r-bool"),
+    pytest.param("alpha2", "5", "alpha2 must be a real number", id="alpha2-str"),
+    pytest.param("threshold_r", "3", "threshold_r must be a real number", id="threshold_r-str"),
+    pytest.param("last_label", True, "last_label must be an integer in", id="last_label-bool"),
+    pytest.param("worst_pattern", False, "worst_pattern must be an integer in",
+                 id="worst_pattern-bool"),
+])
+def test_config_rejects_non_numbers(ecc, field, value, match):
+    # a bool would be read as 1 or 0 and a string fail at its first use
+    with pytest.raises(ParameterError, match=match):
+        mc.SimConfig(
+            trials=10, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+            params=make_params(ecc, 3, 100, 0.05), transfer=tree_matrix(3),
+            **{"alpha2": 1.0, "threshold_r": 0.0, field: value},
+        )
+
+
+def test_config_takes_numpy_numbers_and_keeps_trials_an_int(ecc):
+    cfg = mc.SimConfig(
+        trials=np.int64(10), scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+        params=make_params(ecc, 3, 100, 0.05), transfer=tree_matrix(3),
+        alpha2=np.float64(1.0), threshold_r=np.int64(0), last_label=np.int64(3),
+        worst_pattern=np.int32(0),
+    )
+    assert type(cfg.trials) is int
+
+
 @pytest.mark.parametrize("seed", [0, 17, 2**40])
 @pytest.mark.parametrize("k", [2, 3, 7, 16])
 @pytest.mark.parametrize("scenario", mc.SCENARIOS)
@@ -346,6 +375,160 @@ def test_consecutive_binomial_calls_continue_one_stream(n, p):
     drawn = np.concatenate([split.binomial(n, p, size=1000), split.binomial(n, p, size=337)])
     assert np.array_equal(drawn, whole.binomial(n, p, size=1337))
     assert split.random() == whole.random()
+
+
+def pcg(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+
+
+def numpy_inversion(rng, n, p):
+    """One draw of numpy's inversion sampler (``random_binomial_inversion``,
+    used for p <= 0.5 and n * p <= 30), transcribed: the oracle for the
+    paths of ``mcsim._binomial_blocks`` no random seed reaches."""
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px, u = 0, qn, rng.random()
+    while u > px:
+        x += 1
+        if x > bound:
+            x, px, u = 0, qn, rng.random()
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def numpy_cumulative_pmf(n, p):
+    """numpy's inversion pmf summed in order, up to its restart bound."""
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = math.exp(n * math.log(q))
+    sums = [px]
+    for x in range(1, bound + 1):
+        px = ((n - x + 1) * p * px) / (x * q)
+        sums.append(sums[-1] + px)
+    return sums
+
+
+class ScriptedUniforms:
+    """A generator whose ``random`` hands out ``values`` in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def random(self, out=None):
+        if out is None:
+            self.used += 1
+            return self.values[self.used - 1]
+        out[...] = self.values[self.used:self.used + out.size]
+        self.used += out.size
+        return out
+
+
+def drawn_blocks(rng, n, p, trials):
+    """Every block of ``_binomial_blocks``, copied before the next reuses it."""
+    return np.concatenate([c.copy() for c in mc._binomial_blocks(rng, n, p, trials)])
+
+
+#: (n, p): n * p near 0, 1 and 5 and exactly 30, bound = n (small n),
+#: p near 0.5, then numpy's BTPE, its p > 0.5 mirror and the no-draw cases.
+BINOMIAL_GRID = [
+    (10**6, 1e-9), (10**4, 9.9e-5), (10**4, 1e-4), (10**5, 4.9e-5), (500, 0.01),
+    (60, 0.5), (120, 0.25), (3000, 0.01), (3, 0.3), (10, 0.45), (41, 0.4999999),
+    (1000, 0.1), (10, 0.7), (0, 0.3), (10, 0.0),
+]
+INVERSION_GRID = [(n, p) for n, p in BINOMIAL_GRID if n and 0 < p <= 0.5 and n * p <= 30.0]
+
+
+class TestBinomialBlocks:
+    @pytest.mark.parametrize("seed", [0, 1, 2**40])
+    @pytest.mark.parametrize("n, p", BINOMIAL_GRID)
+    def test_bit_equal_to_numpy(self, n, p, seed):
+        # two blocks and a tail: the counts and the stream position after them
+        trials = 2 * mc._TRIAL_BLOCK + 5
+        ours, numpys = pcg(seed), pcg(seed)
+        assert np.array_equal(drawn_blocks(ours, n, p, trials), numpys.binomial(n, p, size=trials))
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("n, p", INVERSION_GRID)
+    def test_transcription_is_numpys_sampler(self, n, p):
+        ours, numpys = pcg(4), pcg(4)
+        drawn = [numpy_inversion(ours, n, p) for _ in range(3000)]
+        assert np.array_equal(drawn, numpys.binomial(n, p, size=3000))
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("n, p", [
+        (3, 0.3), (1000, 0.001), (10, 0.45), (60, 0.5), (10**4, 1e-4), (120, 0.25), (3000, 0.01),
+    ])
+    def test_rare_uniforms_follow_numpys_loop(self, monkeypatch, n, p):
+        # every cumulative sum exactly and some ulps either side (numpy's
+        # subtractive loop and the sums disagree up to 6 ulps away at
+        # (120, 0.25) and 67 at (3000, 0.01)), the ends of [0, 1), and the
+        # restart region above the last sum where it exists ((3, 0.3),
+        # (1000, 0.001) and (10, 0.45) sum to below 1); each uniform is drawn
+        # alone, then all of them as one block, in which a restart takes one
+        # of the trailing uniforms and shifts the later draws
+        sums = numpy_cumulative_pmf(n, p)
+        hand = [0.0, 1.0 - 2.0**-53]
+        for c in sums:
+            hand += [c + k * np.spacing(c) for k in (-64, -24, -16, -8, -4, -3, -2, -1, 0,
+                                                      1, 2, 3, 4, 8, 16, 24, 64)]
+        if sums[-1] < 1.0:
+            hand.append((sums[-1] + 1.0) / 2)
+        hand = [u for u in hand if u < 1.0]
+        loops = []
+        real = mc._inversion_loop
+        monkeypatch.setattr(mc, "_inversion_loop", lambda *a: loops.append(a) or real(*a))
+        restarts = 0
+        for u in hand:
+            ours, oracle = ScriptedUniforms([u, 0.5]), ScriptedUniforms([u, 0.5])
+            assert drawn_blocks(ours, n, p, 1).tolist() == [numpy_inversion(oracle, n, p)], u
+            assert ours.used == oracle.used, u
+            restarts += ours.used - 1
+        assert loops
+        assert (restarts > 0) == (sums[-1] < 1.0)
+        tail = [0.5, 0.25, 0.75] * len(hand)
+        ours, oracle = ScriptedUniforms(hand + tail), ScriptedUniforms(hand + tail)
+        drawn = drawn_blocks(ours, n, p, len(hand))
+        assert drawn.tolist() == [numpy_inversion(oracle, n, p) for _ in hand]
+        assert ours.used == oracle.used == len(hand) + restarts
+
+    def test_a_block_far_from_every_sum_skips_the_loop(self, monkeypatch):
+        # the midpoints between consecutive sums resolve through the table
+        n, p = 60, 0.5
+        sums = [0.0] + numpy_cumulative_pmf(n, p)
+        mids = [(a + c) / 2 for a, c in zip(sums, sums[1:]) if c - a > 1e-9 and c < 1.0]
+        monkeypatch.setattr(mc, "_inversion_loop", None)
+        drawn = drawn_blocks(ScriptedUniforms(mids), n, p, len(mids))
+        assert drawn.tolist() == [numpy_inversion(ScriptedUniforms([u]), n, p) for u in mids]
+
+
+def test_simulate_matches_materialized_in_every_sampling_regime(ecc, monkeypatch):
+    # dark clicks (n * p < 1), the flipped input's light in the differing
+    # slots (5 <= n * p <= 30) and the equal slots' light (numpy's BTPE)
+    means = []
+    real = mc._binomial_blocks
+
+    def recording(rng, n, p, trials):
+        means.append(n * p)
+        return real(rng, n, p, trials)
+
+    monkeypatch.setattr(mc, "_binomial_blocks", recording)
+    k = 4
+    cfg = at_mean(mc.SimConfig(
+        trials=mc._TRIAL_BLOCK + 7, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+        params=make_params(ecc, k, 10**5, 0.05, p_dark=5e-6), transfer=tree_matrix(k),
+        alpha2=20.0, threshold_r=0.0, last_label=None,
+    ))
+    out = mc.simulate(cfg, seed=2)
+    assert out == reference_simulate(cfg, seed=2)
+    assert 0 < out.errors < cfg.trials
+    assert min(means) < 1.0 and max(means) > 30.0
+    assert any(5.0 <= m <= 30.0 for m in means)
 
 
 def test_simulate_memory_is_bounded_by_the_statistic(ecc):
@@ -546,6 +729,18 @@ class TestVerifyBound:
         for sc in data["scenarios"]:
             assert {"strategy", "scenario", "trials", "errors", "error_rate",
                     "wilson_upper_95", "pass"} <= set(sc)
+
+    def test_numpy_integer_trials_give_a_json_report(self, ecc, realized):
+        import json
+
+        t, gains = realized
+        params = make_params(ecc, 3, 10**5, 1e-2, eta=0.5, p_dark=1e-6)
+        rep = mc.verify_bound(b.STRATEGY_LAST, params, gains, t, trials=np.int64(500), seed=1)
+        data = rep.to_json_dict()
+        assert json.loads(json.dumps(data)) == data
+        for sc in data["scenarios"]:
+            assert type(sc["trials"]) is int and type(sc["errors"]) is int
+            assert type(sc["error_rate"]) is float
 
     def test_conservative_over_parameter_grid(self, ecc, realized):
         t, gains = realized
