@@ -330,12 +330,14 @@ def test_draws_stop_after_the_last_detector_read(ecc, strategy, scenario, last_l
 
 
 @pytest.mark.parametrize("trials", [
-    1, mc._TRIAL_BLOCK - 1, mc._TRIAL_BLOCK, mc._TRIAL_BLOCK + 1, 2 * mc._TRIAL_BLOCK + 3,
+    1, mc._TRIAL_BLOCK - 1, mc._TRIAL_BLOCK, mc._TRIAL_BLOCK + 1,
+    2 * mc._TRIAL_BLOCK - 1, 2 * mc._TRIAL_BLOCK, 2 * mc._TRIAL_BLOCK + 1,
+    4 * mc._TRIAL_BLOCK + 3,
 ])
 @pytest.mark.parametrize("scenario", mc.SCENARIOS)
 @pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
 def test_trial_blocks_match_materialized(ecc, strategy, scenario, trials):
-    # one trial, a block and either side of it, two blocks and a tail; the
+    # one trial, either side of one and of two blocks, four blocks and a tail; the
     # photon-losing detector is the second of four, so each strategy draws
     # the blocks of a detector its statistic skips
     cfg = noisy_config(ecc, 4, strategy, scenario, trials=trials, last_label=2)
