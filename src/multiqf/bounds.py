@@ -18,12 +18,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from numbers import Real
 from statistics import NormalDist
 
 import numpy as np
 
+from .classical import _limit_coefficient
 from .errors import ConvergenceError, FeasibilityError, ParameterError
+from .errors import check_int, check_real, check_type
 from .gains import GainSet, click_probability
 
 STRATEGY_FIRST = "first-K-minus-1"
@@ -43,14 +44,6 @@ DOMINANCE_FACTOR = 10.0
 _NORMAL = NormalDist()
 
 
-def _low_high(x):
-    """Smallest and largest element of an array (NaN if it holds one), or
-    ``(x, x)`` for a scalar: range checks that read the same for both."""
-    if isinstance(x, np.ndarray):
-        return float(x.min()), float(x.max())
-    return x, x
-
-
 @dataclass(frozen=True)
 class ECCParams:
     """Distance parameter delta and rate c = M/N of the error-amplifying code."""
@@ -59,16 +52,13 @@ class ECCParams:
     c: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterError("delta must lie in (0, 1)")
-        if self.c <= 1.0:
-            raise ParameterError("code rate c must exceed 1")
+        check_real("delta", self.delta, 0.0, 1.0, "()")
+        check_real("code rate c", self.c, 1.0, ends="()")
 
     @classmethod
     def from_delta(cls, delta: float) -> "ECCParams":
         """Rate implied by the distance parameter for random linear codes."""
-        if not 0.0 < delta < 1.0:
-            raise ParameterError("delta must lie in (0, 1)")
+        check_real("delta", delta, 0.0, 1.0, "()")
         inv = 1.0 + delta * math.log2(delta) + (1.0 - delta) * math.log2(1.0 - delta)
         if inv <= 0.0:
             raise ParameterError("the code rate diverges at delta = 1/2")
@@ -95,20 +85,17 @@ class ProtocolParams:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ParameterError("need at least two users")
-        n_low, n_high = _low_high(self.n_bits)
-        if not (n_low >= 1 and math.isfinite(self.ecc.c * n_high)):
-            raise ParameterError("raw message length must be >= 1, with a finite codeword length")
-        if not 0.0 < self.p_error < 1.0:
-            raise ParameterError("p_error must lie in (0, 1)")
-        if not 0.0 < self.eta <= 1.0:
-            raise ParameterError("eta must lie in (0, 1]")
-        p_low, p_high = _low_high(self.p_dark)
-        if not (0.0 <= p_low and p_high < 1.0):
-            raise ParameterError("p_dark must lie in [0, 1)")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError("epsilon must lie in (0, 1)")
+        check_int("number of users k", self.k, 2)
+        check_type("ecc", self.ecc, ECCParams)
+        why = "raw message length must be >= 1, with a finite codeword length"
+        check_real("n_bits", self.n_bits, 1, array=True, why=why)
+        n_max = float(self.n_bits.max()) if isinstance(self.n_bits, np.ndarray) else self.n_bits
+        check_real("codeword length", self.ecc.c * n_max, 1, why=why)
+        check_real("p_error", self.p_error, 0.0, 1.0, "()")
+        check_real("eta", self.eta, 0.0, 1.0, "(]")
+        why = "p_dark must lie in [0, 1)"
+        check_real("p_dark", self.p_dark, 0.0, 1.0, "[)", array=True, why=why)
+        check_real("epsilon", self.epsilon, 0.0, 1.0, "()")
 
     @property
     def m_pulses(self) -> int | np.ndarray:
@@ -138,8 +125,9 @@ class BoundResult:
 
     def __post_init__(self):
         a, m, q = self.alpha2, self.m_pulses, self.q_qubits
-        if self.feasible and _low_high(a)[0] <= 0:
-            raise ParameterError("a feasible bound must carry a positive alpha2")
+        if self.feasible:
+            check_real("alpha2", a, 0.0, ends="()", array=True,
+                       why="a feasible bound must carry a positive alpha2")
         # Sanity anchor in the long-codeword regime: the qubit count cannot
         # fall below half the standard alpha2 * log2(M) approximation.
         if isinstance(q, np.ndarray):
@@ -164,8 +152,9 @@ class BoundResult:
 
 def ideal_alpha2(k: int, ecc: ECCParams, p_error: float) -> float:
     """Lossless, noiseless photon-number requirement, independent of M."""
-    if k < 2:
-        raise ParameterError("need at least two users")
+    check_int("number of users k", k, 2)
+    check_type("ecc", ecc, ECCParams)
+    check_real("p_error", p_error, 0.0, 1.0, "()")
     return k / (4.0 * (1.0 - ecc.delta) * (k - 1)) * math.log(1.0 / p_error)
 
 
@@ -183,12 +172,9 @@ def qubit_cost(alpha2, m_pulses, epsilon: float = 1e-6):
     ``alpha2`` and ``m_pulses`` may be NumPy arrays that broadcast; the
     results are then arrays, elementwise bit-equal to scalar calls.
     """
-    if not _low_high(alpha2)[0] > 0:
-        raise ParameterError("alpha2 must be positive")
-    if not _low_high(m_pulses)[0] >= 1:
-        raise ParameterError("need at least one pulse")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError("epsilon must lie in (0, 1)")
+    check_real("alpha2", alpha2, 0.0, ends="()", array=True, why="alpha2 must be positive")
+    check_real("m_pulses", m_pulses, 1, array=True, why="need at least one pulse")
+    check_real("epsilon", epsilon, 0.0, 1.0, "()")
     log_target = 2.0 * math.log(epsilon / 2.0)
     if isinstance(alpha2, np.ndarray) or isinstance(m_pulses, np.ndarray):
         return _qubit_cost_array(alpha2, m_pulses, log_target)
@@ -292,6 +278,12 @@ def _qubit_cost_array(alpha2, m_pulses, log_target: float) -> tuple[np.ndarray, 
     return q.reshape(shape), hi.reshape(shape)
 
 
+def _costed(strategy: str, alpha2, threshold_r, m, epsilon: float, **extra) -> BoundResult:
+    """The bound of ``alpha2`` photons per user, with its qubit count."""
+    q_qubits, delta_cap = qubit_cost(alpha2, m, epsilon)
+    return BoundResult(strategy, alpha2, threshold_r, m, q_qubits, delta_cap, **extra)
+
+
 def _assemble(
     strategy: str,
     params: ProtocolParams,
@@ -318,20 +310,14 @@ def _assemble(
     received = (4.0 * q + 2.0 * sqrt(q2_addend + dark_addend)) / denom
     alpha2 = received / params.eta
     threshold = 0.5 * received * r_gain_sum + r_dark
-    qq, dcap = qubit_cost(alpha2, m, params.epsilon)
-    return BoundResult(
-        strategy=strategy,
-        alpha2=alpha2,
-        threshold_r=threshold,
-        m_pulses=m,
-        q_qubits=qq,
-        delta_cap=dcap,
-        dominance_ratio=dark_addend / q2_addend if q2_addend > 0 else float("inf"),
-    )
+    dominance = dark_addend / q2_addend if q2_addend > 0 else float("inf")
+    return _costed(strategy, alpha2, threshold, m, params.epsilon, dominance_ratio=dominance)
 
 
 def bound_first_detectors(params: ProtocolParams, gains: GainSet) -> BoundResult:
     """Strategy counting clicks on the K-1 photon-gaining detectors."""
+    check_type("params", params, ProtocolParams)
+    check_type("gains", gains, GainSet)
     delta = params.ecc.delta
     diff = gains.g_d_first_min - gains.g_e_first
     if diff <= 0:
@@ -356,6 +342,8 @@ def bound_first_detectors(params: ProtocolParams, gains: GainSet) -> BoundResult
 
 def bound_last_detector(params: ProtocolParams, gains: GainSet) -> BoundResult:
     """Strategy watching only the photon-losing detector."""
+    check_type("params", params, ProtocolParams)
+    check_type("gains", gains, GainSet)
     delta = params.ecc.delta
     diff = gains.g_e_last - gains.g_d_last_max
     if diff <= 0:
@@ -378,16 +366,9 @@ def bound_last_detector(params: ProtocolParams, gains: GainSet) -> BoundResult:
 
 def ideal_bound(params: ProtocolParams) -> BoundResult:
     """Defectless-circuit reference curve (any-click rule, threshold 0)."""
+    check_type("params", params, ProtocolParams)
     alpha2 = ideal_alpha2(params.k, params.ecc, params.p_error)
-    qq, dcap = qubit_cost(alpha2, params.m_pulses, params.epsilon)
-    return BoundResult(
-        strategy=STRATEGY_IDEAL,
-        alpha2=alpha2,
-        threshold_r=0.0,
-        m_pulses=params.m_pulses,
-        q_qubits=qq,
-        delta_cap=dcap,
-    )
+    return _costed(STRATEGY_IDEAL, alpha2, 0.0, params.m_pulses, params.epsilon)
 
 
 # --------------------------------------------------------------------------
@@ -561,11 +542,6 @@ def _mass(log_mass: float, n: float) -> float:
 _TIE_FUZZ = 5e-12
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is a real number that is not a bool (numpy scalars count)."""
-    return type(x) in (float, int) or (not isinstance(x, bool) and isinstance(x, Real))
-
-
 #: The Cornish-Fisher start's normal quantile, by p: a search asks for the
 #: same two error targets again and again.
 _normal_quantile = functools.lru_cache(maxsize=16)(_NORMAL.inv_cdf)
@@ -578,17 +554,15 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     exact probability-mass steps.  The walk tracks the smaller tail, summed
     in log space, so the comparison precision tracks the tail, not 1: the
     CDF F(k) for p <= 1/2 and the survival G(k) = 1 - F(k), carried as -G(k),
-    for p > 1/2.  ``n`` must be a positive integer; an integral float is
-    accepted.  Bools and values that are not real numbers raise
-    ``ParameterError``; numpy integer and float scalars are accepted.
+    for p > 1/2.  ``n`` is a positive integer, or an integral float.
     """
-    if not _is_real(n) or not 1 <= n <= sys.float_info.max or n != int(n):
-        raise ParameterError(f"number of trials must be a positive integer, got {n!r}")
+    why = "number of trials must be a positive integer"
+    check_real("n", n, 1, why=why)
+    if n != int(n):
+        raise ParameterError(f"{why}, got {n!r}")
     n = int(n)
-    if not (_is_real(p) and _is_real(q)):
-        raise ParameterError(f"probabilities must be real numbers, got p={p!r}, q={q!r}")
-    if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
-        raise ParameterError("probabilities must lie in [0, 1]")
+    check_real("p", p, 0.0, 1.0)
+    check_real("q", q, 0.0, 1.0)
     if p <= 0.0 or q <= 0.0:
         return 0
     if q >= 1.0:
@@ -722,14 +696,16 @@ def algorithm_two_user(
     same step grid, which returns the first grid point whose
     different-sequence threshold has caught up with the equal one.
     """
+    check_type("params", params, ProtocolParams)
     if params.k != 2:
         raise ParameterError("the iterative threshold search is a two-user method")
-    if not 0.5 < v <= 1.0:
-        raise ParameterError("visibility must lie in (1/2, 1]")
-    if step <= 0:
-        raise ParameterError("step must be positive")
+    check_real("visibility v", v, 0.5, 1.0, "(]")
+    check_real("step", step, 0.0, ends="()")
+    check_real("alpha2_cap", alpha2_cap, 0.0, ends="()")
     pe_eq = params.p_error if p_error_equal is None else p_error_equal
     pe_df = params.p_error if p_error_diff is None else p_error_diff
+    check_real("p_error_equal", pe_eq, 0.0, 1.0, "()")
+    check_real("p_error_diff", pe_df, 0.0, 1.0, "()")
     m = params.m_pulses
     delta = params.ecc.delta
 
@@ -762,29 +738,18 @@ def algorithm_two_user(
         else:
             lo = mid
     _, _, r_d = crossed(hi)
-    alpha2 = hi / params.eta
-    qq, dcap = qubit_cost(alpha2, m, params.epsilon)
-    return BoundResult(
-        strategy=STRATEGY_TWO_USER,
-        alpha2=alpha2,
-        threshold_r=float(r_d),
-        m_pulses=m,
-        q_qubits=qq,
-        delta_cap=dcap,
-    )
+    return _costed(STRATEGY_TWO_USER, hi / params.eta, float(r_d), m, params.epsilon)
 
 
 def naive_error_probability(k: int, p_error: float) -> float:
     """Per-pair error budget of the repeated-pairwise protocol."""
-    if k < 2:
-        raise ParameterError("need at least two users")
+    check_int("number of users k", k, 2)
+    check_real("p_error", p_error, 0.0, 1.0, "()")
     return -math.expm1(math.log1p(-p_error) / (k - 1))
 
 
 def naive_asymmetric_probs(k: int, p_error: float) -> tuple[float, float]:
     """Worst-case split (equal-case, different-case) per-pair error budgets."""
-    if k < 2:
-        raise ParameterError("need at least two users")
     p_equal = naive_error_probability(k, p_error)
     p_diff = p_error / (1.0 - p_error) ** ((k - 2) / (k - 1))
     return p_equal, p_diff
@@ -803,6 +768,7 @@ def naive_protocol(
     and scales the photon number by 2(K-1)/K because all interior users
     transmit their pulse train twice.
     """
+    check_type("params", params, ProtocolParams)
     k = params.k
     if p_error_equal is None and p_error_diff is None:
         p_pair = naive_error_probability(k, params.p_error)
@@ -816,15 +782,7 @@ def naive_protocol(
         p_error_diff=p_error_diff,
     )
     alpha2 = res.alpha2 * 2.0 * (k - 1) / k
-    qq, dcap = qubit_cost(alpha2, params.m_pulses, params.epsilon)
-    return BoundResult(
-        strategy=STRATEGY_NAIVE,
-        alpha2=alpha2,
-        threshold_r=res.threshold_r,
-        m_pulses=params.m_pulses,
-        q_qubits=qq,
-        delta_cap=dcap,
-    )
+    return _costed(STRATEGY_NAIVE, alpha2, res.threshold_r, params.m_pulses, params.epsilon)
 
 
 def max_users_energy_advantage(
@@ -835,13 +793,8 @@ def max_users_energy_advantage(
     Valid in the dark-count-dominated long-message regime, for a fixed
     worst-case visibility of the photon-losing detector.
     """
-    if not 0.0 < v_last <= 1.0:
-        raise ParameterError("visibility must lie in (0, 1]")
-    if mu_dark <= 0:
-        raise ParameterError("mu_dark must be positive")
-    num = (
-        (1.0 - ecc.delta) ** 2
-        * (2.0 * v_last - 1.0) ** 2
-        * (1.0 - 2.0 * math.sqrt(p_error)) ** 2
-    )
+    check_type("ecc", ecc, ECCParams)
+    check_real("visibility v_last", v_last, 0.0, 1.0, "(]")
+    check_real("mu_dark", mu_dark, 0.0, ends="()")
+    num = (1.0 - ecc.delta) ** 2 * (2.0 * v_last - 1.0) ** 2 * _limit_coefficient(p_error) ** 2
     return num / (2.0 * mu_dark * ecc.c * math.log(2.0 + 1.0 / p_error))

@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DecompositionError, InvalidDimensionError, LayoutError, ParameterError
+from .errors import check_int, check_real, check_type
 
 UNBALANCED_BS = "unbalanced-beamsplitter"
 SYMMETRIC_BS = "symmetric-beamsplitter"
@@ -59,10 +60,14 @@ MAX_STACK_BYTES = 1 << 30
 
 
 def _check_dim(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or not 2 <= k <= MAX_DIM:
-        raise InvalidDimensionError(
-            f"multiport dimension must be an integer in 2..{MAX_DIM}, got {k!r}"
-        )
+    check_int("multiport dimension", k, 2, MAX_DIM, InvalidDimensionError)
+
+
+def _check_transmittance(t: np.ndarray, error: type = LayoutError) -> None:
+    """Raise ``error`` unless every power transmittance in ``t`` lies in [0, 1]."""
+    bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
+    if bad.any():
+        raise error(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
 
 
 def _check_stack(k: int, n: int) -> None:
@@ -99,10 +104,10 @@ class CircuitLayout:
     ``KINDS``), ``ports`` (``(n, 2)``, 1-based; a phase shifter's second
     port is 0), ``value`` (``t`` of an unbalanced beamsplitter, the phase
     of a phase shifter, NaN for a symmetric beamsplitter) and ``layer``.
-    Structurally malformed elements (unknown kind, wrong port count,
-    missing or non-finite ``t`` or phase) are rejected here; port ranges
-    and ``t`` are checked when the layout is composed.  ``elements`` is a read-only view
-    of the columns as ``CircuitElement`` records, built on first access.
+    A bad dimension or design name and structurally malformed elements are
+    rejected here; port ranges, ``t`` and ``output_perm`` are checked when
+    the layout is composed.  ``elements`` is a view of the columns as
+    ``CircuitElement`` records, built on first access.
 
     ``output_perm``, when present, relabels the raw composed product:
     output ``i`` of the circuit is row ``output_perm[i]`` (0-based) of the
@@ -118,13 +123,15 @@ class CircuitLayout:
         elements: tuple[CircuitElement, ...],
         output_perm: tuple[int, ...] | None = None,
     ):
-        self.dim = dim
-        self.design = design
-        self.output_perm = output_perm
+        _check_dim(dim)
+        if not (isinstance(design, str) and isinstance(elements, (tuple, list))
+                and all(isinstance(e, CircuitElement) for e in elements)):
+            raise LayoutError("a layout needs a design name and a sequence of CircuitElement, "
+                              f"got {design!r} and {elements!r}")
+        self.dim, self.design, self.output_perm = dim, design, output_perm
         self.kind, self.ports, self.value, self.layer = _columns(
             [_row(e.kind, e.ports, e.t, e.phase, e.layer) for e in elements]
         )
-        self._elements: tuple[CircuitElement, ...] | None = None
 
     @classmethod
     def _from_columns(
@@ -132,25 +139,24 @@ class CircuitLayout:
     ) -> CircuitLayout:
         """A layout from trusted columns; a builder that knows the optical
         depth passes it as ``depth``."""
-        layout = cls(dim, design, (), output_perm)
+        layout = cls.__new__(cls)
+        layout.dim, layout.design, layout.output_perm = dim, design, output_perm
         layout.kind, layout.ports, layout.value, layout.layer = columns
         if depth is not None:
             layout._depth = depth
         return layout
 
-    @property
+    @cached_property
     def elements(self) -> tuple[CircuitElement, ...]:
-        if self._elements is None:
-            self._elements = tuple(
-                CircuitElement(PHASE_SHIFTER, (a,), None, v, layer) if code == _PS
-                else CircuitElement(UNBALANCED_BS, (a, b), v, None, layer) if code == _UBS
-                else CircuitElement(SYMMETRIC_BS, (a, b), None, None, layer)
-                for code, (a, b), v, layer in zip(
-                    self.kind.tolist(), self.ports.tolist(), self.value.tolist(),
-                    self.layer.tolist(),
-                )
+        return tuple(
+            CircuitElement(PHASE_SHIFTER, (a,), None, v, layer) if code == _PS
+            else CircuitElement(UNBALANCED_BS, (a, b), v, None, layer) if code == _UBS
+            else CircuitElement(SYMMETRIC_BS, (a, b), None, None, layer)
+            for code, (a, b), v, layer in zip(
+                self.kind.tolist(), self.ports.tolist(), self.value.tolist(),
+                self.layer.tolist(),
             )
-        return self._elements
+        )
 
     @property
     def bs_count(self) -> int:
@@ -169,8 +175,11 @@ class CircuitLayout:
     @cached_property
     def _omega(self) -> np.ndarray:
         """``asin(sqrt(t))`` of each unbalanced beamsplitter, in layout order:
-        the angle of a noisy block (``noise``).  Every t must lie in [0, 1]."""
-        return _asin_sqrt(self.value[self.kind == _UBS])
+        the angle of a noisy block (``noise``); a t outside [0, 1] is a
+        ``ParameterError``."""
+        t = self.value[self.kind == _UBS]
+        _check_transmittance(t, ParameterError)
+        return _asin_sqrt(t)
 
     @cached_property
     def _depth(self) -> int:
@@ -194,7 +203,7 @@ def _row(kind, ports, t, phase, layer) -> tuple:
         code, n_ports, value = _SBS, 2, math.nan
     else:
         raise LayoutError(f"unknown element kind: {kind!r}")
-    if len(ports) != n_ports:
+    if not isinstance(ports, (tuple, list)) or len(ports) != n_ports:
         raise LayoutError(f"{kind} needs {n_ports} port(s), got {ports}")
     if value is None:
         missing = "phase" if code == _PS else "t"
@@ -206,15 +215,21 @@ def _columns(rows: list[tuple]) -> tuple[np.ndarray, ...]:
     """The ``(kind, ports, value, layer)`` columns of ``_row`` rows."""
     kind, a, b, value, layer = zip(*rows) if rows else ((),) * 5
     # no dtype yet: numpy would turn 1.5 or "1" into port 1 and "0.5" into t
-    ports, value = np.array([a, b]).T.reshape(-1, 2), np.array(value)
+    try:
+        ports, value = np.array([a, b]).T.reshape(-1, 2), np.array(value)
+    except ValueError:  # a nested port
+        ports = value = np.array(())
     if rows and (ports.dtype.kind not in "iu" or value.dtype.kind not in "iuf"):
         raise LayoutError("element ports must be integers, t and phases real numbers")
+    layer = np.array(layer)
+    if rows and layer.dtype.kind not in "iu":
+        raise LayoutError(f"element layers must be integers, got {layer.tolist()}")
     kind, value = np.array(kind, dtype=np.int8), value.astype(float)
     bad = ~np.isfinite(value) & (kind != _SBS)
     if bad.any():
         raise LayoutError(f"{KINDS[kind[bad.argmax()]]} with a non-finite t or phase: "
                           f"{value[bad.argmax()]}")
-    return kind, ports.astype(np.intp), value, np.array(layer, dtype=np.intp)
+    return kind, ports.astype(np.intp), value, layer.astype(np.intp)
 
 
 def _levels(k: int, first: list[int], second: list[int]) -> tuple[list[int], int]:
@@ -367,18 +382,19 @@ class _Plan(NamedTuple):
 def _make_plan(layout: CircuitLayout, hulls: bool) -> _Plan:
     """Validate a layout and schedule its elements by level (``_Plan``)."""
     k = layout.dim
-    perm = list(range(k) if layout.output_perm is None else layout.output_perm)
-    if sorted(perm) != list(range(k)):
+    perm = list(range(k)) if layout.output_perm is None else layout.output_perm
+    integers = isinstance(perm, (tuple, list)) and all(
+        isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in perm
+    )
+    if not (integers and sorted(perm) == list(range(k))):
         raise LayoutError(f"output_perm is not a permutation of 0..{k - 1}")
+    perm = list(perm)
     kind, ports = layout.kind, layout.ports
     a, b = ports[:, 0], ports[:, 1]
     bad = (a < 1) | np.where(kind == _PS, a > k, (b <= a) | (b > k))
     if bad.any():
         raise LayoutError(f"ports out of range or unordered: {ports[bad.argmax()].tolist()}")
-    t = layout.value[kind == _UBS]
-    bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
-    if bad.any():
-        raise LayoutError(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
+    _check_transmittance(layout.value[kind == _UBS])
     rows = np.argsort(perm)[ports - 1]  # 1-based port -> storage row
     rows[:, 1] = np.where(kind == _PS, rows[:, 0], rows[:, 1])
     levels = _levels(k, rows[:, 0].tolist(), rows[:, 1].tolist())[0]
@@ -433,12 +449,8 @@ def _compose(layout: CircuitLayout, blocks, n: int = 1) -> np.ndarray:
     ``==`` (a full-row update could only have given -0.0 there).  An update
     is at least 2 columns wide, since numpy can round a complex product
     over one column differently from the same product over a longer row.
-    A tree's rows stay narrow: at K = 100 its updates cover 7% of the full
-    rows.
-
-    A stack's plan (``_make_plan``: validation, levels, groups, shifter
-    factors and hulls) is built once and kept on the layout, which a stream
-    composes chunk after chunk; a single product's is built per call.
+    A stack's plan is kept on the layout (``_plan``); a single product's is
+    built per call.
     """
     k = layout.dim
     _check_stack(k, n)
@@ -505,6 +517,7 @@ def _update_row(m: np.ndarray, code: int, rows: tuple[int, int], c: np.ndarray) 
 
 def compose_layout(layout: CircuitLayout) -> np.ndarray:
     """Ordered product of the embedded element matrices, first element first."""
+    check_type("layout", layout, CircuitLayout)
     t = layout.value[layout.kind == _UBS]
     with np.errstate(invalid="ignore"):  # _compose rejects t outside [0, 1]
         st, sr = np.sqrt(t), np.sqrt(1.0 - t)
@@ -515,7 +528,11 @@ def compose_layout(layout: CircuitLayout) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray, tol: float) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
+    check_real("tol", tol, 0.0, ends="()")
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError):  # not numbers, or ragged rows
+        u = np.array(())
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DecompositionError(f"expected a square matrix, got shape {u.shape}")
     k = u.shape[0]
@@ -731,10 +748,14 @@ def matrix_to_json(m: np.ndarray) -> str:
 
 def matrix_from_json(text: str) -> np.ndarray:
     data = json.loads(text)
-    m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    if m.shape != (data["dim"], data["dim"]):
-        raise LayoutError(f"matrix JSON dim {data['dim']} does not match shape {m.shape}")
-    return m
+    try:
+        k, re, im = data["dim"], np.array(data["re"]), np.array(data["im"])
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ragged rows
+        raise LayoutError(f"matrix JSON needs a dim and re and im rows: {exc!r}") from None
+    _check_dim(k)
+    if not all(x.shape == (k, k) and x.dtype.kind in "iuf" for x in (re, im)):
+        raise LayoutError(f"matrix JSON re and im must be {k} x {k} arrays of real numbers")
+    return re.astype(float) + 1j * im.astype(float)
 
 
 def layout_to_json(layout: CircuitLayout) -> str:
@@ -775,17 +796,27 @@ def layout_to_json(layout: CircuitLayout) -> str:
 
 def layout_from_json(text: str) -> CircuitLayout:
     data = json.loads(text)
-    records = data["elements"]
+    if not (isinstance(data, dict) and isinstance(data.get("elements"), list)
+            and isinstance(data.get("design"), str)
+            and isinstance(data.get("output_perm"), (list, type(None)))):
+        raise LayoutError("layout JSON needs an elements list, a design name and an "
+                          "output_perm list or null")
+    _check_dim(data.get("dim"))
+    records, perm = data["elements"], data.get("output_perm")
     columns = _record_columns(records)
     if columns is None:  # raise the first malformed record's error
-        columns = _columns([
-            _row(e["kind"], e["ports"], e.get("t"), e.get("omega"), e.get("layer", 0))
-            for e in records
-        ])
-    perm = data.get("output_perm")
+        columns = _columns(list(map(_record_row, records)))
     return CircuitLayout._from_columns(
         data["dim"], data["design"], columns, tuple(perm) if perm else None
     )
+
+
+def _record_row(e) -> tuple:
+    """``_row`` of the JSON element record ``e``."""
+    try:
+        return _row(e["kind"], e["ports"], e.get("t"), e.get("omega"), e.get("layer", 0))
+    except (KeyError, TypeError, AttributeError):
+        raise LayoutError(f"malformed element record: {e!r}") from None
 
 
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
@@ -809,15 +840,15 @@ def _record_columns(records: list) -> tuple[np.ndarray, ...] | None:
         second = np.array([p[-1] for p in ports])
         value = np.array([e.get("omega") if c == _PS else e.get("t")
                           for e, c in zip(records, kind.tolist()) if c != _SBS])
-        layer = np.array([e.get("layer", 0) for e in records], dtype=np.intp)
+        layer = np.array([e.get("layer", 0) for e in records])
     except (KeyError, TypeError, ValueError):
         return None
     if any(x.dtype.kind not in kinds or x.ndim != 1
-           for x, kinds in ((first, "iu"), (second, "iu"), (value, "iuf"))):
+           for x, kinds in ((first, "iu"), (second, "iu"), (value, "iuf"), (layer, "iu"))):
         return None
     if not np.isfinite(value).all():
         return None
     ports = np.stack([first, np.where(kind == _PS, 0, second)], axis=1).astype(np.intp)
     full = np.full(len(records), math.nan)
     full[kind != _SBS] = value
-    return kind, ports, full, layer
+    return kind, ports, full, layer.astype(np.intp)

@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_real
 
 
-def _check(k: int | None, n_bits: float, p_error: float) -> None:
-    if k is not None and k < 2:
-        raise ParameterError("need at least two users")
-    if n_bits < 1:
-        raise ParameterError("message length must be >= 1")
-    if not 0.0 < p_error < 1.0:
-        raise ParameterError("p_error must lie in (0, 1)")
+def _limit_coefficient(p_error: float) -> float:
+    """1 - 2 sqrt(p_error), the sqrt(N) coefficient of the classical limit,
+    for p_error in (0, 1/4): above 1/4 it turns negative."""
+    check_real("p_error", p_error, 0.0, 1.0, "()")
+    if p_error >= 0.25:
+        raise ParameterError("the classical limit needs p_error < 1/4")
+    return 1.0 - 2.0 * math.sqrt(p_error)
 
 
 def best_two_user(n_bits: float, p_error: float) -> float:
     """Cost of the best-known two-user protocol: repetitions x 2 sqrt(N)."""
-    _check(None, n_bits, p_error)
+    check_real("n_bits", n_bits, 1)
+    check_real("p_error", p_error, 0.0, 1.0, "()")
     reps = math.ceil(math.log(p_error) / math.log(0.75))
     return reps * 2.0 * math.sqrt(n_bits)
 
@@ -45,7 +46,9 @@ def best_k_user(k: int, n_bits: float, p_error: float) -> float:
     Each user repeatedly sends four random blocks of ceil(3N/K) bits plus
     block labels; the repetition count drives the error below p_error.
     """
-    _check(k, n_bits, p_error)
+    check_int("number of users k", k, 2)
+    check_real("n_bits", n_bits, 1)
+    check_real("p_error", p_error, 0.0, 1.0, "()")
     n = int(n_bits)
     block = -(-3 * n // k)
     reps = math.ceil(math.log(p_error) / math.log(1.0 - (1.0 - math.exp(-0.5)) / 9.0))
@@ -53,17 +56,11 @@ def best_k_user(k: int, n_bits: float, p_error: float) -> float:
     return reps * (8.0 * math.sqrt(2.0 * block) + label_bits)
 
 
-def _check_limit(k: int, n_bits: float, p_error: float) -> None:
-    """``_check`` plus the p_error < 1/4 domain of the classical limit."""
-    _check(k, n_bits, p_error)
-    if p_error >= 0.25:
-        raise ParameterError("the classical limit needs p_error < 1/4")
-
-
 def classical_limit(k: int, n_bits: float, p_error: float) -> float:
     """Lower bound on bits/user for any classical K-user protocol."""
-    _check_limit(k, n_bits, p_error)
-    return (1.0 - 2.0 * math.sqrt(p_error)) * math.sqrt(n_bits) / (
+    check_int("number of users k", k, 2)
+    check_real("n_bits", n_bits, 1)
+    return _limit_coefficient(p_error) * math.sqrt(n_bits) / (
         2.0 * math.sqrt(k * math.log(2.0))
     ) - 1.0 / k
 
@@ -75,10 +72,11 @@ def photonic_limit_photons(k: int, n_bits: float, p_error: float, eta: float) ->
     transmitted number, and the O(1/K) term is dropped as a many-user
     approximation.
     """
-    _check_limit(k, n_bits, p_error)
-    if not 0.0 < eta <= 1.0:
-        raise ParameterError("eta must lie in (0, 1]")
-    return (1.0 - 2.0 * math.sqrt(p_error)) * math.sqrt(n_bits) / (
+    check_int("number of users k", k, 2)
+    check_real("n_bits", n_bits, 1)
+    coefficient = _limit_coefficient(p_error)
+    check_real("eta", eta, 0.0, 1.0, "(]")
+    return coefficient * math.sqrt(n_bits) / (
         2.0 * eta * math.sqrt(k * math.log(2.0))
     )
 
@@ -90,11 +88,9 @@ def claim_c1_check(na: float, nb: float, ma: float, mb: float, p_error: float) -
     error at most p_error must satisfy them, which is the primitive behind
     ``classical_limit``.
     """
-    if min(na, nb, ma, mb) < 0:
-        raise ParameterError("message lengths must be nonnegative")
-    if not 0.0 < p_error < 0.25:
-        raise ParameterError("p_error must lie in (0, 1/4)")
-    margin = (1.0 - 2.0 * math.sqrt(p_error)) ** 2
+    for name, length in (("na", na), ("nb", nb), ("ma", ma), ("mb", mb)):
+        check_real(name, length, 0.0)
+    margin = _limit_coefficient(p_error) ** 2
     lhs_a = ma * math.ceil(8.0 * math.log(2.0) * (1.0 + mb) / margin)
     lhs_b = mb * math.ceil(8.0 * math.log(2.0) * (1.0 + ma) / margin)
     return na <= lhs_a and nb <= lhs_b

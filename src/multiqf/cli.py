@@ -38,7 +38,8 @@ from .errors import (
     MultiqfError,
     ParameterError,
     ValidityError,
-    check_nonnegative_int,
+    check_int,
+    check_real,
 )
 from .gains import (  # noqa: F401  (batch_gain_set is re-exported)
     BatchGains,
@@ -95,12 +96,9 @@ _DESIGN_ALIASES = {
 
 def log_spaced(n_min: float, n_max: float, per_decade: int) -> list[float]:
     """Log-spaced grid endpoints included, deduplicated after rounding."""
-    if not (0.0 < n_min <= n_max < math.inf):
-        raise ParameterError(
-            f"N range [{n_min!r}, {n_max!r}] must be finite, positive and not inverted"
-        )
-    if per_decade < 1:
-        raise ParameterError(f"points per decade must be at least 1, got {per_decade}")
+    check_real("n_min", n_min, 0.0, ends="()")
+    check_real("n_max", n_max, n_min)
+    check_int("points per decade", per_decade, 1)
     decades = math.log10(n_max) - math.log10(n_min)
     count = max(2, int(round(decades * per_decade)) + 1)
     vals = np.logspace(math.log10(n_min), math.log10(n_max), count)
@@ -234,7 +232,7 @@ def batch_gains_for(
     """
     layout = circuits.build_design(k, design)[1]
     model = NoiseModel(sigma_t=sigma, sigma_p=sigma, bs_loss_db=bs_loss_db, seed=seed)
-    check_nonnegative_int("number of realizations", realizations)
+    check_int("number of realizations", realizations)
     sizes = _chunk_sizes(layout, realizations)
     return streamed_gain_set(
         realize_batch(layout, model, size, start=start)

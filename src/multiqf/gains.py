@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, ParameterError
+from .circuits import _check_dim
+from .errors import ParameterError, check_int, check_real, check_type
 
 #: Sentinel accepted wherever a phase pattern is expected: all inputs equal.
 EQUAL = None
@@ -29,8 +30,10 @@ class PhasePattern:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.labels or any(v not in (-1, 1) for v in self.labels):
-            raise ParameterError("phase labels must be +1 or -1")
+        labels = self.labels
+        if not (isinstance(labels, tuple) and labels
+                and all(v in (-1, 1) and not isinstance(v, bool) for v in labels)):
+            raise ParameterError(f"phase labels must be a tuple of +1 and -1, got {labels!r}")
 
     @property
     def l_count(self) -> int:
@@ -46,7 +49,7 @@ class GainSet:
     detector that loses photons when inputs differ); all "first" gains sum
     over the remaining K-1 outputs.  ``g_d_first`` and ``g_d_last`` are
     ``(K,)`` arrays of the first-group and last-detector gains with input
-    ``j`` flipped, at index ``j``.
+    ``j`` flipped, at index ``j``.  Every gain is a finite number >= 0.
     """
 
     k: int
@@ -57,6 +60,15 @@ class GainSet:
     g_d_last_max: float
     g_d_first: np.ndarray
     g_d_last: np.ndarray
+
+    def __post_init__(self):
+        check_int("k", self.k, 2)
+        check_int("last_label", self.last_label, 1, self.k)
+        for name in ("g_e_first", "g_d_first_min", "g_e_last", "g_d_last_max", "g_d_first",
+                     "g_d_last"):
+            check_real(name, getattr(self, name), 0.0, array=True)
+        if not np.shape(self.g_d_first) == np.shape(self.g_d_last) == (self.k,):
+            raise ParameterError(f"g_d_first and g_d_last must be ({self.k},) arrays")
 
     @property
     def worst_pattern_first(self) -> int:
@@ -73,16 +85,16 @@ def output_photon_numbers(
     transfer: np.ndarray, pattern, mu_in: float
 ) -> np.ndarray:
     """Mean photon number at each output for +/-sqrt(mu_in) inputs (zeros at 0)."""
-    t = np.asarray(transfer)
+    t = _check_transfer(transfer)
     k = t.shape[0]
-    if not mu_in >= 0:
-        raise ParameterError("mu_in must be nonnegative")
+    check_real("mu_in", mu_in, 0.0, why="mu_in must be nonnegative")
     if pattern is EQUAL:
         labels = np.ones(k)
     else:
-        labels = np.asarray(getattr(pattern, "labels", pattern), dtype=float)
-        if labels.shape != (k,):
-            raise ParameterError(f"pattern length {labels.shape} != dimension {k}")
+        labels = np.asarray(getattr(pattern, "labels", pattern))
+        if labels.shape != (k,) or labels.dtype.kind not in "iuf" or not np.isfinite(labels).all():
+            raise ParameterError(f"pattern must hold {k} finite real labels, got {pattern!r}")
+        labels = labels.astype(float)
     amp = t @ (labels * math.sqrt(mu_in))
     return np.abs(amp) ** 2
 
@@ -97,8 +109,21 @@ def click_probability(mu, eta: float, p_dark):
 
 def find_last_label(transfer: np.ndarray) -> int:
     """1-based index of the output that keeps photons for all-equal inputs."""
-    t = np.asarray(transfer)
+    t = _check_transfer(transfer)
     return int(np.argmax(np.abs(t.sum(axis=1)))) + 1
+
+
+def _check_transfer(transfer) -> np.ndarray:
+    """``transfer`` as an array, if it is a nonempty square matrix of finite numbers."""
+    try:
+        t = np.asarray(transfer)
+    except ValueError:  # ragged rows
+        t = np.array(())
+    if not (t.ndim == 2 and 0 < len(t) == t.shape[1] and t.dtype.kind in "iufc"
+            and np.isfinite(t).all()):
+        raise ParameterError("transfer must be a square matrix of finite numbers, "
+                             f"got shape {t.shape} of {t.dtype}")
+    return t
 
 
 def _single_flip_gains(transfers: np.ndarray, last: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +177,7 @@ def _last_label(last_label: int | None, transfer: np.ndarray) -> int:
     """``last_label``, checked, or else the photon-keeping output of ``transfer``."""
     k = transfer.shape[0]
     last_label = find_last_label(transfer) if last_label is None else last_label
-    if not (isinstance(last_label, (int, np.integer)) and 1 <= last_label <= k):
-        raise ParameterError(f"last_label must be an integer in 1..{k}, got {last_label!r}")
+    check_int("last_label", last_label, 1, k)
     return last_label
 
 
@@ -164,7 +188,7 @@ def gain_set(transfer: np.ndarray, last_label: int | None = None) -> GainSet:
     circuit all single-flip patterns tie, and its rounding picks the worst
     pattern ``mcsim`` samples (``batch_gain_set`` rounds differently).
     """
-    t = np.asarray(transfer, dtype=complex)
+    t = np.asarray(_check_transfer(transfer), dtype=complex)
     k = t.shape[0]
     last_label = _last_label(last_label, t)
     cols = np.ones((k, k + 1))
@@ -187,8 +211,7 @@ def _mean_gain_set(k, last_label, g_first, g_last) -> tuple[GainSet, tuple]:
 
 def ideal_gain_set(k: int) -> GainSet:
     """Closed-form gains of any ideal lossless design: (0, 4(K-1)/K, K, (K-2)^2/K)."""
-    if k < 2:
-        raise InvalidDimensionError(f"need K >= 2, got {k}")
+    _check_dim(k)
     g_d_first = 4.0 * (k - 1) / k
     g_d_last = (k - 2) ** 2 / k
     return GainSet(
@@ -209,8 +232,7 @@ def visibilities(gains: GainSet) -> tuple[float, float]:
     Both normalize the realistic gain difference by its ideal value
     4(K-1)/K, reducing to the standard two-detector contrast at K=2.
     """
-    if gains.k < 2:
-        raise InvalidDimensionError(f"need K >= 2, got {gains.k}")
+    check_type("gains", gains, GainSet)
     return _visibilities(
         gains.k, gains.g_e_first, gains.g_d_first_min, gains.g_e_last, gains.g_d_last_max
     )
@@ -248,33 +270,22 @@ def batch_gain_set(matrices: np.ndarray, last_label: int | None = None) -> Batch
     before averaging, mirroring how a per-experiment worst case would be
     measured.
     """
-    return _joined_gain_set([matrices], last_label)
+    return streamed_gain_set([matrices], last_label)
 
 
 def streamed_gain_set(stacks: Iterable[np.ndarray], last_label: int | None = None) -> BatchGains:
     """``batch_gain_set`` of the realizations of several stacks, in order.
 
-    Each stack is reduced to its gain tables before the next is taken from
-    ``stacks``, so a generator of stacks keeps one of them alive at a time.
-    The result is bit-identical to ``batch_gain_set`` of the concatenated
-    stack (see ``_joined_gain_set``).
-    """
-    return _joined_gain_set(stacks, last_label)
-
-
-def _joined_gain_set(stacks: Iterable[np.ndarray], last_label: int | None) -> BatchGains:
-    """The ``(K + 1, n)`` gain tables of each stack, joined along the
-    realization axis before any mean, min or standard deviation is taken.
-
-    A realization's tables depend only on its own matrix, not on the stack
-    around it (``_single_flip_gains``), and ``last_label`` defaults to the
-    photon-keeping output of the first realization, so how the realizations
-    are split into stacks does not change the result.
+    Each stack is reduced to its ``(K + 1, n)`` gain tables before the next
+    is taken, so a generator of stacks keeps one alive at a time.  A
+    realization's tables depend only on its own matrix, and ``last_label``
+    defaults to that of the first realization, so the result is
+    bit-identical to ``batch_gain_set`` of the concatenated stack.
     """
     tables, shape = [], None
     for stack in stacks:
         stack = np.asarray(stack)
-        if stack.ndim != 3:
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.dtype.kind not in "iufc":
             raise ParameterError("expected a (n, K, K) stack of matrices")
         if len(stack) == 0:
             raise ParameterError("need at least one realization")
@@ -313,11 +324,11 @@ def worst_case_pattern_scan(
     pinned to +1), since opposite patterns produce identical photon
     statistics.  Refuses enumerations larger than ``pattern_budget``.
     """
-    t = np.asarray(transfer, dtype=complex)
+    t = np.asarray(_check_transfer(transfer), dtype=complex)
     k = t.shape[0]
     last = _last_label(last_label, t) - 1
-    if max_l < 1 or max_l > k // 2:
-        raise ParameterError(f"max_l must be in 1..{k // 2}")
+    check_int("max_l", max_l, 1, k // 2)
+    check_int("pattern_budget", pattern_budget)
     total = sum(math.comb(k - 1, l) for l in range(1, max_l + 1))
     if total > pattern_budget:
         raise ParameterError(

@@ -5,22 +5,14 @@ produces an independent click per detector with ``gains.click_probability``,
 1 - exp(-eta * mu) OR-ed with an independent dark click.  Because slots of
 one type are i.i.d., per-trial detector counts are drawn directly from the
 matching binomials, which is distribution-identical to slot-by-slot sampling.
-Each (detector, slot type) binomial is drawn in consecutive blocks of
-``_TRIAL_BLOCK`` trials, each added straight into the strategy statistic;
-consecutive draws continue the stream exactly as one draw over all the
-trials would, so the blocks change no output.
-
 The counts are bit-identical to ``Generator.binomial``'s, stream position
-included.  Where numpy samples by inversion (p <= 0.5 and n * p <= 30: the
-dark counts and most photon counts), ``_binomial_blocks`` reads the same
-uniforms with ``Generator.random`` and maps them to counts with a guide table
-(Chen & Asau) of ``_GUIDE_CELLS`` cells over numpy's own cumulative pmf; a
-block holding a uniform too close to a cumulative sum for the rounding of
-numpy's loop to be known goes through that loop, transcribed.  Above
-n * p = 30 numpy's BTPE sampler draws the counts.  A simulation holds 4 B
-per trial (8 B once M * K reaches 2**31) plus one block on its worker thread:
-128 KiB of int64 counts from BTPE, or 128 KiB of uniforms and 64 KiB of cell
-indices, counts and masks.
+included, and are drawn in blocks of trials added straight into the strategy
+statistic (``simulate``); where numpy samples by inversion, a guide table
+(Chen & Asau) over numpy's own cumulative pmf maps the same uniforms to
+counts (``_binomial_blocks``).  A simulation holds 4 B per trial (8 B once
+M * K reaches 2**31) plus one block on its worker thread: 128 KiB of int64
+counts from BTPE, or 128 KiB of uniforms and 64 KiB of cell indices, counts
+and masks.
 
 The oracle knows nothing about the analytical tail bounds; feeding it a
 bound's (alpha2, threshold) and checking the empirical error rate against
@@ -33,7 +25,7 @@ import itertools
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,13 +36,13 @@ from .bounds import (
     PHOTON_REGIME_LIMIT,
     BoundResult,
     ProtocolParams,
-    _is_real,
     bound_first_detectors,
     bound_last_detector,
     qubit_cost,
 )
-from .errors import ParameterError, ValidityError, check_nonnegative_int
-from .gains import GainSet, _last_label, click_probability, gain_set, output_photon_numbers
+from .errors import ParameterError, ValidityError, check_int, check_real, check_type
+from .gains import GainSet, _check_transfer, _last_label, click_probability, gain_set
+from .gains import output_photon_numbers
 
 ALL_EQUAL = "all-equal"
 WORST_DIFFERENT = "worst-different"
@@ -69,10 +61,9 @@ _GUIDE_CELLS = 1 << 10
 def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
     """One-sided Wilson score upper confidence bound on ``errors`` of ``trials``,
     integers with 0 <= errors <= trials and trials >= 1."""
-    check_nonnegative_int("errors", errors)
-    check_nonnegative_int("trials", trials)
-    if trials < 1 or errors > trials:
-        raise ParameterError(f"need errors <= trials and trials >= 1, got {errors} of {trials}")
+    check_int("trials", trials, 1)
+    check_int("errors", errors, 0, trials)
+    check_real("z", z, 0.0)
     phat = errors / trials
     z2 = z * z
     center = phat + z2 / (2.0 * trials)
@@ -82,8 +73,7 @@ def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
 
 def default_trials(p_error: float) -> int:
     """Trial budget: enough resolution below p_error in (0, 1), capped for desk runs."""
-    if not (_is_real(p_error) and 0.0 < p_error < 1.0):
-        raise ParameterError(f"p_error must be a real number in (0, 1), got {p_error!r}")
+    check_real("p_error", p_error, 0.0, 1.0, "()")
     return int(min(5000, math.ceil(50.0 / p_error)))
 
 
@@ -110,7 +100,7 @@ class SimConfig:
     worst_pattern: int | None = None
 
     def __post_init__(self):
-        check_nonnegative_int("trials", self.trials)
+        check_int("trials", self.trials)
         # a numpy integer would make the outcome's counts numpy scalars,
         # which the JSON report cannot hold
         object.__setattr__(self, "trials", int(self.trials))
@@ -126,20 +116,13 @@ class SimConfig:
             raise ParameterError(f"unknown scenario {self.scenario!r}")
         if self.strategy not in (STRATEGY_FIRST, STRATEGY_LAST):
             raise ParameterError(f"unknown strategy {self.strategy!r}")
-        for name in ("alpha2", "threshold_r"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.alpha2) and math.isfinite(self.threshold_r)):
-            raise ParameterError("alpha2 and threshold_r must be finite")
-        if self.alpha2 < 0:
-            raise ParameterError("alpha2 must be nonnegative")
+        check_type("params", self.params, ProtocolParams)
+        check_real("alpha2", self.alpha2, 0.0)
+        check_real("threshold_r", self.threshold_r)
         k = self.params.k
         for name, lo, hi in (("last_label", 1, k), ("worst_pattern", 0, k - 1)):
-            value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if value is not None and not (integer and lo <= value <= hi):
-                raise ParameterError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -154,15 +137,7 @@ class SimOutcome:
     wilson_upper_95: float
 
     def to_json_dict(self, p_error: float) -> dict:
-        return {
-            "strategy": self.strategy,
-            "scenario": self.scenario,
-            "trials": self.trials,
-            "errors": self.errors,
-            "error_rate": self.error_rate,
-            "wilson_upper_95": self.wilson_upper_95,
-            "pass": bool(self.wilson_upper_95 <= p_error),
-        }
+        return asdict(self) | {"pass": bool(self.wilson_upper_95 <= p_error)}
 
 
 def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
@@ -171,16 +146,16 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     The sampling is exact at any alpha2; the small-photon regime the
     analytical bounds rely on is checked where a bound is planned
     (``plan_check``).  Counts are drawn in blocks of ``_TRIAL_BLOCK``
-    trials (``_binomial_blocks``) and added into the statistic, int32 when ``m_pulses * K <
-    2**31`` (at most K - 1 detectors of at most M clicks each) and int64
-    otherwise, so a call holds 4 or 8 B per trial plus one block.
+    trials (``_binomial_blocks``) and added into the statistic, int32 when
+    M * K < 2**31 (at most K - 1 detectors of at most M clicks each).
     """
-    check_nonnegative_int("seed", seed)
+    check_type("config", config, SimConfig)
+    check_int("seed", seed)
     params = config.params
     k = params.k
     m = params.m_pulses
     mu_in = config.alpha2 / m
-    transfer = np.asarray(config.transfer, dtype=complex)
+    transfer = np.asarray(_check_transfer(config.transfer), dtype=complex)
     if transfer.shape != (k, k):
         raise ParameterError(f"transfer matrix shape {transfer.shape} != ({k}, {k})")
     last_label = _last_label(config.last_label, transfer)
@@ -410,8 +385,10 @@ def plan_check(
         raise ParameterError(f"unknown strategy {strategy!r}")
     if trials is None:
         trials = default_trials(params.p_error)
-    if trials < 100:
-        raise ParameterError("statistical gating needs at least 100 trials")
+    check_int("statistical gating trials", trials, 100)
+    check_int("seed", seed)
+    check_real("alpha2_scale", alpha2_scale, 0.0, ends="()")
+    check_real("r_scale", r_scale, 0.0, ends="()")
     alpha2 = bound.alpha2 * alpha2_scale
     q_qubits, delta_cap = qubit_cost(alpha2, bound.m_pulses, params.epsilon)
     bound = replace(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import _UBS, CircuitLayout, _asin_sqrt, _check_stack, _compose
-from .errors import ParameterError, check_nonnegative_int
+from .errors import ParameterError, check_int, check_real, check_type
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.sigma_t < math.inf and 0 <= self.sigma_p < math.inf):
-            raise ParameterError("noise std-devs must be finite and nonnegative")
-        if not self.bs_loss_db <= 0:
-            raise ParameterError("bs_loss_db is a loss and must be <= 0")
-        check_nonnegative_int("seed", self.seed)
+        check_real("sigma_t", self.sigma_t, 0.0)
+        check_real("sigma_p", self.sigma_p, 0.0)
+        check_real("bs_loss_db", self.bs_loss_db, hi=0.0)
+        check_int("seed", self.seed)
 
     @property
     def block_amplitude(self) -> float:
@@ -147,26 +146,11 @@ def realization_bytes(layout: CircuitLayout) -> int:
     return 16 * layout.dim**2 + _DRAW_BYTES * int(np.count_nonzero(layout.kind == _UBS))
 
 
-def _check_transmittance(t: np.ndarray) -> None:
-    bad = ~((t >= 0.0) & (t <= 1.0))  # NaN fails too
-    if bad.any():
-        raise ParameterError(f"power transmittance outside [0, 1]: {t[bad.argmax()]}")
-
-
-def _noisy_blocks(t, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
-    """Realistic 2x2 blocks, ``(n_bs, n, 2, 2)``, for transmittances ``t``.
-
-    ``draws[j, i]`` are the four standard normals of beamsplitter ``j`` in
-    realization ``i``: the two symmetric-beamsplitter transmittance errors,
-    then the two shifter phase errors (see ``_blocks``).
-    """
-    t = np.asarray(t, dtype=float)
-    _check_transmittance(t)
-    return _blocks(_asin_sqrt(t), model, draws)
-
-
 def _blocks(omega: np.ndarray, model: NoiseModel, draws: np.ndarray) -> np.ndarray:
-    """``_noisy_blocks`` from each beamsplitter's ``asin(sqrt(t))``.
+    """Realistic 2x2 blocks, ``(n_bs, n, 2, 2)``, for beamsplitters of angle
+    ``omega = asin(sqrt(t))``.  ``draws[j, i]`` are the four standard normals
+    of beamsplitter ``j`` in realization ``i``: the two symmetric-beamsplitter
+    transmittance errors, then the two shifter phase errors.
 
     Transmittance amplitudes are clipped to [0, 1] so the block stays
     physical for large noise draws.  The flip is applied as a scaled row
@@ -200,21 +184,26 @@ def _blocks(omega: np.ndarray, model: NoiseModel, draws: np.ndarray) -> np.ndarr
 
 def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     """Realistic 2x2 block for an unbalanced beamsplitter of transmittance t,
-    from four standard normals drawn from ``rng`` (see ``_noisy_blocks``)."""
-    return _noisy_blocks([t], model, rng.standard_normal((1, 1, 4)))[0, 0]
+    from four standard normals drawn from ``rng`` (see ``_blocks``)."""
+    check_real("t", t, 0.0, 1.0)
+    check_type("model", model, NoiseModel)
+    check_type("rng", rng, np.random.Generator)
+    omega = _asin_sqrt(np.array([t], dtype=float))
+    return _blocks(omega, model, rng.standard_normal((1, 1, 4)))[0, 0]
 
 
-def _realize(layout: CircuitLayout, model: NoiseModel, indices) -> np.ndarray:
-    """Realizations ``indices`` of a layout, ``(n, K, K)``.  Realization ``i``
+def _realize(layout: CircuitLayout, model: NoiseModel, start: int, n: int) -> np.ndarray:
+    """Realizations ``start .. start + n - 1`` of a layout, ``(n, K, K)``.  Realization ``i``
     draws ``standard_normal((n_bs, 4))`` from its own stream,
     ``PCG64(SeedSequence((seed, i)))``: the same draws as four at a time per
     unbalanced beamsplitter, in layout order.  The streams are seeded in
     bulk (``_pcg64_states``), and the blocks are built from the draws one
     group at a time as ``_compose`` asks for them.  A stack above
     ``circuits.MAX_STACK_BYTES`` is rejected before any draw."""
-    n = len(indices)
+    check_type("layout", layout, CircuitLayout)
+    check_type("model", model, NoiseModel)
     _check_stack(layout.dim, n)
-    _check_transmittance(layout.value[layout.kind == _UBS])
+    indices = range(start, start + n)
     omega = layout._omega
     draws, one = np.empty((len(omega), n, 4)), np.empty((len(omega), 4))
     # one generator per call, reseeded per realization: calls share no state
@@ -244,8 +233,8 @@ def realize_circuit(
     values (the imperfections of the shifters internal to each block are
     already part of the block model).
     """
-    check_nonnegative_int("realization index", index)
-    return _realize(layout, model, [index])[0]
+    check_int("realization index", index)
+    return _realize(layout, model, index, 1)[0]
 
 
 def realize_batch(
@@ -258,8 +247,8 @@ def realize_batch(
     reproducible regardless of evaluation order or batch size, and a batch
     from ``start`` is that slice of any larger batch from 0.
     """
-    check_nonnegative_int("number of realizations", n)
-    check_nonnegative_int("first realization index", start)
+    check_int("number of realizations", n)
+    check_int("first realization index", start)
     if n < 1:
         raise ParameterError("need at least one realization")
-    return _realize(layout, model, range(start, start + n))
+    return _realize(layout, model, start, n)

@@ -560,12 +560,11 @@ def test_malformed_element_is_rejected(case):
 
 
 def reference_layout_from_json(text):
-    """The reader that checked each record with one ``_row`` call."""
+    """The reader that checked each record with one ``_row`` call
+    (``_record_row``: a record that is not an object with a kind and ports
+    is a ``LayoutError``)."""
     data = json.loads(text)
-    rows = [
-        qc._row(e["kind"], e["ports"], e.get("t"), e.get("omega"), e.get("layer", 0))
-        for e in data["elements"]
-    ]
+    rows = [qc._record_row(e) for e in data["elements"]]
     perm = data.get("output_perm")
     return qc.CircuitLayout._from_columns(
         data["dim"], data["design"], qc._columns(rows), tuple(perm) if perm else None
@@ -593,7 +592,52 @@ BAD_RECORDS = {
     "string-t": _UBS_RECORD | {"t": "0.5"},
     "t=nan": _UBS_RECORD | {"t": math.nan},
     "phase=inf": _PS_RECORD | {"omega": -math.inf},
+    "ports-not-a-list": _UBS_RECORD | {"ports": 5},
+    "float-layer": _PS_RECORD | {"layer": 1.5},
+    "string-layer": _SBS_RECORD | {"layer": "0"},
+    "without-kind": {k: v for k, v in _UBS_RECORD.items() if k != "kind"},
+    "not-an-object": 3,
 }
+
+_MATRIX = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+#: One bad field per document, read by the layout or the matrix reader, and
+#: the typed error it raises.
+BAD_DOCUMENTS = {
+    "layout-dim-string": ("layout", {"dim": "3"}, InvalidDimensionError),
+    "layout-dim-float": ("layout", {"dim": 3.0}, InvalidDimensionError),
+    "layout-dim-missing": ("layout", {"dim": None}, InvalidDimensionError),
+    "layout-elements-object": ("layout", {"elements": {}}, LayoutError),
+    "layout-elements-missing": ("layout", {"elements": None}, LayoutError),
+    "layout-design-number": ("layout", {"design": 3}, LayoutError),
+    "layout-output-perm-number": ("layout", {"output_perm": 5}, LayoutError),
+    "matrix-dim-string": ("matrix", {"dim": "2"}, InvalidDimensionError),
+    "matrix-ragged-rows": ("matrix", {"re": [[1.0, 0.0], [0.0]]}, LayoutError),
+    "matrix-missing-im": ("matrix", {"im": None}, LayoutError),
+    "matrix-string-entries": ("matrix", {"re": [["1", "0"], ["0", "1"]]}, LayoutError),
+    "matrix-wrong-shape": ("matrix", {"dim": 3}, LayoutError),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENTS)
+def test_malformed_document_is_rejected(case):
+    reader, change, error = BAD_DOCUMENTS[case]
+    if reader == "layout":
+        data = json.loads(_layout_text([_UBS_RECORD]))
+        read = qc.layout_from_json
+    else:
+        data = _MATRIX
+        read = qc.matrix_from_json
+
+    def text(data):
+        return json.dumps({k: v for k, v in data.items() if v is not None})  # None: no key
+
+    read(text(data))  # without the change it reads, output_perm key or not
+    with pytest.raises(error):
+        read(text(data | change))
+    for text in ("[]", "3", '"layout"'):  # not a JSON object at all
+        with pytest.raises(LayoutError):
+            read(text)
 
 
 def _layout_text(records):

@@ -210,7 +210,7 @@ def test_stacked_blocks_match_reference_block(model, n_bs, n):
     rng = np.random.default_rng(n_bs)
     t = np.resize(np.concatenate([[0.0, 0.5, 1.0], rng.random(7)]), n_bs)
     draws = rng.standard_normal((n_bs, n, 4))
-    got = noise._noisy_blocks(t, model, draws)
+    got = noise._blocks(qc._asin_sqrt(t), model, draws)
     assert got.shape == (n_bs, n, 2, 2)
     for j, i in np.ndindex(n_bs, n):
         want = reference_noisy_block(t[j], model, draws[j, i])
