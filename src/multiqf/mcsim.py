@@ -5,14 +5,16 @@ produces an independent click per detector with ``gains.click_probability``,
 1 - exp(-eta * mu) OR-ed with an independent dark click.  Because slots of
 one type are i.i.d., per-trial detector counts are drawn directly from the
 matching binomials, which is distribution-identical to slot-by-slot sampling.
-The counts are bit-identical to ``Generator.binomial``'s, stream position
-included, and are drawn in blocks of trials added straight into the strategy
-statistic (``simulate``); where numpy samples by inversion, a guide table
-(Chen & Asau) over numpy's own cumulative pmf maps the same uniforms to
-counts (``_binomial_blocks``).  A simulation holds 4 B per trial (8 B once
-M * K reaches 2**31) plus one block on its worker thread: 128 KiB of int64
-counts from BTPE, or 128 KiB of uniforms and 64 KiB of cell indices, counts
-and masks.
+
+The sampling contract: seed s draws from ``PCG64(SeedSequence((s, 0)))``,
+detector by detector.  A count is the smallest k with cdf[k] >= u for one
+``Generator.random`` uniform u, over the package's own cdf
+(``_binomial_cdf``) through a guide table (``_CountTable``); an unread count
+advances the stream by its uniform.  A window wider than ``_TABLE_COUNTS``
+takes ``Generator.binomial``'s counts, drawn and dropped when unread.
+Counts go into the statistic in blocks of ``_TRIAL_BLOCK`` trials, so a
+simulation holds 4 B per trial (8 B once M * K reaches 2**31), one block of
+scratch and the tables it reads.
 
 The oracle knows nothing about the analytical tail bounds; feeding it a
 bound's (alpha2, threshold) and checking the empirical error rate against
@@ -21,7 +23,6 @@ the target is the package's empirical gate on the bound mathematics.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections.abc import Sequence
@@ -51,11 +52,16 @@ SCENARIOS = (ALL_EQUAL, WORST_DIFFERENT)
 #: One-sided 95% normal quantile for the Wilson score bound.
 _Z95 = 1.6448536269514722
 
-#: Trials per block in ``simulate``: 128 KiB of int64 counts or of uniforms.
+#: Trials per block in ``simulate``: 128 KiB of uniforms or of int64 counts.
 _TRIAL_BLOCK = 1 << 14
 
-#: Cells of the guide table that maps a uniform to a low-mean binomial count.
-_GUIDE_CELLS = 1 << 10
+#: Most counts a table spans (a wider window, a standard deviation above
+#: about 1,350 counts or M of 1e10 at high click rates, takes numpy's
+#: counts); its cells per count, which leave under 2% of them holding a sum;
+#: and its most cells, 256 KiB of int32 counts.
+_TABLE_COUNTS = 1 << 15
+_CELLS_PER_COUNT = 16
+_MAX_CELLS = 1 << 16
 
 
 def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
@@ -145,9 +151,8 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
 
     The sampling is exact at any alpha2; the small-photon regime the
     analytical bounds rely on is checked where a bound is planned
-    (``plan_check``).  Counts are drawn in blocks of ``_TRIAL_BLOCK``
-    trials (``_binomial_blocks``) and added into the statistic, int32 when
-    M * K < 2**31 (at most K - 1 detectors of at most M clicks each).
+    (``plan_check``).  The statistic is int32 when M * K < 2**31 (at most
+    K - 1 detectors of at most M clicks each).
     """
     check_type("config", config, SimConfig)
     check_int("seed", seed)
@@ -173,31 +178,41 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
             flip = gains.worst_pattern_first if first else gains.worst_pattern_last
         pattern = np.ones(k)
         pattern[flip] = -1.0
-        m_diff = math.floor((1.0 - params.ecc.delta) * m)
+        # 21,999.999999999996 at delta = 0.78 and M = 1e5: the bounds assume
+        # 22,000, so a product within 1e-9 * M of an integer is taken as it
+        x = (1.0 - params.ecc.delta) * m
+        m_diff = round(x) if abs(x - round(x)) <= 1e-9 * m else math.floor(x)
         if m_diff:
             mu_diff = output_photon_numbers(transfer, pattern, mu_in)
             slot_types = [(m - m_diff, mu_equal), (m_diff, mu_diff)]
     slot_types = [(n, click_probability(mu, params.eta, params.p_dark)) for n, mu in slot_types]
 
-    # Each detector's counts are drawn in detector order, folded into the
-    # strategy statistic and dropped: first-K-1 sums the detectors other
-    # than the last, last-only keeps the last alone.  Drawing stops after
-    # the last detector the statistic reads, which leaves the earlier
-    # draws' stream positions as they are.  Consecutive binomial calls
-    # consume the stream as one call of their summed size does, so each
-    # (detector, slot type) draw is split into blocks of trials.
+    # (detector, slot type) after (detector, slot type) up to the last
+    # detector read: first-K-1 adds the detectors other than the last,
+    # last-only the last alone.  A table is built at the first read of its
+    # (n, p), which the dark-only detectors share, and dropped after the last.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     trials = config.trials
     stat = np.zeros(trials, dtype=np.int32 if int(m) * int(k) < 2**31 else np.int64)
     stop = (k - 1 if last == k - 1 else k) if first else last + 1
-    for det in range(stop):
-        reads = (det != last) == first
-        for slots, p in slot_types:
-            lo = 0
-            for counts in _binomial_blocks(rng, slots, float(p[det]), trials):
-                if reads:
-                    stat[lo:lo + counts.size] += counts
-                lo += counts.size
+    draws = [((det != last) == first, (n, float(p[det])))
+             for det in range(stop) for n, p in slot_types]
+    last_read = {key: i for i, (read, key) in enumerate(draws) if read}
+    tables = {}
+    for i, (read, (n, p)) in enumerate(draws):
+        lo, hi = _window(n, p)
+        if hi - lo >= _TABLE_COUNTS:
+            for start in range(0, trials, _TRIAL_BLOCK):
+                counts = rng.binomial(n, p, size=min(_TRIAL_BLOCK, trials - start))
+                if read:
+                    stat[start:start + counts.size] += counts
+        elif not read:
+            rng.bit_generator.advance(trials)  # one 64-bit output per uniform
+        else:
+            table = tables.pop((n, p), None) or _CountTable(n, p, stat.dtype)
+            table.add_into(rng, stat)
+            if last_read[n, p] > i:
+                tables[n, p] = table
     # First-K-1 says "different" above the threshold, last-only at or
     # below it; a trial errs where that disagrees with the scenario.
     above = int(np.count_nonzero(stat > config.threshold_r))
@@ -212,84 +227,68 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
     )
 
 
-def _binomial_blocks(rng: np.random.Generator, n: int, p: float, trials: int):
-    """Yield ``rng.binomial(n, p, size)`` for consecutive blocks of at most
-    ``_TRIAL_BLOCK`` of ``trials`` draws: the same counts, and the stream
-    left where numpy leaves it.  Each block is valid until the next.
-
-    Where numpy samples by inversion (0 < p <= 0.5 and n * p <= 30), a draw
-    without a restart reads one ``next_double``, so the block's uniforms
-    come from ``rng.random`` and a guide table of ``_GUIDE_CELLS`` cells
-    over numpy's own pmf turns them into counts.  A uniform within
-    ``band`` of a cumulative sum, or in the restart region above the last
-    one, may round the other way in numpy's subtractive loop; a block that
-    holds one is redone by ``_inversion_loop``, numpy's loop itself.
-    """
-    sizes = [min(_TRIAL_BLOCK, trials - lo) for lo in range(0, trials, _TRIAL_BLOCK)]
-    if not (n > 0 and 0.0 < p <= 0.5 and p * n <= 30.0):
-        for size in sizes:
-            yield rng.binomial(n, p, size=size)
-        return
-    # numpy's constants (random_binomial_inversion), then the cumulative
-    # sums in units of one cell, which scales every uniform exactly.  numpy
-    # subtracts the pmf from the uniform term by term where the sums add it;
-    # each step of either rounds by at most 2**-53, so the two can disagree
-    # only within (bound + 1) * 2**-52 of a sum, inside ``band``.
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
+def _window(n: int, p: float) -> tuple[int, int]:
+    """The counts ``lo..hi`` within 12 sd + 12 of the mean of Binomial(n, p),
+    clipped to [0, n]; the mass outside is below 1e-26 (the 12 added counts
+    keep it there at means near 1, where 12 sd alone leave 1e-12)."""
     mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    pmf = [qn]
-    for x in range(1, bound + 1):
-        pmf.append(((n - x + 1) * p * pmf[-1]) / (x * q))
-    cum = np.cumsum(pmf) * _GUIDE_CELLS
-    band = (bound + 2) * 2.0**-52 * _GUIDE_CELLS
-    # A cell maps to its count when no sum lies within band of it; -1 marks
-    # the others, and the restart region.  bound <= 30 + 10 * sqrt(31) < 86,
-    # so every count fits an int8.
-    edges = np.arange(_GUIDE_CELLS + 1.0)
-    low = np.searchsorted(cum, edges[:-1] - band)
-    pure = (low == np.searchsorted(cum, edges[1:] + band, side="right")) & (low <= bound)
-    guide = np.where(pure, low, -1).astype(np.int8)
-    buf = np.empty(_TRIAL_BLOCK)
-    cells = np.empty(_TRIAL_BLOCK, dtype=np.int16)
-    out = np.empty(_TRIAL_BLOCK, dtype=np.int8)
-    for size in sizes:
-        u = rng.random(out=buf[:size])
-        u *= _GUIDE_CELLS
-        cells[:size] = u
-        # every cell index is in range: "wrap" only skips the bounds check
-        counts = guide.take(cells[:size], out=out[:size], mode="wrap")
-        mixed = np.flatnonzero(counts < 0)
-        if mixed.size:
-            v = u[mixed]
-            x = np.searchsorted(cum, v - band)
-            if x.max() > bound or np.any(x != np.searchsorted(cum, v + band, side="right")):
-                counts = _inversion_loop(rng, n, p, qn, bound, u / _GUIDE_CELLS)
-            else:
-                counts[mixed] = x
-        yield counts
+    width = 12.0 * math.sqrt(mean * (1.0 - p)) + 12.0
+    return max(0, math.floor(mean - width)), min(n, math.ceil(mean + width))
 
 
-def _inversion_loop(
-    rng: np.random.Generator, n: int, p: float, qn: float, bound: int, uniforms: np.ndarray
-) -> np.ndarray:
-    """numpy's inversion sampler, draw by draw, reading ``uniforms`` and
-    then ``rng.random()``: a restart takes one more uniform."""
-    q = 1.0 - p
-    draws = itertools.chain(uniforms.tolist(), iter(rng.random, None))
-    counts = np.empty(uniforms.size, dtype=np.int64)
-    for i in range(uniforms.size):
-        x, px, u = 0, qn, next(draws)
-        while u > px:
-            x += 1
-            if x > bound:
-                x, px, u = 0, qn, next(draws)
-            else:
-                u -= px
-                px = ((n - x + 1) * p * px) / (x * q)
-        counts[i] = x
-    return counts
+def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
+    """``(lo, cdf)``: ``cdf[i]`` is P(X <= lo + i), X ~ Binomial(n, p), over
+    ``_window(n, p)`` and normalized to ``cdf[-1] == 1``.  The log-pmf walks
+    out from the mode by cumulative sums of log (n - k + 1) p / (k q), so a
+    term's rounding grows with its distance from the mode."""
+    if p == 0.0 or p == 1.0 or n == 0:
+        return (n if p == 1.0 else 0), np.ones(1)
+    lo, hi = _window(n, p)
+    mode = min(hi, max(lo, math.floor((n + 1) * p))) - lo
+    k = np.arange(lo + 1, hi + 1, dtype=float)
+    steps = np.log((n - k + 1.0) / k * (p / (1.0 - p)))
+    logs = np.zeros(hi - lo + 1)
+    logs[mode + 1:] = np.cumsum(steps[mode:])
+    logs[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
+    cdf = np.cumsum(np.exp(logs))
+    return lo, cdf / cdf[-1]
+
+
+class _CountTable:
+    """Binomial(n, p) counts, one ``Generator.random`` uniform u each: the
+    smallest ``lo + i`` with ``cdf[i] >= u`` (``_binomial_cdf``).  A guide
+    table (Chen & Asau) of a power of two cells maps u to cell u * cells,
+    exact as are the sums ``cdf * cells``.  A cell no sum falls in holds the
+    count of all its uniforms; the others hold -1 and search the sums."""
+
+    def __init__(self, n: int, p: float, dtype):
+        self.lo, cdf = _binomial_cdf(n, p)
+        cells = min(_MAX_CELLS, 1 << (_CELLS_PER_COUNT * cdf.size - 1).bit_length())
+        self.scale = float(cells)
+        self.sums = cdf * cells
+        # sum i lies in cell at[i]: the cells in (at[i - 1], at[i]) hold
+        # lo + i; the sums equal to 1 mark the cell past the table
+        at = self.sums.astype(np.intp)
+        guide = np.repeat(np.arange(self.lo, self.lo + at.size, dtype=dtype),
+                          np.diff(at, prepend=-1))
+        guide[at] = -1
+        self.guide = guide[:cells]
+
+    def add_into(self, rng: np.random.Generator, stat: np.ndarray) -> None:
+        """Add one count per trial into ``stat``, ``_TRIAL_BLOCK`` at a time."""
+        u = np.empty(min(stat.size, _TRIAL_BLOCK))
+        cells = np.empty(u.size, dtype=np.intp)
+        out = np.empty(u.size, dtype=stat.dtype)
+        for lo in range(0, stat.size, _TRIAL_BLOCK):
+            part = stat[lo:lo + _TRIAL_BLOCK]
+            v = rng.random(out=u[:part.size])
+            v *= self.scale
+            cells[:part.size] = v
+            # every cell index is in range: "wrap" only skips the bounds check
+            counts = self.guide.take(cells[:part.size], out=out[:part.size], mode="wrap")
+            mixed = np.flatnonzero(counts < 0)
+            counts[mixed] = self.lo + np.searchsorted(self.sums, v[mixed])
+            part += counts
 
 
 def _usable_cores() -> int:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats as st
 
 from multiqf import bounds as b
 from multiqf import circuits as qc
@@ -18,9 +19,18 @@ def tree_matrix(k):
     return qc.compose_layout(qc.optimal_tree_layout(k))
 
 
+def differing_slots(delta, m):
+    """floor((1 - delta) * m), snapped to the nearest integer within 1e-9 * m."""
+    x = (1.0 - delta) * m
+    return round(x) if abs(x - round(x)) <= 1e-9 * m else math.floor(x)
+
+
 def reference_counts(config, seed=0):
-    """Every detector's counts, ``(K, trials)``, drawn detector by detector
-    as ``simulate`` draws them, and the 0-based index of the last detector."""
+    """Every detector's counts, ``(K, trials)``, drawn detector by detector,
+    read or not, as the contract of ``simulate`` says: one uniform per count,
+    mapped to the smallest k with cdf[k] >= u, or ``Generator.binomial`` for
+    a window wider than ``_TABLE_COUNTS``; and the 0-based index of the
+    last detector."""
     params = config.params
     k = params.k
     m = params.m_pulses
@@ -41,7 +51,7 @@ def reference_counts(config, seed=0):
             first = config.strategy == b.STRATEGY_FIRST
             flip = gains.worst_pattern_first if first else gains.worst_pattern_last
         mu_diff = photon_numbers([-1 if i == flip else 1 for i in range(k)])
-        m_diff = math.floor((1.0 - params.ecc.delta) * m)
+        m_diff = differing_slots(params.ecc.delta, m)
     else:
         mu_diff = mu_equal
         m_diff = 0
@@ -51,14 +61,21 @@ def reference_counts(config, seed=0):
         p = -np.expm1(-params.eta * mu)
         return 1.0 - (1.0 - p) * (1.0 - params.p_dark)
 
+    def draw(rng, n, p):
+        lo, hi = mc._window(n, p)
+        if hi - lo >= mc._TABLE_COUNTS:
+            return rng.binomial(n, p, size=config.trials)
+        lo, cdf = mc._binomial_cdf(n, p)
+        return lo + np.searchsorted(cdf, rng.random(config.trials))
+
     p_equal = click_prob(mu_equal)
     p_diff = click_prob(mu_diff)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+    rng = pcg(seed)
     counts = np.empty((k, config.trials), dtype=np.int64)
     for det in range(k):
-        counts[det] = rng.binomial(m_equal, p_equal[det], size=config.trials)
+        counts[det] = draw(rng, m_equal, float(p_equal[det]))
         if m_diff:
-            counts[det] += rng.binomial(m_diff, p_diff[det], size=config.trials)
+            counts[det] += draw(rng, m_diff, float(p_diff[det]))
     return counts, last_label - 1
 
 
@@ -338,8 +355,8 @@ def test_draws_stop_after_the_last_detector_read(ecc, strategy, scenario, last_l
 @pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
 def test_trial_blocks_match_materialized(ecc, strategy, scenario, trials):
     # one trial, either side of one and of two blocks, four blocks and a tail; the
-    # photon-losing detector is the second of four, so each strategy draws
-    # the blocks of a detector its statistic skips
+    # photon-losing detector is the second of four, so each strategy skips
+    # the blocks of a detector its statistic does not read
     cfg = noisy_config(ecc, 4, strategy, scenario, trials=trials, last_label=2)
     assert mc.simulate(cfg, seed=11) == reference_simulate(cfg, seed=11)
 
@@ -368,8 +385,9 @@ def test_statistic_exact_across_its_dtypes(ecc, strategy, scenario, m_pulses):
 
 @pytest.mark.parametrize("n, p", [(7, 0.3), (10**4, 0.02), (10**4, 0.97), (2**30, 0.9)])
 def test_consecutive_binomial_calls_continue_one_stream(n, p):
-    # what the trial blocks rely on: two calls draw what one call of the
-    # summed size draws, and leave the stream at the same position
+    # what the trial blocks of a window wider than _TABLE_COUNTS rely on:
+    # two calls draw what one call of the summed size draws, and leave the
+    # stream at the same position
     def rng():
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, 0))))
 
@@ -381,38 +399,6 @@ def test_consecutive_binomial_calls_continue_one_stream(n, p):
 
 def pcg(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
-
-
-def numpy_inversion(rng, n, p):
-    """One draw of numpy's inversion sampler (``random_binomial_inversion``,
-    used for p <= 0.5 and n * p <= 30), transcribed: the oracle for the
-    paths of ``mcsim._binomial_blocks`` no random seed reaches."""
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    x, px, u = 0, qn, rng.random()
-    while u > px:
-        x += 1
-        if x > bound:
-            x, px, u = 0, qn, rng.random()
-        else:
-            u -= px
-            px = ((n - x + 1) * p * px) / (x * q)
-    return x
-
-
-def numpy_cumulative_pmf(n, p):
-    """numpy's inversion pmf summed in order, up to its restart bound."""
-    q = 1.0 - p
-    mean = n * p
-    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = math.exp(n * math.log(q))
-    sums = [px]
-    for x in range(1, bound + 1):
-        px = ((n - x + 1) * p * px) / (x * q)
-        sums.append(sums[-1] + px)
-    return sums
 
 
 class ScriptedUniforms:
@@ -431,18 +417,29 @@ class ScriptedUniforms:
         return out
 
 
-def drawn_blocks(rng, n, p, trials):
-    """Every block of ``_binomial_blocks``, copied before the next reuses it."""
-    return np.concatenate([c.copy() for c in mc._binomial_blocks(rng, n, p, trials)])
+def drawn_blocks(rng, n, p, trials, table=None):
+    """The counts ``simulate`` adds for one (detector, slot type) it reads."""
+    stat = np.zeros(trials, dtype=np.int64)
+    (table or mc._CountTable(n, p, np.int64)).add_into(rng, stat)
+    return stat
 
 
-#: (n, p): n * p near 0, 1 and 5 and exactly 30, bound = n (small n),
-#: p near 0.5, then numpy's BTPE, its p > 0.5 mirror and the no-draw cases.
+def smallest_count(cdf, lo, u):
+    """lo plus the smallest k with cdf[k] >= u, walked one count at a time."""
+    k = 0
+    while cdf[k] < u:
+        k += 1
+    return lo + k
+
+
+#: (n, p): n * p near 0, 1 and 5 and exactly 30, a window clipped to [0, n]
+#: (small n), p near 0.5, a mean above 30, p above 0.5 and two point masses.
 BINOMIAL_GRID = [
     (10**6, 1e-9), (10**4, 9.9e-5), (10**4, 1e-4), (10**5, 4.9e-5), (500, 0.01),
     (60, 0.5), (120, 0.25), (3000, 0.01), (3, 0.3), (10, 0.45), (41, 0.4999999),
     (1000, 0.1), (10, 0.7), (0, 0.3), (10, 0.0),
 ]
+#: Where numpy's ``Generator.binomial`` samples by inversion.
 INVERSION_GRID = [(n, p) for n, p in BINOMIAL_GRID if n and 0 < p <= 0.5 and n * p <= 30.0]
 
 
@@ -450,87 +447,215 @@ class TestBinomialBlocks:
     @pytest.mark.parametrize("seed", [0, 1, 2**40])
     @pytest.mark.parametrize("n, p", BINOMIAL_GRID)
     def test_bit_equal_to_numpy(self, n, p, seed):
-        # two blocks and a tail: the counts and the stream position after them
+        # two blocks and a tail: the counts are numpy's searchsorted of the
+        # cdf over numpy's uniforms, and the stream ends where theirs does
         trials = 2 * mc._TRIAL_BLOCK + 5
         ours, numpys = pcg(seed), pcg(seed)
-        assert np.array_equal(drawn_blocks(ours, n, p, trials), numpys.binomial(n, p, size=trials))
+        lo, cdf = mc._binomial_cdf(n, p)
+        expect = lo + np.searchsorted(cdf, numpys.random(trials))
+        assert np.array_equal(drawn_blocks(ours, n, p, trials), expect)
         assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize("n, p", INVERSION_GRID)
     def test_transcription_is_numpys_sampler(self, n, p):
+        # numpy's inversion sampler reads one uniform per draw and walks its
+        # own cumulative pmf up to it: the same rule, so the same counts and
+        # the same stream position, unless a uniform falls between the two
+        # sums' roundings (about 1e-16 per draw)
         ours, numpys = pcg(4), pcg(4)
-        drawn = [numpy_inversion(ours, n, p) for _ in range(3000)]
-        assert np.array_equal(drawn, numpys.binomial(n, p, size=3000))
+        assert np.array_equal(drawn_blocks(ours, n, p, 3000), numpys.binomial(n, p, size=3000))
         assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize("n, p", [
         (3, 0.3), (1000, 0.001), (10, 0.45), (60, 0.5), (10**4, 1e-4), (120, 0.25), (3000, 0.01),
     ])
-    def test_rare_uniforms_follow_numpys_loop(self, monkeypatch, n, p):
-        # every cumulative sum exactly and some ulps either side (numpy's
-        # subtractive loop and the sums disagree up to 6 ulps away at
-        # (120, 0.25) and 67 at (3000, 0.01)), the ends of [0, 1), and the
-        # restart region above the last sum where it exists ((3, 0.3),
-        # (1000, 0.001) and (10, 0.45) sum to below 1); each uniform is drawn
-        # alone, then all of them as one block, in which a restart takes one
-        # of the trailing uniforms and shifts the later draws
-        sums = numpy_cumulative_pmf(n, p)
+    def test_rare_uniforms_follow_numpys_loop(self, n, p):
+        # every cumulative sum exactly and some ulps either side, and the
+        # ends of [0, 1): each gives the smallest k with cdf[k] >= u, as a
+        # loop up the sums finds it (numpy's inversion loop walks its own
+        # sums so), drawn alone and then all as one block
+        lo, cdf = mc._binomial_cdf(n, p)
         hand = [0.0, 1.0 - 2.0**-53]
-        for c in sums:
-            hand += [c + k * np.spacing(c) for k in (-64, -24, -16, -8, -4, -3, -2, -1, 0,
-                                                      1, 2, 3, 4, 8, 16, 24, 64)]
-        if sums[-1] < 1.0:
-            hand.append((sums[-1] + 1.0) / 2)
-        hand = [u for u in hand if u < 1.0]
-        loops = []
-        real = mc._inversion_loop
-        monkeypatch.setattr(mc, "_inversion_loop", lambda *a: loops.append(a) or real(*a))
-        restarts = 0
-        for u in hand:
-            ours, oracle = ScriptedUniforms([u, 0.5]), ScriptedUniforms([u, 0.5])
-            assert drawn_blocks(ours, n, p, 1).tolist() == [numpy_inversion(oracle, n, p)], u
-            assert ours.used == oracle.used, u
-            restarts += ours.used - 1
-        assert loops
-        assert (restarts > 0) == (sums[-1] < 1.0)
-        tail = [0.5, 0.25, 0.75] * len(hand)
-        ours, oracle = ScriptedUniforms(hand + tail), ScriptedUniforms(hand + tail)
-        drawn = drawn_blocks(ours, n, p, len(hand))
-        assert drawn.tolist() == [numpy_inversion(oracle, n, p) for _ in hand]
-        assert ours.used == oracle.used == len(hand) + restarts
+        for c in cdf:
+            hand += [c + k * np.spacing(c) for k in (-64, -4, -3, -2, -1, 0, 1, 2, 3, 4, 64)]
+        hand = [u for u in hand if 0.0 <= u < 1.0]
+        expect = [smallest_count(cdf, lo, u) for u in hand]
+        assert [drawn_blocks(ScriptedUniforms([u]), n, p, 1)[0] for u in hand] == expect
+        uniforms = ScriptedUniforms(hand + [0.5])
+        assert drawn_blocks(uniforms, n, p, len(hand)).tolist() == expect
+        assert uniforms.used == len(hand)
 
-    def test_a_block_far_from_every_sum_skips_the_loop(self, monkeypatch):
-        # the midpoints between consecutive sums resolve through the table
+    def test_a_block_far_from_every_sum_skips_the_loop(self):
+        # the uniforms in cells that hold no cumulative sum resolve through
+        # the guide table alone: with every sum at -inf, a searched uniform
+        # would come out past the window
         n, p = 60, 0.5
-        sums = [0.0] + numpy_cumulative_pmf(n, p)
-        mids = [(a + c) / 2 for a, c in zip(sums, sums[1:]) if c - a > 1e-9 and c < 1.0]
-        monkeypatch.setattr(mc, "_inversion_loop", None)
-        drawn = drawn_blocks(ScriptedUniforms(mids), n, p, len(mids))
-        assert drawn.tolist() == [numpy_inversion(ScriptedUniforms([u]), n, p) for u in mids]
+        table = mc._CountTable(n, p, np.int64)
+        lo, cdf = mc._binomial_cdf(n, p)
+        pure = np.flatnonzero(table.guide >= 0)
+        assert pure.size > 0.9 * table.guide.size
+        mids = ((pure + 0.5) / table.scale).tolist()
+        expect = [smallest_count(cdf, lo, u) for u in mids]
+        table.sums = np.full_like(table.sums, -np.inf)
+        drawn = drawn_blocks(ScriptedUniforms(mids), n, p, len(mids), table)
+        assert drawn.tolist() == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 1000, 10**5, 2**20 + 3, 10**8, 2**30])
+def test_binomial_cdf_matches_scipy(n):
+    # within 2**-50 * (sd + 16): the log-ratio walk gathers a few ulps per
+    # count away from the mode, where the mass sits one sd out
+    for p in (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        lo, cdf = mc._binomial_cdf(n, p)
+        assert (lo, lo + cdf.size - 1) == mc._window(n, p)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        want = st.binom.cdf(np.arange(lo, lo + cdf.size), n, p)
+        tol = 2.0**-50 * (math.sqrt(n * p * (1.0 - p)) + 16.0)
+        assert np.max(np.abs(cdf - want)) <= tol, p
+        # the mass outside the window is beyond double precision
+        outside = st.binom.sf(lo + cdf.size - 1, n, p) + (st.binom.cdf(lo - 1, n, p) if lo else 0)
+        assert outside < 1e-26, p
+
+
+@pytest.mark.parametrize("trials", [1, mc._TRIAL_BLOCK, 2 * mc._TRIAL_BLOCK + 5])
+def test_advance_equals_drawing_and_dropping(trials):
+    # what a detector the statistic does not read costs: one 64-bit output
+    # per uniform, so advancing leaves the stream where drawing would
+    skipped, drawn = pcg(9), pcg(9)
+    skipped.bit_generator.advance(trials)
+    drawn_blocks(drawn, 10**5, 1e-4, trials)
+    assert skipped.random() == drawn.random()
+
+
+@pytest.mark.parametrize("n, p", [
+    (10**4, 1e-6), (10**5, 3e-6), (1000, 0.003), (10**4, 0.003), (10**5, 0.003),
+    (10**6, 0.01), (10**4, 0.97),
+])
+def test_counts_fit_the_binomial_law(n, p):
+    # n * p from 0.01 to 1e4, and p above 0.5: 200,000 counts against
+    # scipy's pmf, in bins of at least 50 expected counts with the tails
+    # merged into the end bins
+    draws = 200_000
+    counts = drawn_blocks(pcg(13), n, p, draws)
+    ks = np.arange(st.binom.ppf(1e-12, n, p), st.binom.isf(1e-12, n, p) + 1)
+    expected = st.binom.pmf(ks, n, p) * draws
+    expected[0] += st.binom.cdf(ks[0] - 1, n, p) * draws
+    expected[-1] += st.binom.sf(ks[-1], n, p) * draws
+    observed = np.bincount(np.clip(counts, ks[0], ks[-1]).astype(np.int64) - int(ks[0]),
+                           minlength=ks.size)
+    # merge each bin below 50 expected counts into its neighbour toward the mode
+    edges = [0]
+    for i in range(ks.size):
+        if expected[edges[-1]:i + 1].sum() >= 50.0 and i + 1 < ks.size:
+            edges.append(i + 1)
+    if expected[edges[-1]:].sum() < 50.0 and len(edges) > 1:
+        edges.pop()
+    obs = np.add.reduceat(observed, edges)
+    exp = np.add.reduceat(expected, edges)
+    assert obs.size >= 2
+    assert st.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("delta, m_pulses, m_diff", [
+    (0.78, 10**5, 22_000), (0.7, 10**5, 30_000), (0.9, 10**4, 1_000),
+    (0.6, 100_001, 40_000), (0.78, 7, 1),
+])
+def test_differing_slots_are_exact(delta, m_pulses, m_diff):
+    # every differing slot of the flipped detector clicks (p = 1) and no
+    # equal slot does (p = 0), so first-K-1 counts exactly the differing
+    # slots: 22,000 at delta = 0.78 and M = 1e5, where floor((1 - 0.78) * M)
+    # gives 21,999
+    assert differing_slots(delta, m_pulses) == m_diff
+    ecc = b.ECCParams.from_delta(delta)
+    params = make_params(ecc, 2, m_pulses, 0.05)
+    assert params.m_pulses == m_pulses
+    for threshold, errors in ((m_diff - 0.5, 0), (m_diff, 50)):
+        cfg = mc.SimConfig(
+            trials=50, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+            params=params, transfer=tree_matrix(2), alpha2=100.0 * m_pulses,
+            threshold_r=threshold, last_label=1, worst_pattern=1,
+        )
+        assert mc.simulate(cfg, seed=1).errors == errors
+
+
+def test_each_table_is_built_once_per_simulation(ecc, monkeypatch):
+    # the ideal K = 16 tree with dark counts: the 15 detectors first-K-1
+    # reads share one click probability in the equal slots, and the flip's
+    # light reaches them at five levels in the differing slots, so 30 reads
+    # take 6 tables
+    builds = []
+    real = mc._CountTable
+
+    def counting(n, p, dtype):
+        builds.append((n, p))
+        return real(n, p, dtype)
+
+    monkeypatch.setattr(mc, "_CountTable", counting)
+    k = 16
+    cfg = at_mean(mc.SimConfig(
+        trials=2000, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+        params=make_params(ecc, k, 10**4, 0.05, p_dark=1e-4), transfer=tree_matrix(k),
+        alpha2=b.ideal_alpha2(k, ecc, 0.05), threshold_r=0.0,
+    ))
+    builds.clear()
+    out = mc.simulate(cfg, seed=4)
+    assert out == reference_simulate(cfg, seed=4)
+    assert len(builds) == len(set(builds)) <= 6
 
 
 def test_simulate_matches_materialized_in_every_sampling_regime(ecc, monkeypatch):
     # dark clicks (n * p < 1), the flipped input's light in the differing
-    # slots (5 <= n * p <= 30) and the equal slots' light (numpy's BTPE)
+    # slots (5 <= n * p <= 30) and the equal slots' light (above 30), each
+    # read through a table; first-K-1 skips the second detector, which is
+    # dark in both
     means = []
-    real = mc._binomial_blocks
+    real = mc._CountTable
 
-    def recording(rng, n, p, trials):
+    def recording(n, p, dtype):
         means.append(n * p)
-        return real(rng, n, p, trials)
+        return real(n, p, dtype)
 
-    monkeypatch.setattr(mc, "_binomial_blocks", recording)
+    monkeypatch.setattr(mc, "_CountTable", recording)
     k = 4
     cfg = at_mean(mc.SimConfig(
         trials=mc._TRIAL_BLOCK + 7, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
         params=make_params(ecc, k, 10**5, 0.05, p_dark=5e-6), transfer=tree_matrix(k),
-        alpha2=20.0, threshold_r=0.0, last_label=None,
+        alpha2=20.0, threshold_r=0.0, last_label=2, worst_pattern=3,
     ))
     out = mc.simulate(cfg, seed=2)
     assert out == reference_simulate(cfg, seed=2)
     assert 0 < out.errors < cfg.trials
     assert min(means) < 1.0 and max(means) > 30.0
     assert any(5.0 <= m <= 30.0 for m in means)
+
+
+@pytest.mark.parametrize("scenario", mc.SCENARIOS)
+@pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
+def test_wide_windows_draw_numpys_binomial_in_bounded_memory(ecc, strategy, scenario):
+    # M = 1e12: the light's windows span millions of counts, so those
+    # counts are Generator.binomial's, drawn (and, where unread, dropped)
+    # block by block; the dark-only detectors' means of 1,000 keep their
+    # tables.  The statistic is int64, 128 KiB, and one block of counts
+    # another 128 KiB: no table over a wide window is built
+    import tracemalloc
+
+    k = 4
+    params = make_params(ecc, k, 10**12, 0.05, p_dark=1e-9)
+    assert params.m_pulses == 10**12
+    cfg = at_mean(mc.SimConfig(
+        trials=mc._TRIAL_BLOCK + 1, scenario=scenario, strategy=strategy, params=params,
+        transfer=tree_matrix(k), alpha2=0.1 * params.m_pulses, threshold_r=0.0,
+    ))
+    mc.simulate(replace(cfg, trials=1), seed=1)  # first-use imports are not counted
+    tracemalloc.start()
+    try:
+        out = mc.simulate(cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert out == reference_simulate(cfg, seed=1)
+    assert 0 < out.errors < cfg.trials
 
 
 def test_simulate_memory_is_bounded_by_the_statistic(ecc):
