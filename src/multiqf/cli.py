@@ -539,7 +539,7 @@ def cmd_verify(args) -> int:
     model = NoiseModel(sigma_t=args.sigma, sigma_p=args.sigma, bs_loss_db=args.bs_loss_db,
                        seed=args.seed)
     # Every (K, strategy) check is planned first, so skips are decided
-    # before any simulation, and all their simulations run in one batch.
+    # before any simulation starts.
     planned = []  # (K, strategy, BoundCheck or the skip it raised)
     for k in parse_grid(args.k_grid):
         layout = circuits.optimal_tree_layout(k)
@@ -565,7 +565,7 @@ def cmd_verify(args) -> int:
     for k, strategy, check in planned:
         if isinstance(check, BoundCheck):
             rep = next(results)
-            reports.append(rep.to_json_dict() | {"K": k})
+            reports.append(rep.to_json_dict() | {"K": k, "photon_load": rep.bound.photon_load(k)})
             all_pass &= rep.passed
         else:
             reports.append(

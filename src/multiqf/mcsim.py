@@ -7,14 +7,18 @@ one type are i.i.d., per-trial detector counts are drawn directly from the
 matching binomials, which is distribution-identical to slot-by-slot sampling.
 
 The sampling contract: seed s draws from ``PCG64(SeedSequence((s, 0)))``,
-detector by detector.  A count is the smallest k with cdf[k] >= u for one
-``Generator.random`` uniform u, over the package's own cdf
-(``_binomial_cdf``) through a guide table (``_CountTable``); an unread count
-advances the stream by its uniform.  A window wider than ``_TABLE_COUNTS``
-takes ``Generator.binomial``'s counts, drawn and dropped when unread.
-Counts go into the statistic in blocks of ``_TRIAL_BLOCK`` trials, so a
-simulation holds 4 B per trial (8 B once M * K reaches 2**31), one block of
-scratch and the tables it reads.
+and only the (detector, slot type) pairs the statistic reads draw counts, in
+detector order.  Their counts go into the statistic in blocks of
+``_TRIAL_BLOCK`` trials.  A block takes one ``bit_generator.random_raw`` word
+per four trials: trial 4w + j reads lane j, bits 16j to 16j + 15, of word w,
+and the lane's top bits pick a cell of the guide table over the package's own
+cdf (``_binomial_cdf``, ``_CountTable``).  A cell no cdf sum falls in holds
+the count; a trial whose cell holds a sum then draws one ``Generator.random``
+uniform u, in trial order after the block's words, and its count is the
+smallest k with ``sums[k] >= cell + u``.  A window wider than
+``_TABLE_COUNTS`` takes ``Generator.binomial``'s counts.  A simulation holds
+4 B per trial (8 B once M * K reaches 2**31), one block of scratch and the
+tables it reads.
 
 The oracle knows nothing about the analytical tail bounds; feeding it a
 bound's (alpha2, threshold) and checking the empirical error rate against
@@ -24,7 +28,6 @@ the target is the package's empirical gate on the bound mathematics.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
@@ -52,13 +55,14 @@ SCENARIOS = (ALL_EQUAL, WORST_DIFFERENT)
 #: One-sided 95% normal quantile for the Wilson score bound.
 _Z95 = 1.6448536269514722
 
-#: Trials per block in ``simulate``: 128 KiB of uniforms or of int64 counts.
+#: Trials per block in ``simulate``: 32 KiB of words, 128 KiB of cell
+#: indices and 64 or 128 KiB of counts.
 _TRIAL_BLOCK = 1 << 14
 
 #: Most counts a table spans (a wider window, a standard deviation above
 #: about 1,350 counts or M of 1e10 at high click rates, takes numpy's
 #: counts); its cells per count, which leave under 2% of them holding a sum;
-#: and its most cells, 256 KiB of int32 counts.
+#: and its most cells, one per 16-bit lane (256 KiB of int32 counts).
 _TABLE_COUNTS = 1 << 15
 _CELLS_PER_COUNT = 16
 _MAX_CELLS = 1 << 16
@@ -187,27 +191,23 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
             slot_types = [(m - m_diff, mu_equal), (m_diff, mu_diff)]
     slot_types = [(n, click_probability(mu, params.eta, params.p_dark)) for n, mu in slot_types]
 
-    # (detector, slot type) after (detector, slot type) up to the last
-    # detector read: first-K-1 adds the detectors other than the last,
-    # last-only the last alone.  A table is built at the first read of its
-    # (n, p), which the dark-only detectors share, and dropped after the last.
+    # The (detector, slot type) pairs the statistic reads, in detector
+    # order: first-K-1 adds the detectors other than the last, last-only the
+    # last alone.  A table is built at the first read of its (n, p), which
+    # the dark-only detectors share, and dropped after the last.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     trials = config.trials
     stat = np.zeros(trials, dtype=np.int32 if int(m) * int(k) < 2**31 else np.int64)
-    stop = (k - 1 if last == k - 1 else k) if first else last + 1
-    draws = [((det != last) == first, (n, float(p[det])))
-             for det in range(stop) for n, p in slot_types]
-    last_read = {key: i for i, (read, key) in enumerate(draws) if read}
+    reads = [(n, float(p[det])) for det in range(k) if (det != last) == first
+             for n, p in slot_types]
+    last_read = {key: i for i, key in enumerate(reads)}
     tables = {}
-    for i, (read, (n, p)) in enumerate(draws):
+    for i, (n, p) in enumerate(reads):
         lo, hi = _window(n, p)
         if hi - lo >= _TABLE_COUNTS:
             for start in range(0, trials, _TRIAL_BLOCK):
-                counts = rng.binomial(n, p, size=min(_TRIAL_BLOCK, trials - start))
-                if read:
-                    stat[start:start + counts.size] += counts
-        elif not read:
-            rng.bit_generator.advance(trials)  # one 64-bit output per uniform
+                stat[start:start + _TRIAL_BLOCK] += rng.binomial(
+                    n, p, size=min(_TRIAL_BLOCK, trials - start))
         else:
             table = tables.pop((n, p), None) or _CountTable(n, p, stat.dtype)
             table.add_into(rng, stat)
@@ -255,16 +255,16 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
 
 
 class _CountTable:
-    """Binomial(n, p) counts, one ``Generator.random`` uniform u each: the
-    smallest ``lo + i`` with ``cdf[i] >= u`` (``_binomial_cdf``).  A guide
-    table (Chen & Asau) of a power of two cells maps u to cell u * cells,
-    exact as are the sums ``cdf * cells``.  A cell no sum falls in holds the
-    count of all its uniforms; the others hold -1 and search the sums."""
+    """Binomial(n, p) counts through a guide table (Chen & Asau) of a power
+    of two cells over ``_binomial_cdf``, whose sums ``cdf * cells`` are exact.
+    A 16-bit lane's top ``log2(cells)`` bits pick a cell.  A cell no sum falls
+    in holds the count of all its lanes; the others hold -1, and a lane there
+    takes a uniform u and the smallest ``lo + i`` with ``sums[i] >= cell + u``."""
 
     def __init__(self, n: int, p: float, dtype):
         self.lo, cdf = _binomial_cdf(n, p)
         cells = min(_MAX_CELLS, 1 << (_CELLS_PER_COUNT * cdf.size - 1).bit_length())
-        self.scale = float(cells)
+        self.shift = _MAX_CELLS.bit_length() - cells.bit_length()
         self.sums = cdf * cells
         # sum i lies in cell at[i]: the cells in (at[i - 1], at[i]) hold
         # lo + i; the sums equal to 1 mark the cell past the table
@@ -275,47 +275,23 @@ class _CountTable:
         self.guide = guide[:cells]
 
     def add_into(self, rng: np.random.Generator, stat: np.ndarray) -> None:
-        """Add one count per trial into ``stat``, ``_TRIAL_BLOCK`` at a time."""
-        u = np.empty(min(stat.size, _TRIAL_BLOCK))
-        cells = np.empty(u.size, dtype=np.intp)
-        out = np.empty(u.size, dtype=stat.dtype)
+        """Add one count per trial into ``stat``, ``_TRIAL_BLOCK`` at a time:
+        a block's words, then the uniforms of its trials in mixed cells."""
+        cells = np.empty(min(stat.size, _TRIAL_BLOCK), dtype=np.intp)
+        out = np.empty(cells.size, dtype=stat.dtype)
         for lo in range(0, stat.size, _TRIAL_BLOCK):
             part = stat[lo:lo + _TRIAL_BLOCK]
-            v = rng.random(out=u[:part.size])
-            v *= self.scale
-            cells[:part.size] = v
+            words = rng.bit_generator.random_raw(-(-part.size // 4))
+            # little-endian 16-bit views: lane j is bits 16j to 16j + 15
+            lanes = words.astype("<u8", copy=False).view("<u2")[:part.size]
+            cell = np.right_shift(lanes, self.shift, out=cells[:part.size])
             # every cell index is in range: "wrap" only skips the bounds check
-            counts = self.guide.take(cells[:part.size], out=out[:part.size], mode="wrap")
+            counts = self.guide.take(cell, out=out[:part.size], mode="wrap")
             mixed = np.flatnonzero(counts < 0)
-            counts[mixed] = self.lo + np.searchsorted(self.sums, v[mixed])
+            if mixed.size:
+                x = cell[mixed] + rng.random(mixed.size)
+                counts[mixed] = self.lo + np.searchsorted(self.sums, x)
             part += counts
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def simulate_batch(jobs: Sequence[tuple[SimConfig, int]]) -> list[SimOutcome]:
-    """Run ``simulate(config, seed)`` for every job, one thread per usable core.
-
-    Every job draws from its own seeded stream and numpy's samplers and
-    array operations release the GIL, so the jobs run concurrently and each outcome equals
-    that of a serial call.  Returns the outcomes in job order; the first
-    exception in job order propagates.  The thread count is ``min(len(jobs),
-    usable cores)``, the usable cores being the CPU affinity of this process.
-    """
-    if not jobs:
-        return []
-    # Imported here, not at module level: the import takes several
-    # milliseconds that every command without simulations would pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    configs, seeds = zip(*jobs)
-    with ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cores())) as pool:
-        return list(pool.map(simulate, configs, seeds))
 
 
 @dataclass(frozen=True)
@@ -426,17 +402,16 @@ def plan_check(
 
 
 def run_checks(checks: Sequence[BoundCheck]) -> list[VerifyReport]:
-    """Simulate every check's scenarios in one ``simulate_batch`` call.
+    """Simulate every check's scenarios in order, in the calling thread.
 
     Returns the reports in check order; the first exception in job order
-    propagates, which is the one a serial run would have raised.
+    propagates.
     """
-    outcomes = iter(simulate_batch([job for check in checks for job in check.jobs]))
     return [
         VerifyReport(
             strategy=check.strategy,
             bound=check.bound,
-            outcomes={config.scenario: next(outcomes) for config, _ in check.jobs},
+            outcomes={config.scenario: simulate(config, seed) for config, seed in check.jobs},
             p_error=check.p_error,
         )
         for check in checks

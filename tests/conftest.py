@@ -1,5 +1,3 @@
-from concurrent import futures
-
 import numpy as np
 import pytest
 
@@ -22,17 +20,3 @@ def rng():
 @pytest.fixture(scope="session")
 def ecc():
     return ECCParams.from_delta(0.78)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Records the ``max_workers`` of every thread pool created."""
-    sizes = []
-    real = futures.ThreadPoolExecutor
-
-    def recording(max_workers=None, **kwargs):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", recording)
-    return sizes

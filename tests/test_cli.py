@@ -1,8 +1,6 @@
 import csv
 import dataclasses
 import json
-import os
-import time
 import tracemalloc
 
 import numpy as np
@@ -424,6 +422,19 @@ class TestVerifyCommand:
         assert data["all_pass"] is True
         assert len(data["reports"]) == 6
 
+    def test_every_verdict_carries_its_photon_load(self, tmp_path):
+        # K * alpha2 / M of the bound checked, under the 0.1 of the
+        # small-photon regime; a skipped check has no verdict and no load
+        out = tmp_path / "verify.json"
+        run(["verify", "--k-grid", "5:8", "--p-error", "1e-3", "--trials", "500",
+             "--m-pulses", "1e5", "--seed", "5", "--out", str(out)])
+        reports = json.loads(out.read_text())["reports"]
+        verdicts = [r for r in reports if "pass" in r]
+        assert 0 < len(verdicts) < len(reports)
+        for r in verdicts:
+            assert r["photon_load"] == r["K"] * r["alpha2"] / 1e5 < 0.1
+        assert not any("photon_load" in r for r in reports if "skipped" in r)
+
     def test_sabotage_fails(self, tmp_path):
         out = tmp_path / "verify.json"
         code = run(["verify", "--k-grid", "3", "--sabotage", "alpha2/4",
@@ -446,36 +457,28 @@ class TestVerifyCommand:
             4.0 * r["alpha2"] for r in honest["reports"]
         ]
 
-    def test_one_worker_and_serial_give_the_same_bytes(self, tmp_path, monkeypatch, pool_sizes):
+    def test_skipped_checks_simulate_nothing(self, tmp_path, monkeypatch):
         # K = 5..8 at p_error 1e-3 gives passes, a last-only failure and
-        # photon-regime skips, decided while planning
-        argv = ["verify", "--k-grid", "5:8", "--p-error", "1e-3", "--trials", "5000",
-                "--seed", "3", "--out"]
-        cores = mcsim._usable_cores()
-        run(argv + [str(tmp_path / "pool.json")])
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        run(argv + [str(tmp_path / "one.json")])
-        assert pool_sizes == [min(12, cores), 1]  # 6 checks x 2 scenarios, 2 skips
+        # photon-regime skips, decided while planning; the simulations run
+        # scenario after scenario of the checked pairs, in plan order
+        calls = []
+        real = mcsim.simulate
 
-        batches = []
+        def simulate(config, seed=0):
+            calls.append((config.params.k, config.strategy, config.scenario, seed))
+            return real(config, seed)
 
-        def serial(jobs):
-            batches.append(jobs)
-            return [mcsim.simulate(config, seed) for config, seed in jobs]
-
-        monkeypatch.setattr(mcsim, "simulate_batch", serial)
-        run(argv + [str(tmp_path / "serial.json")])
-        data = (tmp_path / "pool.json").read_bytes()
-        assert data == (tmp_path / "one.json").read_bytes()
-        assert data == (tmp_path / "serial.json").read_bytes()
-        reports = json.loads(data)["reports"]
+        monkeypatch.setattr(mcsim, "simulate", simulate)
+        out = tmp_path / "verify.json"
+        run(["verify", "--k-grid", "5:8", "--p-error", "1e-3", "--trials", "5000",
+             "--seed", "3", "--out", str(out)])
+        reports = json.loads(out.read_text())["reports"]
         assert [r.get("skipped") for r in reports].count("ValidityError") == 2
         assert {r.get("pass") for r in reports} == {True, False, None}
-        # a skipped check puts no job into the batch
-        (jobs,) = batches
         checked = [(r["K"], r["strategy"]) for r in reports if "skipped" not in r]
-        assert [(c.params.k, c.strategy) for c, _ in jobs] == [
-            pair for pair in checked for _ in mcsim.SCENARIOS
+        assert calls == [
+            (k, strategy, scenario, 3 + i)
+            for k, strategy in checked for i, scenario in enumerate(mcsim.SCENARIOS)
         ]
 
     @pytest.mark.parametrize("sim_fails, plan_fails, first", [
@@ -491,8 +494,6 @@ class TestVerifyCommand:
         def simulate(config, seed=0):
             k = config.params.k
             if k in sim_fails and config.scenario == mcsim.WORST_DIFFERENT:
-                if k == min(sim_fails):
-                    time.sleep(0.05)  # finishes after the later check's failure
                 raise ParameterError(f"simulation failed at K={k}")
             return real_simulate(config, seed)
 

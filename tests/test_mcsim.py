@@ -1,6 +1,4 @@
 import math
-import os
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -25,12 +23,59 @@ def differing_slots(delta, m):
     return round(x) if abs(x - round(x)) <= 1e-9 * m else math.floor(x)
 
 
-def reference_counts(config, seed=0):
-    """Every detector's counts, ``(K, trials)``, drawn detector by detector,
-    read or not, as the contract of ``simulate`` says: one uniform per count,
-    mapped to the smallest k with cdf[k] >= u, or ``Generator.binomial`` for
-    a window wider than ``_TABLE_COUNTS``; and the 0-based index of the
-    last detector."""
+def lanes(words):
+    """The 16-bit lanes of ``words`` in trial order: lane j of word w, bits
+    16j to 16j + 15 by arithmetic, is trial 4w + j."""
+    shifts = np.arange(0, 64, 16, dtype=np.uint64)
+    return ((np.asarray(words, dtype=np.uint64)[:, None] >> shifts) & np.uint64(0xFFFF)).ravel()
+
+
+def words_of(lane_values):
+    """The words whose lanes are ``lane_values``, in trial order, padded
+    with zero lanes."""
+    padded = list(lane_values) + [0] * (-len(lane_values) % 4)
+    return [sum(int(v) << (16 * j) for j, v in enumerate(padded[i:i + 4]))
+            for i in range(0, len(padded), 4)]
+
+
+def table_sums(n, p):
+    """``(lo, sums, cells)``: the guide table of Binomial(n, p) has 16 cells
+    per count of its window, a power of two, at most 2**16, and its sums
+    are ``cdf * cells``."""
+    lo, cdf = mc._binomial_cdf(n, p)
+    cells = min(2**16, 1 << math.ceil(math.log2(16 * cdf.size)))
+    return lo, cdf * cells, cells
+
+
+def contract_counts(rng, n, p, trials):
+    """Binomial(n, p) counts of ``trials`` trials as the contract draws them,
+    and the stream outputs they take (None for ``Generator.binomial``'s).
+    Block by block: one word per four trials, each lane's top bits a cell,
+    then one uniform u per trial in a cell that holds a sum, in trial
+    order; the count is the smallest k with sums[k] >= cell + u."""
+    lo, hi = mc._window(n, p)
+    if hi - lo >= mc._TABLE_COUNTS:
+        return rng.binomial(n, p, size=trials), None
+    lo, sums, cells = table_sums(n, p)
+    held = np.unique(np.floor(sums))
+    counts, taken = [], 0
+    for start in range(0, trials, mc._TRIAL_BLOCK):
+        size = min(mc._TRIAL_BLOCK, trials - start)
+        words = rng.bit_generator.random_raw(-(-size // 4))
+        cell = lanes(words)[:size] * np.uint64(cells) >> np.uint64(16)
+        mixed = np.isin(cell, held)
+        x = cell + 0.5  # any point of a cell that holds no sum
+        x[mixed] = cell[mixed] + rng.random(np.count_nonzero(mixed))
+        counts.append(lo + np.searchsorted(sums, x))
+        taken += words.size + int(np.count_nonzero(mixed))
+    return np.concatenate(counts), taken
+
+
+def reference_statistic(config, seed=0):
+    """The statistic ``(trials,)`` drawn as the contract of ``simulate``
+    says, (detector, slot type) after (detector, slot type) of the ones it
+    reads, and the stream outputs taken (None if a window took
+    ``Generator.binomial``'s counts)."""
     params = config.params
     k = params.k
     m = params.m_pulses
@@ -43,12 +88,12 @@ def reference_counts(config, seed=0):
             return np.zeros(k)
         return gn.output_photon_numbers(transfer, pattern, mu_in)
 
+    first = config.strategy == b.STRATEGY_FIRST
     mu_equal = photon_numbers(None)
     if config.scenario == mc.WORST_DIFFERENT:
         flip = config.worst_pattern
         if flip is None:
             gains = gn.gain_set(transfer, last_label=last_label)
-            first = config.strategy == b.STRATEGY_FIRST
             flip = gains.worst_pattern_first if first else gains.worst_pattern_last
         mu_diff = photon_numbers([-1 if i == flip else 1 for i in range(k)])
         m_diff = differing_slots(params.ecc.delta, m)
@@ -61,34 +106,28 @@ def reference_counts(config, seed=0):
         p = -np.expm1(-params.eta * mu)
         return 1.0 - (1.0 - p) * (1.0 - params.p_dark)
 
-    def draw(rng, n, p):
-        lo, hi = mc._window(n, p)
-        if hi - lo >= mc._TABLE_COUNTS:
-            return rng.binomial(n, p, size=config.trials)
-        lo, cdf = mc._binomial_cdf(n, p)
-        return lo + np.searchsorted(cdf, rng.random(config.trials))
-
-    p_equal = click_prob(mu_equal)
-    p_diff = click_prob(mu_diff)
+    slot_types = [(m_equal, click_prob(mu_equal))]
+    if m_diff:
+        slot_types.append((m_diff, click_prob(mu_diff)))
     rng = pcg(seed)
-    counts = np.empty((k, config.trials), dtype=np.int64)
+    stat = np.zeros(config.trials, dtype=np.int64)
+    taken = 0
     for det in range(k):
-        counts[det] = draw(rng, m_equal, float(p_equal[det]))
-        if m_diff:
-            counts[det] += draw(rng, m_diff, float(p_diff[det]))
-    return counts, last_label - 1
+        if (det == last_label - 1) == first:
+            continue
+        for n, p in slot_types:
+            counts, outputs = contract_counts(rng, n, float(p[det]), config.trials)
+            stat += counts
+            taken = None if outputs is None or taken is None else taken + outputs
+    return stat, taken
 
 
 def reference_simulate(config, seed=0):
-    """``simulate`` as it was with every count kept: a (K, trials) matrix
-    drawn detector by detector, then reduced.  The streamed version must
-    give the same ``SimOutcome``."""
-    counts, last = reference_counts(config, seed)
+    """``simulate`` by the contract, with every count of the statistic kept."""
+    stat, _ = reference_statistic(config, seed)
     if config.strategy == b.STRATEGY_FIRST:
-        stat = counts.sum(axis=0) - counts[last]
         says_different = stat > config.threshold_r
     else:
-        stat = counts[last]
         says_different = stat <= config.threshold_r
     truly_different = config.scenario == mc.WORST_DIFFERENT
     errors = int(np.count_nonzero(says_different != truly_different))
@@ -117,12 +156,7 @@ def noisy_config(ecc, k, strategy, scenario, trials=2000, last_label=None):
 
 def at_mean(cfg):
     """``cfg`` thresholded at the mean of its statistic over a seed-99 sample."""
-    counts, last = reference_counts(cfg, seed=99)
-    mean = sum(
-        float(counts[det].mean()) for det in range(cfg.params.k)
-        if (det == last) == (cfg.strategy == b.STRATEGY_LAST)
-    )
-    return replace(cfg, threshold_r=mean)
+    return replace(cfg, threshold_r=float(reference_statistic(cfg, seed=99)[0].mean()))
 
 
 def make_params(ecc, k, m_pulses, p_error, eta=1.0, p_dark=0.0):
@@ -346,6 +380,34 @@ def test_draws_stop_after_the_last_detector_read(ecc, strategy, scenario, last_l
     assert 0 < out.errors < cfg.trials
 
 
+@pytest.mark.parametrize("scenario", mc.SCENARIOS)
+@pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
+def test_stream_ends_after_the_words_and_uniforms_drawn(ecc, monkeypatch, strategy, scenario):
+    # the photon-losing detector in the middle of five, a block and a tail:
+    # simulate leaves its stream one output past each word it drew and
+    # each uniform of a trial in a cell that holds a sum, and no further,
+    # so a detector the statistic does not read takes nothing
+    cfg = noisy_config(ecc, 5, strategy, scenario, trials=mc._TRIAL_BLOCK + 5, last_label=3)
+    made = []
+    real = np.random.Generator
+
+    def recording(bit_generator):
+        made.append(real(bit_generator))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "Generator", recording)
+    mc.simulate(cfg, seed=6)
+    monkeypatch.undo()
+    (rng,) = made
+    _, taken = reference_statistic(cfg, seed=6)
+    detectors = 4 if strategy == b.STRATEGY_FIRST else 1
+    slot_types = 2 if scenario == mc.WORST_DIFFERENT else 1
+    assert taken > detectors * slot_types * -(-cfg.trials // 4)  # and some uniforms
+    expect = pcg(6)
+    expect.bit_generator.advance(taken)
+    assert rng.bit_generator.state == expect.bit_generator.state
+
+
 @pytest.mark.parametrize("trials", [
     1, mc._TRIAL_BLOCK - 1, mc._TRIAL_BLOCK, mc._TRIAL_BLOCK + 1,
     2 * mc._TRIAL_BLOCK - 1, 2 * mc._TRIAL_BLOCK, 2 * mc._TRIAL_BLOCK + 1,
@@ -401,20 +463,25 @@ def pcg(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
 
 
-class ScriptedUniforms:
-    """A generator whose ``random`` hands out ``values`` in order."""
+class Scripted:
+    """A generator whose ``bit_generator.random_raw`` hands out ``words``
+    and whose ``random`` hands out ``uniforms``, each in order."""
 
-    def __init__(self, values):
-        self.values = list(values)
-        self.used = 0
+    def __init__(self, words, uniforms=()):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.uniforms = np.asarray(uniforms, dtype=float)
+        self.words_used = self.used = 0
 
-    def random(self, out=None):
-        if out is None:
-            self.used += 1
-            return self.values[self.used - 1]
-        out[...] = self.values[self.used:self.used + out.size]
-        self.used += out.size
-        return out
+    def random_raw(self, size):
+        assert self.words_used + size <= self.words.size
+        self.words_used += size
+        return self.words[self.words_used - size:self.words_used].copy()
+
+    def random(self, size):
+        assert self.used + size <= self.uniforms.size
+        self.used += size
+        return self.uniforms[self.used - size:self.used].copy()
 
 
 def drawn_blocks(rng, n, p, trials, table=None):
@@ -424,12 +491,22 @@ def drawn_blocks(rng, n, p, trials, table=None):
     return stat
 
 
-def smallest_count(cdf, lo, u):
-    """lo plus the smallest k with cdf[k] >= u, walked one count at a time."""
+def smallest_count(sums, lo, x):
+    """lo plus the smallest k with sums[k] >= x, walked one count at a time."""
     k = 0
-    while cdf[k] < u:
+    while sums[k] < x:
         k += 1
     return lo + k
+
+
+def lane_at(x, cells, low=0):
+    """``(lane, u)``: the lane whose top bits pick cell floor(x) of a table
+    of ``cells`` cells, its low bits ``low``, and the in-cell uniform u, so
+    that cell + u == x."""
+    cell = math.floor(x)
+    u = x - cell
+    assert cell + u == x
+    return (cell << (16 - cells.bit_length() + 1)) | low, u
 
 
 #: (n, p): n * p near 0, 1 and 5 and exactly 30, a window clipped to [0, n]
@@ -443,62 +520,134 @@ BINOMIAL_GRID = [
 INVERSION_GRID = [(n, p) for n, p in BINOMIAL_GRID if n and 0 < p <= 0.5 and n * p <= 30.0]
 
 
+def pooled_columns(values, minimum=50):
+    """Column edges over the sorted distinct ``values`` that leave at least
+    ``minimum`` pooled observations in each column."""
+    values, seen = np.unique(values, return_counts=True)
+    edges, held = [values[0]], 0
+    for v, c in zip(values, seen):
+        if held >= minimum:
+            edges.append(v)
+            held = 0
+        held += c
+    if held < minimum and len(edges) > 1:
+        edges.pop()
+    return np.array(edges + [values[-1] + 1])
+
+
 class TestBinomialBlocks:
     @pytest.mark.parametrize("seed", [0, 1, 2**40])
     @pytest.mark.parametrize("n, p", BINOMIAL_GRID)
     def test_bit_equal_to_numpy(self, n, p, seed):
-        # two blocks and a tail: the counts are numpy's searchsorted of the
-        # cdf over numpy's uniforms, and the stream ends where theirs does
+        # two blocks and a tail: the counts are the contract's, read off
+        # numpy's own words and uniforms, and the stream ends where its does
         trials = 2 * mc._TRIAL_BLOCK + 5
-        ours, numpys = pcg(seed), pcg(seed)
-        lo, cdf = mc._binomial_cdf(n, p)
-        expect = lo + np.searchsorted(cdf, numpys.random(trials))
+        ours, theirs = pcg(seed), pcg(seed)
+        expect, _ = contract_counts(theirs, n, p, trials)
         assert np.array_equal(drawn_blocks(ours, n, p, trials), expect)
-        assert ours.random() == numpys.random()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("n, p", INVERSION_GRID)
     def test_transcription_is_numpys_sampler(self, n, p):
-        # numpy's inversion sampler reads one uniform per draw and walks its
-        # own cumulative pmf up to it: the same rule, so the same counts and
-        # the same stream position, unless a uniform falls between the two
-        # sums' roundings (about 1e-16 per draw)
-        ours, numpys = pcg(4), pcg(4)
-        assert np.array_equal(drawn_blocks(ours, n, p, 3000), numpys.binomial(n, p, size=3000))
-        assert ours.random() == numpys.random()
+        # where numpy samples by inversion, 200,000 table counts and 200,000
+        # of numpy's own follow one law: a chi-square test of homogeneity
+        # over the counts, pooled into columns of at least 50 observations
+        draws = 200_000
+        ours = drawn_blocks(pcg(4), n, p, draws)
+        numpys = pcg(5).binomial(n, p, size=draws)
+        edges = pooled_columns(np.concatenate([ours, numpys]))
+        table = [np.histogram(c, bins=edges)[0] for c in (ours, numpys)]
+        assert len(edges) >= 3
+        assert st.chi2_contingency(table).pvalue > 1e-3
+
+    def test_lanes_are_trials_in_word_order(self):
+        # lane j of word w is bits 16j to 16j + 15, by arithmetic, and it is
+        # trial 4w + j; seven trials read two words, and the eighth lane,
+        # in a cell that holds a sum, is never read
+        n, p = 60, 0.5
+        lo, sums, cells = table_sums(n, p)
+        held = set(np.floor(sums).astype(int).tolist())
+        pure = [c for c in range(cells) if c not in held]
+        picks = [pure[i] for i in (0, 40, 150, 300, 500, 700, 900)]
+        values = [lane_at(c + 0.5, cells, low=j)[0] for j, c in enumerate(picks)]
+        values.append(lane_at(min(held) + 0.5, cells)[0])
+        words = words_of(values)
+        assert words[0] == sum(v << (16 * j) for j, v in enumerate(values[:4]))
+        rng = Scripted(words)
+        drawn = drawn_blocks(rng, n, p, 7)
+        assert drawn.tolist() == [smallest_count(sums, lo, c + 0.5) for c in picks]
+        assert len(set(drawn.tolist())) == 7
+        assert (rng.words_used, rng.used) == (2, 0)
+
+    @pytest.mark.parametrize("n, p, cells", [
+        (10, 0.0, 16), (10, 1.0, 16), (1, 0.3, 32), (60, 0.5, 1024), (10**6, 0.01, 2**16),
+    ])
+    def test_lane_shift_picks_the_cell(self, n, p, cells):
+        # every lane value once, four blocks of trials: the top log2(cells)
+        # bits pick the cell, down to a 16-cell point mass (a shift of 12)
+        # and up to 2**16 cells (no shift); a lane in a cell that holds a
+        # sum takes the next hand-placed uniform
+        table = mc._CountTable(n, p, np.int64)
+        lo, sums, want_cells = table_sums(n, p)
+        assert want_cells == cells == table.guide.size
+        lane = np.arange(2**16)
+        cell = lane >> (16 - cells.bit_length() + 1)
+        mixed = np.isin(cell, np.floor(sums))
+        uniforms = (np.arange(np.count_nonzero(mixed)) % 97 + 0.5) / 97
+        x = cell + 0.5
+        x[mixed] = cell[mixed] + uniforms
+        rng = Scripted(words_of(lane.tolist()), uniforms)
+        drawn = drawn_blocks(rng, n, p, lane.size, table)
+        assert np.array_equal(drawn, lo + np.searchsorted(sums, x))
+        assert (rng.words_used, rng.used) == (2**14, uniforms.size)
+        if cells == 16:
+            assert set(drawn.tolist()) == {lo} and uniforms.size == 0
 
     @pytest.mark.parametrize("n, p", [
         (3, 0.3), (1000, 0.001), (10, 0.45), (60, 0.5), (10**4, 1e-4), (120, 0.25), (3000, 0.01),
     ])
     def test_rare_uniforms_follow_numpys_loop(self, n, p):
-        # every cumulative sum exactly and some ulps either side, and the
-        # ends of [0, 1): each gives the smallest k with cdf[k] >= u, as a
-        # loop up the sums finds it (numpy's inversion loop walks its own
-        # sums so), drawn alone and then all as one block
-        lo, cdf = mc._binomial_cdf(n, p)
-        hand = [0.0, 1.0 - 2.0**-53]
-        for c in cdf:
-            hand += [c + k * np.spacing(c) for k in (-64, -4, -3, -2, -1, 0, 1, 2, 3, 4, 64)]
-        hand = [u for u in hand if 0.0 <= u < 1.0]
-        expect = [smallest_count(cdf, lo, u) for u in hand]
-        assert [drawn_blocks(ScriptedUniforms([u]), n, p, 1)[0] for u in hand] == expect
-        uniforms = ScriptedUniforms(hand + [0.5])
-        assert drawn_blocks(uniforms, n, p, len(hand)).tolist() == expect
-        assert uniforms.used == len(hand)
+        # cell + u at every cumulative sum exactly, 1 to 4 and 64 ulps either
+        # side, and the ends of the table: each gives the smallest k with
+        # sums[k] >= cell + u, as a loop up the sums finds it (numpy's
+        # inversion loop walks its own sums so), drawn alone and then all
+        # as one block; a point in a cell that holds no sum takes no uniform
+        lo, sums, cells = table_sums(n, p)
+        held = set(np.floor(sums).tolist())
+        hand = [0.0, cells - np.spacing(float(cells))]
+        for s in sums:
+            hand += [s + k * np.spacing(s) for k in (-64, -4, -3, -2, -1, 0, 1, 2, 3, 4, 64)]
+        hand = [x for x in hand if 0.0 <= x < cells]
+        expect = [smallest_count(sums, lo, x) for x in hand]
+        placed = [lane_at(x, cells, low=i % 2) for i, x in enumerate(hand)]
+        mixed = [math.floor(x) in held for x in hand]
+        assert sum(mixed) > len(hand) // 2
+        alone = []
+        for (lane, u), m in zip(placed, mixed):
+            rng = Scripted(words_of([lane]), [u] if m else [])
+            alone.append(int(drawn_blocks(rng, n, p, 1)[0]))
+            assert rng.used == m
+        assert alone == expect
+        rng = Scripted(words_of([lane for lane, _ in placed]),
+                       [u for (_, u), m in zip(placed, mixed) if m] + [0.5])
+        assert drawn_blocks(rng, n, p, len(hand)).tolist() == expect
+        assert rng.used == sum(mixed)
 
     def test_a_block_far_from_every_sum_skips_the_loop(self):
-        # the uniforms in cells that hold no cumulative sum resolve through
-        # the guide table alone: with every sum at -inf, a searched uniform
-        # would come out past the window
+        # the lanes in cells that hold no cumulative sum resolve through
+        # the guide table alone: with every sum at -inf, a searched lane
+        # would come out past the window, and no uniform is taken
         n, p = 60, 0.5
         table = mc._CountTable(n, p, np.int64)
-        lo, cdf = mc._binomial_cdf(n, p)
+        lo, sums, cells = table_sums(n, p)
         pure = np.flatnonzero(table.guide >= 0)
-        assert pure.size > 0.9 * table.guide.size
-        mids = ((pure + 0.5) / table.scale).tolist()
-        expect = [smallest_count(cdf, lo, u) for u in mids]
+        assert pure.size > 0.9 * cells
+        placed = [lane_at(c + 0.5, cells, low=i % 64)[0] for i, c in enumerate(pure.tolist())]
+        expect = [smallest_count(sums, lo, c + 0.5) for c in pure.tolist()]
         table.sums = np.full_like(table.sums, -np.inf)
-        drawn = drawn_blocks(ScriptedUniforms(mids), n, p, len(mids), table)
-        assert drawn.tolist() == expect
+        rng = Scripted(words_of(placed))
+        assert drawn_blocks(rng, n, p, len(placed), table).tolist() == expect
+        assert rng.used == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 1000, 10**5, 2**20 + 3, 10**8, 2**30])
@@ -519,12 +668,15 @@ def test_binomial_cdf_matches_scipy(n):
 
 @pytest.mark.parametrize("trials", [1, mc._TRIAL_BLOCK, 2 * mc._TRIAL_BLOCK + 5])
 def test_advance_equals_drawing_and_dropping(trials):
-    # what a detector the statistic does not read costs: one 64-bit output
-    # per uniform, so advancing leaves the stream where drawing would
+    # a table's counts take one 64-bit output per word of four trials and
+    # one per trial in a cell that holds a sum, so advancing by that many
+    # leaves the stream where drawing does
     skipped, drawn = pcg(9), pcg(9)
-    skipped.bit_generator.advance(trials)
+    _, taken = contract_counts(pcg(9), 10**5, 1e-4, trials)
+    assert taken >= -(-trials // 4)
+    skipped.bit_generator.advance(taken)
     drawn_blocks(drawn, 10**5, 1e-4, trials)
-    assert skipped.random() == drawn.random()
+    assert skipped.bit_generator.state == drawn.bit_generator.state
 
 
 @pytest.mark.parametrize("n, p", [
@@ -633,9 +785,8 @@ def test_simulate_matches_materialized_in_every_sampling_regime(ecc, monkeypatch
 @pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
 def test_wide_windows_draw_numpys_binomial_in_bounded_memory(ecc, strategy, scenario):
     # M = 1e12: the light's windows span millions of counts, so those
-    # counts are Generator.binomial's, drawn (and, where unread, dropped)
-    # block by block; the dark-only detectors' means of 1,000 keep their
-    # tables.  The statistic is int64, 128 KiB, and one block of counts
+    # counts are Generator.binomial's, drawn block by block; the dark-only
+    # detectors' means of 1,000 keep their tables.  The statistic is int64, 128 KiB, and one block of counts
     # another 128 KiB: no table over a wide window is built
     import tracemalloc
 
@@ -660,7 +811,8 @@ def test_wide_windows_draw_numpys_binomial_in_bounded_memory(ecc, strategy, scen
 
 def test_simulate_memory_is_bounded_by_the_statistic(ecc):
     # 200,000 trials at K = 16: an int32 statistic (0.76 MiB), one block of
-    # int64 counts (0.25 MiB) and one comparison (0.19 MiB)
+    # words, cell indices and int32 counts (0.22 MiB) and one comparison
+    # (0.19 MiB)
     import tracemalloc
 
     k = 16
@@ -677,67 +829,6 @@ def test_simulate_memory_is_bounded_by_the_statistic(ecc):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * 2**20
-
-
-def serial(jobs):
-    """The batch's contract, one job after another."""
-    return [mc.simulate(config, seed) for config, seed in jobs]
-
-
-def slowed(monkeypatch, seed):
-    """Make the job with ``seed`` finish after the jobs started with it."""
-    real = mc.simulate
-
-    def simulate(config, s=0):
-        if s == seed:
-            time.sleep(0.05)
-        return real(config, s)
-
-    monkeypatch.setattr(mc, "simulate", simulate)
-
-
-class TestSimulateBatch:
-    def jobs(self, ecc):
-        return [
-            (noisy_config(ecc, k, strategy, scenario, trials=500), seed)
-            for seed, (k, strategy, scenario) in enumerate(
-                (k, strategy, scenario)
-                for k in (2, 5, 9)
-                for strategy in (b.STRATEGY_FIRST, b.STRATEGY_LAST)
-                for scenario in mc.SCENARIOS
-            )
-        ]
-
-    def test_matches_serial_loop(self, ecc, pool_sizes):
-        jobs = self.jobs(ecc)
-        assert mc.simulate_batch(jobs) == serial(jobs)
-        assert pool_sizes == [min(len(jobs), len(os.sched_getaffinity(0)))]
-
-    def test_one_usable_core_gives_one_thread(self, ecc, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        jobs = self.jobs(ecc)
-        assert mc.simulate_batch(jobs) == serial(jobs)
-        assert pool_sizes == [1]
-
-    def test_cpu_count_without_affinity(self, ecc, pool_sizes, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        jobs = self.jobs(ecc)[:5]
-        assert mc.simulate_batch(jobs) == serial(jobs)
-        assert pool_sizes == [3]
-
-    def test_first_error_in_job_order_is_raised(self, ecc, monkeypatch):
-        ok = self.jobs(ecc)[:4]
-        misshapen = replace(ok[1][0], transfer=np.eye(3))
-        jobs = [ok[0], (misshapen, 100), ok[2], (ok[3][0], -1), ok[3]]
-        slowed(monkeypatch, 100)  # the later failure comes first
-        with pytest.raises(ParameterError, match="transfer matrix shape"):
-            mc.simulate_batch(jobs)
-        with pytest.raises(ParameterError, match="transfer matrix shape"):
-            serial(jobs)
-
-    def test_no_jobs(self):
-        assert mc.simulate_batch([]) == []
 
 
 class TestRunChecks:
@@ -762,7 +853,7 @@ class TestRunChecks:
             )
         assert [r.passed for r in reports] == [True, True, False, False]
 
-    def test_first_error_in_job_order_is_raised(self, ecc, realized, monkeypatch):
+    def test_first_error_in_job_order_is_raised(self, ecc, realized):
         check = self.checks(ecc, realized)[0]
         (equal, s0), (different, s1) = check.jobs
         misshapen = replace(different, transfer=np.eye(2))
@@ -771,20 +862,17 @@ class TestRunChecks:
             ((equal, s0), (misshapen, s1), "transfer matrix shape"),
             ((equal, s0), (different, -1), "seed must be"),
         ]
-        slowed(monkeypatch, -1)
         for first, second, error in cases:
             broken = replace(check, jobs=(first, second))
             with pytest.raises(ParameterError, match=error):
                 mc.run_checks([check, broken, check])
-            with pytest.raises(ParameterError, match=error):  # scenario after scenario
-                serial(broken.jobs)
 
     def test_verify_bound_raises_skip(self, ecc, realized, monkeypatch):
         t, gains = realized
         # at M = 1e3 the bound's K * alpha2 / M is 0.41, outside the regime,
         # and still 0.10 with alpha2 scaled down 4x; planning decides it
         params = make_params(ecc, 3, 10**3, 1e-2, eta=0.5, p_dark=1e-6)
-        monkeypatch.setattr(mc, "simulate_batch", None)  # never reached
+        monkeypatch.setattr(mc, "simulate", None)  # never reached
         for alpha2_scale, ratio in ((1.0, "0.4055"), (0.25, "0.1014")):
             message = (rf"^K \* alpha2 / M = {ratio} is outside the small-photon regime "
                        r"\(< 0\.1\)$")
