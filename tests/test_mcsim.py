@@ -213,18 +213,21 @@ class TestWilson:
 class TestSimulate:
     def test_matches_exact_no_click_product(self, ecc):
         # ideal circuit, no dark counts: the worst-different error rate is
-        # exactly exp(-4 (1-delta) (K-1) alpha2 / K)
+        # exactly exp(-4 (1-delta) (K-1) alpha2 / K). Each K is held to the
+        # binomial band of two-sided tail 2.5e-7 (family-wise level 1e-6 over
+        # the four), which 2,000,000 trials make +-8e-4 around that rate.
+        trials = 2_000_000
         for k, seed in ((2, 2), (3, 3), (4, 4), (7, 7)):
             alpha2 = b.ideal_alpha2(k, ecc, 0.05)
             params = make_params(ecc, k, 10**4, 0.05)
             cfg = mc.SimConfig(
-                trials=5000, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+                trials=trials, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
                 params=params, transfer=tree_matrix(k), alpha2=alpha2, threshold_r=0.0,
             )
             out = mc.simulate(cfg, seed=seed)
             exact = math.exp(-4 * (1 - ecc.delta) * (k - 1) * alpha2 / k)
-            ci = 1.96 * math.sqrt(exact * (1 - exact) / 5000)
-            assert abs(out.error_rate - exact) <= ci
+            low, high = st.binom.interval(1 - 1e-6 / 4, trials, exact)
+            assert low <= out.errors <= high, (k, out.error_rate, exact)
 
     def test_all_equal_ideal_never_errs(self, ecc):
         params = make_params(ecc, 4, 10**4, 0.05)
