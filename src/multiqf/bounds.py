@@ -695,6 +695,10 @@ def algorithm_two_user(
     the combined efficiency.  The crossing is located by bisection over the
     same step grid, which returns the first grid point whose
     different-sequence threshold has caught up with the equal one.
+
+    Raises ``FeasibilityError`` once the equal-sequence threshold reaches M:
+    the different-sequence threshold is at most M - 1, and the equal one
+    does not decrease as the photon number grows, so they cannot meet.
     """
     check_type("params", params, ProtocolParams)
     if params.k != 2:
@@ -722,6 +726,12 @@ def algorithm_two_user(
         ok, r_e, r_d = crossed(hi)
         if ok:
             break
+        if r_e == m:
+            raise FeasibilityError(
+                f"no threshold crossing possible at M = {m}: the equal-sequence threshold "
+                f"reaches M at alpha2 = {hi:.4g}, and the different-sequence one stays "
+                "below M"
+            )
         if hi > alpha2_cap:
             raise ConvergenceError(
                 f"no threshold crossing up to alpha2 = {hi:.4g}; "

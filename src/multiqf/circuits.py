@@ -725,20 +725,6 @@ def build_design(k: int, design: str) -> tuple[np.ndarray, CircuitLayout]:
     raise LayoutError(f"unknown design {design!r}; expected one of {DESIGNS}")
 
 
-def table_counts(k: int, design: str) -> tuple[int, int]:
-    """Expected (beamsplitter count, optical depth) for a design of size K."""
-    _check_dim(k)
-    if design == DESIGN_OPTIMAL:
-        return k - 1, math.ceil(math.log2(k))
-    if design == DESIGN_EXTENDABLE:
-        return k - 1, k - 1
-    if design == DESIGN_CLEMENTS:
-        return k * (k - 1) // 2, k
-    if design == DESIGN_RECK:
-        return k * (k - 1) // 2, 2 * k - 3
-    raise LayoutError(f"unknown design {design!r}")
-
-
 def matrix_to_json(m: np.ndarray) -> str:
     m = np.asarray(m, dtype=complex)
     return json.dumps(

@@ -24,6 +24,7 @@ from . import circuits, classical
 from .bounds import (
     STRATEGY_FIRST,
     STRATEGY_LAST,
+    STRATEGY_TWO_USER,
     BoundResult,
     ECCParams,
     ProtocolParams,
@@ -138,22 +139,18 @@ def write_dat(path: Path, cells: Iterable[tuple[str, ...]], fieldnames: list[str
         fh.writelines(" ".join(c or "nan" for c in row) + "\n" for row in cells)
 
 
-def _cells(rows: list[dict], fieldnames: list[str]) -> Iterator[tuple[str, ...]]:
-    """Each row's fields formatted by ``_fmt``, one row at a time."""
-    return (tuple(_fmt(row.get(k)) for k in fieldnames) for row in rows)
+def _cells(table: dict, fieldnames: list[str]) -> Iterator[tuple[str, ...]]:
+    """The rows of a column table (field -> list), each field formatted by ``_fmt``."""
+    return zip(*(map(_fmt, table[k]) for k in fieldnames))
 
 
-def _sorted_cells(rows: list[dict], fields: list[str]) -> list[tuple[str, ...]]:
+def _sorted_cells(table: dict, fields: list[str]) -> list[tuple[str, ...]]:
     """The formatted rows (``_cells``) sorted by the ``str`` of their fields.
 
-    Each cell is formatted once for both.  ``rows`` is emptied as it is
-    read, so that a row is freed once its cells exist.
+    Each cell is formatted once for both; equal keys keep their order.
     """
-    keyed = []
-    while rows:  # from the end, reversed below: equal keys keep their order
-        row = rows.pop()
-        keyed.append(tuple(zip(*map(_key_and_cell, map(row.get, fields)))))
-    keyed.reverse()
+    rows = zip(*(map(_key_and_cell, table[f]) for f in fields))  # a (key, cell) per field
+    keyed = [tuple(zip(*row)) for row in rows]  # (keys, cells) per row
     keyed.sort(key=operator.itemgetter(0))
     return [cells for _, cells in keyed]
 
@@ -175,32 +172,6 @@ def _key_and_cell(value) -> tuple[str, str]:
         return str(value), repr(float(value))
     text = str(value)
     return text, text
-
-
-def _row(n: float, m: int, strategy: str, alpha2=None, r=None, q=None, feasible=True,
-         dominant=False, valid=True, k_alpha2_over_m=None, **extra) -> dict:
-    """One row of the figure 14-16 sweeps; ``extra`` adds columns such as K."""
-    return {
-        "N": n,
-        "M": m,
-        "strategy": strategy,
-        "alpha2": alpha2,
-        "r": r,
-        "Q": q,
-        "feasible": feasible,
-        "dominant": dominant,
-        "valid": valid,
-        "k_alpha2_over_m": k_alpha2_over_m,
-        **extra,
-    }
-
-
-def _bound_row(res: BoundResult, k: int, n: float, **extra) -> dict:
-    return _row(
-        n, res.m_pulses, res.strategy, res.alpha2, res.threshold_r, res.q_qubits,
-        res.feasible, res.dominant_dark_term, res.within_validity(k),
-        res.photon_load(k), **extra,
-    )
 
 
 #: Most bytes of realizations that ``batch_gains_for`` holds at once
@@ -251,54 +222,76 @@ def _params(k: int, n: float, cfg: dict) -> ProtocolParams:
     )
 
 
-def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], v: float | None = None,
-               **extra) -> list[dict]:
-    """Rows of figures 14-16 for one (K, gains, p_dark) curve family.
+def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], p_darks: list[float],
+               v: float | None = None, **extra) -> dict[str, list]:
+    """Column table (field -> list) of figures 14-16 for one (K, gains) family.
 
-    Per N: both strategy bounds (an infeasible row where a strategy's gain
-    inequality fails), the ideal curve, the iterative two-user search when
-    a visibility ``v`` is given, and the best known and limiting classical
-    costs.
+    One call each to both strategy bounds and the ideal curve covers every
+    p_dark and N, a column of p_dark against the row of N; a strategy whose
+    gain inequality fails gives infeasible rows.  The best known
+    (``best_two_user`` at K = 2, ``best_k_user`` otherwise) and limiting
+    classical costs are computed once per N.  With a visibility ``v``, the
+    iterative two-user search runs at every point, N outside and p_dark
+    inside, so that the searches at one codeword length find their log-pmf
+    runs in ``bounds``' caches; a search that cannot cross gives an
+    infeasible row.  ``extra`` adds columns of one value, such as K.
     """
     p_error, eta = cfg["p_error"], cfg["eta"]
-    rows = []
-    for n in n_grid:
-        params = _params(k, n, cfg)
-        m = params.m_pulses
-        for strategy, compute in ((STRATEGY_FIRST, bound_first_detectors),
-                                  (STRATEGY_LAST, bound_last_detector)):
-            try:
-                rows.append(_bound_row(compute(params, gains), k, n, **extra))
-            except FeasibilityError:
-                rows.append(_row(n, m, strategy, feasible=False, **extra))
-        rows.append(_bound_row(ideal_bound(params), k, n, **extra))
-        if v is not None:
-            rows.append(_bound_row(algorithm_two_user(params, v), k, n, **extra))
-        if k == 2:
-            best = classical.best_two_user(n, p_error)
-        else:
-            best = classical.best_k_user(k, n, p_error)
-        rows.append(_row(n, m, "classical-best", best / eta, q=best, **extra))
-        rows.append(_row(n, m, "classical-limit",
-                         classical.photonic_limit_photons(k, n, p_error, eta),
-                         q=classical.classical_limit(k, n, p_error), **extra))
-    return rows
+    params = _params(k, np.array(n_grid), dict(cfg, p_dark=np.array(p_darks)[:, None]))
+    shape = (len(p_darks), len(n_grid))
+    points = {  # the (p_dark, N) grid, p_dark outside
+        "p_dark": [p_dark for p_dark in p_darks for _ in n_grid],
+        "N": list(n_grid) * len(p_darks),
+        "M": [int(m) for m in params.m_pulses.tolist()] * len(p_darks),
+    }
+    table: dict[str, list] = {}
 
+    def add(strategy: str, at: int | None = None, **values) -> None:
+        """Rows of ``strategy`` at every point, an array value broadcast
+        against the grid, or the one row of the point with flat index
+        ``at``.  A value left out is the one of a classical row."""
+        values = {"alpha2": None, "r": None, "Q": None, "feasible": True, "dominant": False,
+                  "valid": True, "k_alpha2_over_m": None, **values, **extra, "strategy": strategy}
+        rows = slice(None) if at is None else slice(at, at + 1)
+        size = len(points["N"]) if at is None else 1
+        for field, column in points.items():
+            table.setdefault(field, []).extend(column[rows])
+        for field, value in values.items():
+            if np.ndim(value):
+                column = np.broadcast_to(value, shape).ravel().tolist()
+            else:
+                column = [value] * size
+            table.setdefault(field, []).extend(column)
 
-def _sweep_n_outer(cfg: dict, k: int, gains, n_grid: list[float], v: float | None,
-                   p_darks: Iterable[float], **extra) -> list[dict]:
-    """``sweep_rows`` of every p_dark series, N outside and p_dark inside.
+    def add_bound(res: BoundResult, at: int | None = None) -> None:
+        add(res.strategy, at, alpha2=res.alpha2, r=res.threshold_r, Q=res.q_qubits,
+            feasible=res.feasible, dominant=res.dominant_dark_term,
+            valid=res.within_validity(k), k_alpha2_over_m=res.photon_load(k))
 
-    The two-user searches of one N share its codeword length M, so run back
-    to back they find their log-pmf runs in ``bounds``' small caches.  The
-    rows are those of the series one after another, in another order.
-    """
-    return [
-        row
-        for n in n_grid
-        for p_dark in p_darks
-        for row in sweep_rows(dict(cfg, p_dark=p_dark), k, gains, [n], v, p_dark=p_dark, **extra)
-    ]
+    for strategy, compute in ((STRATEGY_FIRST, bound_first_detectors),
+                              (STRATEGY_LAST, bound_last_detector)):
+        try:
+            add_bound(compute(params, gains))
+        except FeasibilityError:
+            add(strategy, feasible=False)
+    add_bound(ideal_bound(params))
+    if k == 2:
+        best = [classical.best_two_user(n, p_error) for n in n_grid]
+    else:
+        best = [classical.best_k_user(k, n, p_error) for n in n_grid]
+    add("classical-best", alpha2=[b / eta for b in best], Q=best)
+    add("classical-limit",
+        alpha2=[classical.photonic_limit_photons(k, n, p_error, eta) for n in n_grid],
+        Q=[classical.classical_limit(k, n, p_error) for n in n_grid])
+    if v is not None:
+        for j, n in enumerate(n_grid):
+            for i, p_dark in enumerate(p_darks):
+                at = i * len(n_grid) + j
+                try:
+                    add_bound(algorithm_two_user(_params(k, n, dict(cfg, p_dark=p_dark)), v), at)
+                except FeasibilityError:
+                    add(STRATEGY_TWO_USER, at, feasible=False)
+    return table
 
 
 def _classical_costs(k: int, n_grid: list[float], cfg: dict, energy: bool):
@@ -319,15 +312,16 @@ def advantage_rows(
     gains_by_k: dict,
     n_grid: list[float],
     energy: bool,
-) -> list[dict]:
+) -> dict[str, list]:
     """Max advantage over N of the single-detector strategy vs classical costs.
 
     ``energy=False`` compares transmitted information (bits / qubits);
     ``energy=True`` compares photon numbers under the bit-per-photon rule.
     One bound call covers a (K, circuit) family: every p_dark and N at once.
+    Returns a column table (field -> list), one row per (K, circuit, p_dark).
     """
     cfg_p = dict(cfg, p_dark=np.array(p_dark_grid)[:, None])
-    rows = []
+    table = {f: [] for f in ("K", "p_dark", "circuit", "advantage_limit", "advantage_best")}
     for k in k_grid:
         costs = None
         for kind, gains in (("realistic", gains_by_k[k]), ("ideal-circuit", ideal_gain_set(k))):
@@ -342,32 +336,24 @@ def advantage_rows(
                     costs = _classical_costs(k, n_grid, cfg, energy)
                 quantum = res.alpha2 if energy else res.q_qubits
                 best_limit, best_known = (np.max(c / quantum, axis=1, initial=0.0) for c in costs)
-            for p_dark, lim, best in zip(p_dark_grid, best_limit.tolist(), best_known.tolist()):
-                rows.append(
-                    {
-                        "K": k,
-                        "p_dark": p_dark,
-                        "circuit": kind,
-                        "advantage_limit": lim,
-                        "advantage_best": best,
-                    }
-                )
-    return rows
+            table["K"] += [k] * len(p_dark_grid)
+            table["p_dark"] += p_dark_grid
+            table["circuit"] += [kind] * len(p_dark_grid)
+            table["advantage_limit"] += best_limit.tolist()
+            table["advantage_best"] += best_known.tolist()
+    return table
 
 
-def figure_18b_rows(mu_dark_grid: list[float], cfg: dict) -> list[dict]:
+def figure_18b_rows(mu_dark_grid: list[float], cfg: dict) -> dict[str, list]:
+    """Column table of the largest K with an energy advantage, per (v_last, mu_dark)."""
     ecc = ECCParams.from_delta(cfg["delta"])
-    rows = []
-    for v in FIG18_VISIBILITIES:
-        for mu in mu_dark_grid:
-            rows.append(
-                {
-                    "v_last": v,
-                    "mu_dark": mu,
-                    "k_max": max_users_energy_advantage(ecc, v, cfg["p_error"], mu),
-                }
-            )
-    return rows
+    v_last, mu_dark = zip(*itertools.product(FIG18_VISIBILITIES, mu_dark_grid))
+    return {
+        "v_last": list(v_last),
+        "mu_dark": list(mu_dark),
+        "k_max": [max_users_energy_advantage(ecc, v, cfg["p_error"], mu)
+                  for v, mu in zip(v_last, mu_dark)],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -423,29 +409,20 @@ def _check_stacks(k_values, realizations: int) -> None:
 
 
 def cmd_visibility(args) -> int:
-    rows = []
     k_values = parse_grid(args.k_grid)
     _check_stacks(k_values, args.realizations)
-    for k in k_values:
-        bg = batch_gains_for(
-            k, args.sigma, args.bs_loss_db, args.realizations, args.seed,
-            design=_DESIGN_ALIASES[args.design],
-        )
-        rows.append(
-            {
-                "K": k,
-                "design": _DESIGN_ALIASES[args.design],
-                "sigma": args.sigma,
-                "loss_db": args.bs_loss_db,
-                "v_first": bg.v_first,
-                "v_last": bg.v_last,
-                "sd_first": bg.v_first_sd,
-                "sd_last": bg.v_last_sd,
-            }
-        )
+    design = _DESIGN_ALIASES[args.design]
     fields = ["K", "design", "sigma", "loss_db", "v_first", "v_last", "sd_first", "sd_last"]
-    write_csv(Path(args.out), _cells(rows, fields), fields)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    table = {f: [] for f in fields}
+    for k in k_values:
+        bg = batch_gains_for(k, args.sigma, args.bs_loss_db, args.realizations, args.seed,
+                             design=design)
+        row = (k, design, args.sigma, args.bs_loss_db,
+               bg.v_first, bg.v_last, bg.v_first_sd, bg.v_last_sd)
+        for field, value in zip(fields, row):
+            table[field].append(value)
+    write_csv(Path(args.out), _cells(table, fields), fields)
+    print(f"wrote {args.out} ({len(k_values)} rows)")
     return 0
 
 
@@ -481,40 +458,43 @@ def cmd_figure(args) -> int:
     def gains_for(k: int, sigma: float) -> BatchGains:
         return batch_gains_for(k, sigma, args.bs_loss_db, args.realizations, args.seed)
 
-    def emit(name: str, rows: list[dict], fields: list[str]) -> None:
-        cells = _sorted_cells(rows, fields)
+    def emit(name: str, table: dict[str, list], fields: list[str]) -> None:
+        cells = _sorted_cells(table, fields)
         write_csv(out_dir / f"{name}.csv", cells, fields)
         write_dat(out_dir / f"{name}.dat", cells, fields)
         print(f"wrote {out_dir / name}.csv ({len(cells)} rows)")
 
     if sweep:
-        rows = []
+        table: dict[str, list] = {}
         for k in k_values:
             for sigma in _SWEEP_SIGMAS[args.id]:
                 sigma = args.sigma if sigma is None else sigma
                 bg = gains_for(k, sigma)
                 v = bg.v_first if k == 2 else None
-                rows += _sweep_n_outer(cfg, k, bg.mean, n_grid, v, p_darks, K=k, sigma=sigma)
+                for field, column in sweep_rows(cfg, k, bg.mean, n_grid, p_darks, v,
+                                                K=k, sigma=sigma).items():
+                    table.setdefault(field, []).extend(column)
         fields = _SWEEP_FIELDS + (["k_alpha2_over_m"] if args.id == 16 else [])
-        emit(f"figure{args.id}", rows, fields)
+        emit(f"figure{args.id}", table, fields)
         return 0
     batches = {k: gains_for(k, args.sigma) for k in k_values}
-    rows = advantage_rows(
+    table = advantage_rows(
         cfg, k_values, p_darks,
         {k: bg.mean for k, bg in batches.items()}, n_grid,
         energy=(args.id == 18),
     )
-    fields = ["K", "p_dark", "circuit", "advantage_limit", "advantage_best"]
-    emit(f"figure{args.id}a", rows, fields)
+    emit(f"figure{args.id}a", table, list(table))
     if args.id == 17:
-        vis_rows = [
-            {"K": k, "v_first": bg.v_first, "v_last": bg.v_last}
-            for k, bg in batches.items()
-        ]
-        emit("figure17b", vis_rows, ["K", "v_first", "v_last"])
+        vis = {
+            "K": list(batches),
+            "v_first": [bg.v_first for bg in batches.values()],
+            "v_last": [bg.v_last for bg in batches.values()],
+        }
+        emit("figure17b", vis, list(vis))
     else:
         mu_grid = [10.0 ** e for e in np.arange(-12.0, -6.99, 0.2)]
-        emit("figure18b", figure_18b_rows(mu_grid, cfg), ["v_last", "mu_dark", "k_max"])
+        table = figure_18b_rows(mu_grid, cfg)
+        emit("figure18b", table, list(table))
     return 0
 
 

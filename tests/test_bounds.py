@@ -978,6 +978,18 @@ class TestTwoUserAlgorithm:
         with pytest.raises(ConvergenceError, match="gap"):
             b.algorithm_two_user(params, v=0.51, alpha2_cap=4.0)
 
+    def test_equal_threshold_at_m_is_infeasible(self, ecc):
+        # at N = 10 (M = 42) the equal-sequence threshold reaches M first,
+        # while the different-sequence one is at most M - 1 at any alpha2
+        params = params_for(2, 10, ecc, eta=0.5, p_dark=1e-9)
+        m = params.m_pulses
+        assert m == 42
+        with pytest.raises(FeasibilityError, match="reaches M at alpha2 = 2048"):
+            b.algorithm_two_user(params, v=0.98)
+        for alpha2 in (2048.0, 1e6, 1e12):
+            r_e, r_d = b._two_user_thresholds(alpha2, m, 0.98, ecc.delta, 1e-9, 1e-5, 1e-5)
+            assert r_e == m and r_d < m
+
     def test_rejects_bad_inputs(self, ecc):
         with pytest.raises(ParameterError):
             b.algorithm_two_user(params_for(3, 1000, ecc), v=0.9)

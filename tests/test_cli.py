@@ -279,54 +279,93 @@ def sweep_gains():
     return {k: cli.batch_gains_for(k, 0.01, -0.2, 30, 0) for k in (2, 7, 15)}
 
 
+def table_rows(table, fields):
+    """The rows of a column table (field -> list) as dicts of ``fields``."""
+    return [dict(zip(fields, values)) for values in zip(*(table[f] for f in fields))]
+
+
 class TestSweepRows:
     @pytest.mark.parametrize("infeasible", [None, "g_d_first_min", "g_d_last_max"])
     @pytest.mark.parametrize("p_dark", cli.PRESETS["p_dark"])
     @pytest.mark.parametrize("figure, k", [(14, 2), (15, 7), (15, 15), (16, 7), (16, 15)])
     def test_rows_equal_the_reference(self, sweep_gains, figure, k, p_dark, infeasible):
+        # one family call covers every p_dark series: the presets, with
+        # ``p_dark`` first, then 0 and 1e-10; the reference builds each
+        # series point by point
         bg, sigma = sweep_gains[k], 0.01
         gains = bg.mean
         if infeasible:  # the strategy's gain inequality fails
             closing = {"g_d_first_min": gains.g_e_first, "g_d_last_max": gains.g_e_last}
             gains = dataclasses.replace(gains, **{infeasible: closing[infeasible]})
-        cfg = dict(cli.PRESETS, p_dark=p_dark, sigma=sigma)
+        p_darks = (p_dark, *(p for p in cli.PRESETS["p_dark"] if p != p_dark), 0.0, 1e-10)
         n_grid = cli.log_spaced(*cli.FIGURES[figure][0], 1)
-        if figure == 14:
-            want = [dict(r, K=2, sigma=sigma)
-                    for r in reference_figure_14_rows(cfg, bg.v_first, n_grid, gains)]
-        elif figure == 15:
-            want = reference_figure_15_rows(cfg, k, gains, n_grid)
-        else:
-            want = reference_figure_16_rows(cfg, k, gains, n_grid)
-        got = cli.sweep_rows(cfg, k, gains, n_grid, bg.v_first if k == 2 else None,
-                             K=k, p_dark=p_dark, sigma=sigma)
+        want = []
+        for series in p_darks:
+            cfg = dict(cli.PRESETS, p_dark=series, sigma=sigma)
+            if figure == 14:
+                want += [dict(r, K=2, sigma=sigma)
+                         for r in reference_figure_14_rows(cfg, bg.v_first, n_grid, gains)]
+            elif figure == 15:
+                want += reference_figure_15_rows(cfg, k, gains, n_grid)
+            else:
+                want += reference_figure_16_rows(cfg, k, gains, n_grid)
+        got = cli.sweep_rows(dict(cli.PRESETS, sigma=sigma), k, gains, n_grid, p_darks,
+                             bg.v_first if k == 2 else None, K=k, sigma=sigma)
         fields = cli._SWEEP_FIELDS + (["k_alpha2_over_m"] if figure == 16 else [])
+        assert len({len(column) for column in got.values()}) == 1
 
-        def project(rows):
-            return sorted((tuple(r[f] for f in fields) for r in rows), key=repr)
+        def project(rows):  # repr: a value of another type is another value
+            return sorted(repr(tuple(r[f] for f in fields)) for r in rows)
 
-        assert project(got) == project(want)
-        infeasible_rows = [r for r in got if not r["feasible"]]
-        assert len(infeasible_rows) == (len(n_grid) if infeasible else 0)
+        assert project(table_rows(got, fields)) == project(want)
+        infeasible_rows = got["feasible"].count(False)
+        assert infeasible_rows == (len(n_grid) * len(p_darks) if infeasible else 0)
+
+    @pytest.mark.parametrize("figure, families", [(14, 1), (15, 4), (16, 2)])
+    def test_one_bound_call_per_family(self, tmp_path, monkeypatch, figure, families):
+        # three bound calls per (K, sigma) family, each over the whole
+        # (p_dark, N) grid; only the two-user searches build per-point params
+        bound_calls, point_params = [], []
+        for name in ("bound_first_detectors", "bound_last_detector", "ideal_bound"):
+            def spy(params, *args, real=getattr(cli, name), name=name):
+                bound_calls.append((name, np.shape(params.p_dark), np.shape(params.n_bits)))
+                return real(params, *args)
+
+            monkeypatch.setattr(cli, name, spy)
+
+        def protocol_params(**kwargs):
+            if np.ndim(kwargs["n_bits"]) == 0:
+                point_params.append((kwargs["n_bits"], kwargs["p_dark"]))
+            return bounds.ProtocolParams(**kwargs)
+
+        monkeypatch.setattr(cli, "ProtocolParams", protocol_params)
+        run(["figure", "--id", str(figure), "--points-per-decade", "1", "--realizations", "20",
+             "--out-dir", str(tmp_path)])
+        (n_min, n_max), _, _, p_darks = cli.FIGURES[figure]
+        n_grid = cli.log_spaced(n_min, n_max, 1)
+        assert len(bound_calls) == 3 * families
+        assert set(bound_calls) == {
+            (name, (len(p_darks), 1), (len(n_grid),))
+            for name in ("bound_first_detectors", "bound_last_detector", "ideal_bound")
+        }
+        searches = [(n, p) for n in n_grid for p in p_darks] if figure == 14 else []
+        assert point_params == searches
 
 
-@pytest.mark.parametrize("figure, k", [(14, 2), (15, 7), (16, 15)])
-def test_sweep_rows_do_not_depend_on_the_sweep_order(sweep_gains, figure, k):
-    bg, sigma = sweep_gains[k], 0.01
-    v = bg.v_first if k == 2 else None
-    p_darks = cli.FIGURES[figure][3] + (1e-10,)
-    n_grid = cli.log_spaced(*cli.FIGURES[figure][0], 2)
-    cfg = dict(cli.PRESETS, sigma=sigma)
-    series = [
-        row
-        for p_dark in p_darks
-        for row in cli.sweep_rows(dict(cfg, p_dark=p_dark), k, bg.mean, n_grid, v,
-                                  K=k, p_dark=p_dark, sigma=sigma)
-    ]
-    n_outer = cli._sweep_n_outer(cfg, k, bg.mean, n_grid, v, p_darks, K=k, sigma=sigma)
-    fields = cli._SWEEP_FIELDS + ["k_alpha2_over_m"]
-    assert len(n_outer) == len(series)
-    assert cli._sorted_cells(n_outer, fields) == cli._sorted_cells(series, fields)
+def test_infeasible_two_user_search_gives_infeasible_rows(tmp_path):
+    # at N = 10 and 32 (M = 42 and 133) the equal-sequence threshold reaches
+    # M before the thresholds meet, so those searches cannot cross
+    assert run(["figure", "--id", "14", "--n-min", "10", "--n-max", "1e4",
+                "--points-per-decade", "2", "--realizations", "20",
+                "--out-dir", str(tmp_path)]) == 0
+    rows = [r for r in csv.DictReader(open(tmp_path / "figure14.csv"))
+            if r["strategy"] == bounds.STRATEGY_TWO_USER]
+    infeasible = {(r["N"], r["M"], r["p_dark"]) for r in rows if r["feasible"] == "0"}
+    assert infeasible == {(n, m, p) for n, m in (("10.0", "42"), ("32.0", "133"))
+                          for p in ("1e-09", "1e-11")}
+    for r in rows:
+        filled = [r[f] != "" for f in ("alpha2", "r", "Q")]
+        assert filled == [r["feasible"] == "1"] * 3
 
 
 def reference_advantage_rows(cfg, k_grid, p_dark_grid, gains_by_k, n_grid, energy):
@@ -382,8 +421,8 @@ class TestAdvantageRows:
         n_grid = cli.log_spaced(*n_range, 3)
         got = cli.advantage_rows(cfg, [2, 7, 15], p_darks, gains_by_k, n_grid, energy)
         want = reference_advantage_rows(cfg, [2, 7, 15], p_darks, gains_by_k, n_grid, energy)
-        assert got == want
-        zero = [r for r in got if r["advantage_limit"] == r["advantage_best"] == 0.0]
+        assert table_rows(got, list(got)) == want
+        zero = [r for r in want if r["advantage_limit"] == r["advantage_best"] == 0.0]
         assert len(zero) == (len(p_darks) if infeasible else 0)
 
     @pytest.mark.parametrize("argv, message", [
@@ -602,10 +641,10 @@ def test_sorted_cells_keep_the_str_order_and_the_cells():
     fields = ["a", "b"]
     values = [None, True, False, np.bool_(True), np.bool_(False), 0.1, -2.5, 1e16, 3,
               "last-only", np.float64(0.1), np.float64(1e-300), np.float64(2.0), 1, 10, 2.0]
-    rows = [{"a": x, "b": y} for x in values for y in values[::3]] + [{"b": 1.5}]
-    want = [tuple(reference_fmt(r.get(k)) for k in fields) for r in reference_sorted(rows, fields)]
-    assert cli._sorted_cells(rows, fields) == want
-    assert rows == []
+    rows = [{"a": x, "b": y} for x in values for y in values[::3]] + [{"a": None, "b": 1.5}]
+    table = {f: [r[f] for r in rows] for f in fields}
+    want = [tuple(reference_fmt(r[k]) for k in fields) for r in reference_sorted(rows, fields)]
+    assert cli._sorted_cells(table, fields) == want
     assert [cli._fmt(v) for v in values] == [reference_fmt(v) for v in values]
 
 
@@ -614,9 +653,9 @@ def test_figure_files_equal_the_record_writers(figure, tmp_path, monkeypatch):
     tables = []
     sorted_cells = cli._sorted_cells
 
-    def spy(rows, fields):
-        tables.append((list(rows), fields))  # _sorted_cells empties rows
-        return sorted_cells(rows, fields)
+    def spy(table, fields):
+        tables.append((table_rows(table, fields), fields))
+        return sorted_cells(table, fields)
 
     monkeypatch.setattr(cli, "_sorted_cells", spy)
     grid = ["--k-grid", "4,7"] if figure >= 17 else ["--n-min", "1e4", "--n-max", "1e9"]
