@@ -21,9 +21,10 @@ from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .classical import _limit_coefficient
-from .errors import ConvergenceError, FeasibilityError, ParameterError
+from .errors import ConvergenceError, FeasibilityError, MultiqfError, ParameterError
 from .errors import check_int, check_real, check_type
 from .gains import GainSet, click_probability
 
@@ -125,8 +126,10 @@ class BoundResult:
 
     def __post_init__(self):
         a, m, q = self.alpha2, self.m_pulses, self.q_qubits
-        if self.feasible:
-            check_real("alpha2", a, 0.0, ends="()", array=True,
+        # an array of feasible flags masks the elements that carry nan
+        checked = a[self.feasible] if np.ndim(self.feasible) else a if self.feasible else ()
+        if np.size(checked):
+            check_real("alpha2", checked, 0.0, ends="()", array=True,
                        why="a feasible bound must carry a positive alpha2")
         # Sanity anchor in the long-codeword regime: the qubit count cannot
         # fall below half the standard alpha2 * log2(M) approximation.
@@ -220,9 +223,9 @@ def _log_lhs(c0: float, c1: float, s: float) -> float:
     return c0 + s * (c1 - math.log(s))
 
 
-def _map(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` applied with Python floats to each element of the 1-d ``x``."""
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
+def _map(fn, *xs: np.ndarray) -> np.ndarray:
+    """``fn`` applied with Python floats to the elements of the 1-d ``xs``."""
+    return np.fromiter(map(fn, *(x.tolist() for x in xs)), float, len(xs[0]))
 
 
 def _qubit_cost_array(alpha2, m_pulses, log_target: float) -> tuple[np.ndarray, np.ndarray]:
@@ -278,10 +281,17 @@ def _qubit_cost_array(alpha2, m_pulses, log_target: float) -> tuple[np.ndarray, 
     return q.reshape(shape), hi.reshape(shape)
 
 
-def _costed(strategy: str, alpha2, threshold_r, m, epsilon: float, **extra) -> BoundResult:
-    """The bound of ``alpha2`` photons per user, with its qubit count."""
-    q_qubits, delta_cap = qubit_cost(alpha2, m, epsilon)
-    return BoundResult(strategy, alpha2, threshold_r, m, q_qubits, delta_cap, **extra)
+def _costed(strategy: str, alpha2, threshold_r, m, epsilon: float, feasible=True,
+            **extra) -> BoundResult:
+    """The bound of ``alpha2`` photons per user, with its qubit count (nan,
+    like alpha2, where an array ``feasible`` is False)."""
+    if np.ndim(feasible):
+        costs = qubit_cost(np.where(feasible, alpha2, 1.0), m, epsilon)
+        q_qubits, delta_cap = (np.where(feasible, x, np.nan) for x in costs)
+    else:
+        q_qubits, delta_cap = qubit_cost(alpha2, m, epsilon)
+    return BoundResult(strategy, alpha2, threshold_r, m, q_qubits, delta_cap, feasible=feasible,
+                       **extra)
 
 
 def _assemble(
@@ -417,10 +427,12 @@ def _log_binom_block(n: float, j: int) -> np.ndarray:
     return out
 
 
-def _build_run(n: float, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_run(n: float, j0: int, j1: int, blocks=None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lgamma prefix, k and n - k over blocks j0 .. j1, each contiguous
-    and read-only."""
-    prefix = np.concatenate([_log_binom_block(n, j) for j in range(j0, j1 + 1)])
+    and read-only; the blocks come from ``blocks`` if given (a ``_Blocks``)."""
+    prefix = np.concatenate([_log_binom_block(n, j) if blocks is None else blocks[n, j]
+                             for j in range(j0, j1 + 1)])
     ks = np.arange(j0 * _BLOCK, j0 * _BLOCK + len(prefix), dtype=float)
     nks = n - ks
     for a in (prefix, ks, nks):
@@ -436,16 +448,21 @@ _RUN_BLOCKS = 6
 _cached_run = functools.lru_cache(maxsize=16)(_build_run)
 
 
-def _log_pmf_array(ks: range | np.ndarray, n: float, log_q: float, log_1mq: float) -> np.ndarray:
+def _log_pmf_array(ks: range | np.ndarray, n: float, log_q: float, log_1mq: float,
+                   blocks=None) -> np.ndarray:
     """Binomial log-pmf over ``ks``, a run of consecutive integers in [0, n]
     (a ``range``, or an array of them).
 
     Rounds exactly like lgn - lg(k + 1) - lg(n - k + 1) + k log q + (n - k) log(1 - q)
-    term by term; the lgamma prefix, k and n - k come from the cached runs.
+    term by term; the lgamma prefix, k and n - k come from the cached runs,
+    or from the caller's ``blocks``.
     """
     first, count = int(ks[0]), len(ks)
     j0, j1 = first // _BLOCK, (first + count - 1) // _BLOCK
-    prefix, k, n_k = (_cached_run if j1 - j0 < _RUN_BLOCKS else _build_run)(n, j0, j1)
+    if blocks is None and j1 - j0 < _RUN_BLOCKS:
+        prefix, k, n_k = _cached_run(n, j0, j1)
+    else:
+        prefix, k, n_k = _build_run(n, j0, j1, blocks)
     w = slice(first - j0 * _BLOCK, first - j0 * _BLOCK + count)
     out = k[w] * log_q
     out += prefix[w]  # float addition commutes: prefix + k log q, bit for bit
@@ -482,6 +499,9 @@ def _logsumexp(values: np.ndarray, exact: bool) -> tuple[float, float]:
     return total, _SUM_BAND * (len(values) + 4.0 * log_s + 2.0 * abs(total) + 1.0)
 
 
+_WIDTH = 256  # terms of a tail window's first try; it widens 4x at a time
+
+
 def _log_tail(
     lo: float,
     hi: float,
@@ -491,6 +511,7 @@ def _log_tail(
     from_top: bool,
     pad: int,
     exact: bool,
+    log_pmf=None,
 ) -> tuple[float, float, np.ndarray, int]:
     """log of the pmf sum over the integer window [lo, hi], with its error bound.
 
@@ -501,9 +522,10 @@ def _log_tail(
     (``exact``: that total, bound 0); a widening test within the bound is
     re-decided by an exact call.  One log-pmf array covers the final window
     and up to ``pad`` more terms past its fixed end (above hi from the top,
-    below lo otherwise); it is returned with its first k.
+    below lo otherwise); it is returned with its first k.  ``log_pmf``
+    replaces ``_log_pmf_array``.
     """
-    width = 256
+    width = _WIDTH
     while True:
         if from_top:
             a, b = max(lo, hi - width + 1), hi
@@ -515,14 +537,14 @@ def _log_tail(
             first, last = a, min(b + pad, n, _MAX_K - 1)
         else:
             first, last = max(a - pad, 0.0), b
-        logs = _log_pmf_array(range(int(first), int(last) + 1), n, log_q, log_1mq)
+        logs = (log_pmf or _log_pmf_array)(range(int(first), int(last) + 1), n, log_q, log_1mq)
         window = logs[int(a - first) : int(b - first) + 1]
         total, err = _logsumexp(window, exact)
         if (a == lo and from_top) or (b == hi and not from_top):
             return total, err, logs, int(first)
         gap = float(window[0] if from_top else window[-1]) - total
         if not exact and abs(gap + 42.0) <= err + 2.0**-50 * abs(gap):
-            return _log_tail(lo, hi, n, log_q, log_1mq, from_top, pad, exact=True)
+            return _log_tail(lo, hi, n, log_q, log_1mq, from_top, pad, True, log_pmf)
         if gap < -42.0:
             return total, err, logs, int(first)
         width *= 4
@@ -570,23 +592,29 @@ def binomial_inv_cdf(p: float, n: int, q: float) -> int:
     if p >= 1.0:
         return n
 
+    start = _start(p, n, q)
+    try:
+        return _walk(*start, exact=False)
+    except _InDoubt:
+        return _walk(*start, exact=True)
+
+
+def _start(p: float, n: int, q: float) -> tuple[int, int, float, float, float]:
+    """The walk's arguments: the Cornish-Fisher start k, n, log q,
+    log(1 - q) and the target of h (see ``_walk``)."""
     log_q, log_1mq = math.log(q), math.log1p(-q)
     mean = n * q
     sd = math.sqrt(n * q * (1.0 - q))
     z = _normal_quantile(min(max(p, 1e-300), 1.0 - 1e-16))
     guess = mean + z * sd + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
     k = int(min(max(round(guess), 0), n))
-
     if p > 0.5:
         # The extra 2^-53 absorbs the rounding of 1 - p itself, which
         # dominates the tie tolerance once the survival drops below ~1e-7.
         target = -((1.0 - p) * (1.0 + _TIE_FUZZ) + 2.0**-53)
     else:
         target = p * (1.0 - _TIE_FUZZ)
-    try:
-        return _walk(k, n, log_q, log_1mq, target, exact=False)
-    except _InDoubt:
-        return _walk(k, n, log_q, log_1mq, target, exact=True)
+    return k, n, log_q, log_1mq, target
 
 
 #: Log-pmf terms evaluated past the tail window's end, on the side of k
@@ -599,18 +627,28 @@ _PAD = 16
 _WALK_BLOCK = 256
 
 
+#: ``_inv_cdf_rows``' walk steps (figure 14's walks take up to three), the
+#: rows of one chunk of its 2-d arrays and the fewest rows it takes (below
+#: that the scalar function is faster); log C(n, k) of a block past n.
+_STEPS, _CHUNK, _MIN_ROWS = np.arange(3.0), 16, 16
+_NO_TERMS = np.full(_BLOCK, -np.inf)
+_NO_TERMS.flags.writeable = False
+
+
 class _InDoubt(Exception):
     """A comparison of the fast tail sum lies within its error bound."""
 
 
-def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bool) -> int:
+def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bool,
+          log_pmf=None) -> int:
     """``binomial_inv_cdf``'s walk from the start k to the answer.
 
     h(k) is F(k), or -G(k) = F(k) - 1 for a target below 0: nondecreasing,
     one pmf per step of k.  Its tail comes from the fast sum unless
     ``exact``; ``err`` then bounds h's distance from the exactly summed
     walk's value, and a comparison within it raises ``_InDoubt``, so every
-    decision that returns is the exact walk's.
+    decision that returns is the exact walk's.  ``log_pmf`` replaces
+    ``_log_pmf_array``.
     """
     nf = float(n)
     logs, first = None, k
@@ -618,9 +656,9 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
         h, err = (0.0 if target < 0.0 else 1.0), 0.0
     else:
         if target < 0.0:
-            tail = _log_tail(k + 1.0, nf, nf, log_q, log_1mq, False, _PAD, exact)
+            tail = _log_tail(k + 1.0, nf, nf, log_q, log_1mq, False, _PAD, exact, log_pmf)
         else:
-            tail = _log_tail(0.0, k, nf, log_q, log_1mq, True, _PAD, exact)
+            tail = _log_tail(0.0, k, nf, log_q, log_1mq, True, _PAD, exact, log_pmf)
         total, err, logs, first = tail
         if not exact and total + err > _LOG_MASS_MAX:
             raise _InDoubt  # the exact walk raises, or not, with the exact total
@@ -637,7 +675,7 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
             # it would in a one-element array
             first = max(kk - _WALK_BLOCK + 1, 0) if down else kk
             ks = range(first, min(first + _WALK_BLOCK, n + 1))
-            logs = _log_pmf_array(ks, nf, log_q, log_1mq)
+            logs = (log_pmf or _log_pmf_array)(ks, nf, log_q, log_1mq)
         return _mass(logs.item(kk - first), n)
 
     def decided(h: float) -> float:
@@ -663,20 +701,209 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
     return n
 
 
+def _inv_cdf_rows(p: np.ndarray, n: np.ndarray, q: np.ndarray, blocks=None) -> np.ndarray:
+    """``binomial_inv_cdf`` of each row of the 1-d arrays ``p``, ``n``, ``q``.
+
+    Each row's first tail window with _PAD more terms on each side is a row
+    of a 2-d log-pmf array, _CHUNK rows at a time, rounded as
+    ``_log_pmf_array`` rounds it from the caller's ``_Blocks``; the zeros past
+    a short window change the order of np.sum's additions, not its error
+    bound.  Each row then walks len(_STEPS) pmfs at most, one cumsum adding
+    them in the scalar loop's order; a window that must widen takes the
+    scalar tail and walk, from the blocks.  A row the scalar treats
+    specially, or whose mass may overflow, or one of whose tests lies within
+    its error bound, goes to ``binomial_inv_cdf``, so each k is the scalar
+    one.  The k are floats.
+    """
+    if len(n) < _MIN_ROWS:  # too few rows to pay for the 2-d arrays
+        return _map(lambda pp, nn, qq: binomial_inv_cdf(pp, int(nn), qq), p, n, q)
+    p0, n0, q0, blocks = p, n, q, _Blocks() if blocks is None else blocks
+    k = np.empty_like(n)
+    rows = np.flatnonzero((p > 0.0) & (q > 0.0) & (q < 1.0) & (p < 1.0) & (n < _MAX_K))
+    p, n, q = p[rows], n[rows], q[rows]
+    log_q, log_1mq = _map(math.log, q), _map(math.log1p, -q)
+    z = _map(_normal_quantile, np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
+    mean = n * q
+    guess = mean + z * np.sqrt(mean * (1.0 - q)) + (z * z - 1.0) * (1.0 - 2.0 * q) / 6.0
+    start = np.minimum(np.maximum(np.rint(guess), 0.0), n)
+    upper = p > 0.5  # the survival: its window lies above the start
+    target = np.where(upper, -((1.0 - p) * (1.0 + _TIE_FUZZ) + 2.0**-53), p * (1.0 - _TIE_FUZZ))
+    a = np.where(upper, np.minimum(start + 1.0, n), np.maximum(start - (_WIDTH - 1), 0.0))
+    b = np.where(upper, np.minimum(n, start + _WIDTH), start)
+    k0 = a - _PAD  # the k of column 0
+    first = np.maximum(np.where(upper, k0, a), 0.0) - k0  # the columns with a log-pmf
+    last = np.minimum(np.where(upper, b, start + _PAD), n) - k0
+    size = b - a + 1.0
+
+    cols, steps, span = _WIDTH + 2 * _PAD, len(_STEPS), 3  # span: blocks from column 0's
+    keys = zip(n.tolist(), *(x.astype(int).tolist() for x in (k0, first + k0, last + k0)))
+    keys = [(nn, j) if lo // _BLOCK <= j <= hi // _BLOCK else None
+            for nn, c, lo, hi in keys for j in range(c // _BLOCK, c // _BLOCK + span)]
+    at = _BLOCK * span * (np.arange(len(rows)) % _CHUNK) + (k0 % _BLOCK).astype(int)
+    around = (start - k0).astype(int)[:, None] + np.arange(1 - steps, steps + 1)
+    edge = np.where(upper, size - 1.0, 0.0).astype(int)
+    top, sums, gap = np.empty((3, len(rows)))
+    near = np.empty((len(rows), 2 * steps))  # the terms around the start
+    for c in range(0, len(rows), _CHUNK):
+        r = slice(c, c + _CHUNK)
+        width = int(size[r].max())  # the chunk's widest window
+        logs = k0[r, None] + np.arange(width + 2 * _PAD)  # k
+        n_k = (n[r, None] - logs) * log_1mq[r, None]
+        logs *= log_q[r, None]
+        flat = np.concatenate([blocks[key] for key in keys[c * span : (c + _CHUNK) * span]])
+        rows_of = as_strided(flat, (len(flat) - cols + 1, logs.shape[1]), flat.strides * 2,
+                             writeable=False)
+        logs += rows_of[at[r]]
+        logs += n_k
+        i = np.arange(len(logs))
+        near[r] = logs[i[:, None], around[r]]
+        window = np.where(np.arange(width) < size[r, None], logs[:, _PAD : _PAD + width], -np.inf)
+        top[r] = window.max(axis=1)
+        gap[r] = window[i, edge[r]]
+        window -= top[r, None]
+        sums[r] = np.exp(window, out=window).sum(axis=1)
+    log_s = _map(math.log, sums)
+    total = top + log_s
+    err = _SUM_BAND * (size + 4.0 * log_s + 2.0 * np.abs(total) + 1.0)
+    gap -= total
+    sure = np.abs(gap + 42.0) > err + 2.0**-50 * np.abs(gap)
+    wide = sure & (gap >= -42.0)
+    doubt = ~np.where(upper, b == n, a == 0.0) & (~sure | wide) | (start == n) | ~(
+        total + err <= _LOG_MASS_MAX)
+    h = _map(math.exp, np.where(doubt, 0.0, total))
+    err = h * (2.0 * err + 2.0**-50) + 2.0**-1073
+    h = np.where(upper, -h, h)
+
+    # the walk: step j reads the pmf at k - j (down) or k + 1 + j (up)
+    down = h >= target
+    doubt |= ~(np.abs(h - target) > err)
+    sign = np.where(down, -1.0, 1.0)[:, None]
+    col = (start - k0 + ~down)[:, None] + sign * _STEPS
+    lg = np.where(down[:, None], near[:, steps - 1 :: -1], near[:, steps:])
+    bad = (col < first[:, None]) | (col > last[:, None]) | ~(lg <= _LOG_MASS_MAX)
+    pmf = _map(math.exp, np.where(bad, -np.inf, lg).ravel()).reshape(lg.shape)
+    hs = np.cumsum(np.hstack([h[:, None], sign * pmf]), axis=1)
+    for j in range(1, steps + 1):  # err in the scalar's steps
+        err = err + 2.0**-51 * (np.abs(hs[:, j]) + err)
+        bad[:, j - 1] |= ~(np.abs(hs[:, j] - target) > err)
+    hit = (hs[:, 1:] < target[:, None]) == down[:, None]
+    moved = start[:, None] + sign * (1.0 + _STEPS)
+    stop = hit | (moved == np.where(down, 0.0, n)[:, None])
+    at = np.arange(len(rows)), stop.argmax(axis=1)
+    zero = down & (start == 0.0)  # the scalar's walk down from 0 stops at once
+    doubt |= ~zero & (~stop[at] | (np.cumsum(bad, axis=1)[at] > 0))
+    k[rows] = np.where(zero, 0.0, moved[at] + (down & hit[at]))
+    fallback = np.ones(len(k), dtype=bool)
+    fallback[rows[~doubt]] = False
+    log_pmf = functools.partial(_log_pmf_array, blocks=blocks)
+    for i in rows[doubt & wide].tolist():
+        try:
+            k[i] = _walk(*_start(p0[i].item(), int(n0[i]), q0[i].item()), exact=False,
+                         log_pmf=log_pmf)
+            fallback[i] = False
+        except _InDoubt:
+            pass
+    for i in np.flatnonzero(fallback).tolist():
+        k[i] = binomial_inv_cdf(p0[i].item(), int(n0[i]), q0[i].item())
+    return k
+
+
+class _Blocks(dict):
+    """(n, j) -> log C(n, k) over block j, -inf past n; None -> all -inf."""
+
+    def __init__(self):
+        super().__init__({None: _NO_TERMS})
+
+    def __missing__(self, key):
+        blk = _log_binom_block(*key)
+        self[key] = blk = np.concatenate([blk, _NO_TERMS[len(blk) :]])
+        return blk
+
+
 # --------------------------------------------------------------------------
 # Iterative two-user threshold search and the naive multi-user composition
 
 
-def _two_user_thresholds(alpha2: float, m: int, v: float, delta: float, p_dark: float,
-                         p_error_equal: float, p_error_diff: float) -> tuple[int, int]:
-    """Equal- and different-sequence thresholds at the detector-side ``alpha2``,
-    so the click model takes eta = 1."""
-    p_e = click_probability(2.0 * (1.0 - v) * alpha2 / m, 1.0, p_dark)
-    p_d = click_probability(2.0 * v * alpha2 / m, 1.0, p_dark)
-    mix = min(1.0, (1.0 - delta) * p_d + delta * p_e)
-    r_equal = binomial_inv_cdf(1.0 - p_error_equal, m, p_e)
-    r_diff = binomial_inv_cdf(p_error_diff, m, mix) - 1
-    return r_equal, r_diff
+def _two_user_thresholds(alpha2, m, v: float, delta: float, p_dark, p_error_equal: float,
+                         p_error_diff: float, blocks=None) -> tuple[np.ndarray, np.ndarray]:
+    """Equal- and different-sequence thresholds of each lane (``alpha2``,
+    ``m`` and ``p_dark`` broadcast) at the detector-side ``alpha2``, so the
+    click model takes eta = 1; both quantiles of every lane in one
+    ``_inv_cdf_rows`` call."""
+    shape = np.broadcast_shapes(np.shape(alpha2), np.shape(m), np.shape(p_dark))
+    alpha2, m, p_dark = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+                         for x in (alpha2, m, p_dark))
+    click = lambda mu, pd: click_probability(mu, 1.0, pd)  # noqa: E731
+    p_e = _map(click, 2.0 * (1.0 - v) * alpha2 / m, p_dark)
+    p_d = _map(click, 2.0 * v * alpha2 / m, p_dark)
+    mix = np.minimum(1.0, (1.0 - delta) * p_d + delta * p_e)
+    k = _inv_cdf_rows(np.repeat([1.0 - p_error_equal, p_error_diff], len(m)),
+                      np.concatenate([m, m]), np.concatenate([p_e, mix]), blocks)
+    return k[: len(m)].reshape(shape), (k[len(m) :] - 1).reshape(shape)
+
+
+#: Distinct codeword lengths searched together; the group's ``_Blocks``
+#: holds their log C(n, k) blocks (at most 133, 266 KiB, at figure 14's
+#: presets), which the 64-block cache alone would evict and rebuild.
+_LANE_M = 32
+
+
+def _search_lanes(m, p_dark, v, delta, step, alpha2_cap, pe_eq, pe_df):
+    """``algorithm_two_user``'s search of each lane (1-d ``m``, ``p_dark``):
+    its crossing ``hi``, the different-sequence threshold there, and its
+    ``FeasibilityError`` if it cannot cross, by lane.
+
+    Lanes are taken in order of M, in groups of _LANE_M distinct M whose
+    lanes take the scalar steps in lockstep, one threshold pair per lane and
+    round.  Raises a lane's other error, the first in lane order.
+    """
+    hi, lo, r_d, errors = np.zeros(len(m)), np.zeros(len(m)), np.zeros(len(m)), {}
+
+    def search(lanes: np.ndarray) -> None:
+        hi[lanes], lo[lanes], blocks = step, 0.0, _Blocks()
+        r_e, r = _two_user_thresholds(0.0, m[lanes], v, delta, p_dark[lanes], pe_eq, pe_df, blocks)
+        for lane in lanes[r >= r_e].tolist():
+            errors[lane] = ConvergenceError("threshold search degenerate: crossing at zero photons")
+        live, bracket = lanes[r < r_e], np.ones(np.count_nonzero(r < r_e), dtype=bool)
+        while live.size:
+            h, low = hi[live], lo[live]
+            mid = np.minimum(np.maximum(low + step * np.rint((h - low) / (2.0 * step)), low + step),
+                             h - step)
+            x = np.where(bracket, h, mid)
+            r_e, r = _two_user_thresholds(x, m[live], v, delta, p_dark[live], pe_eq, pe_df, blocks)
+            ok = r >= r_e
+            grow = bracket & ~ok
+            full = grow & (r_e == m[live])
+            capped = grow & ~full & (h > alpha2_cap)
+            for i in np.flatnonzero(full | capped).tolist():
+                errors[int(live[i])] = FeasibilityError(
+                    f"no threshold crossing possible at M = {int(m[live[i]])}: the equal-sequence "
+                    f"threshold reaches M at alpha2 = {h[i]:.4g}, and the different-sequence one "
+                    "stays below M") if full[i] else ConvergenceError(
+                    f"no threshold crossing up to alpha2 = {h[i]:.4g}; "
+                    f"remaining gap r_E - r_D = {int(r_e[i] - r[i])}")
+            hi[live[ok]], r_d[live[ok]], lo[live[~ok]] = x[ok], r[ok], x[~ok]
+            hi[live[grow]] = 2.0 * h[grow]
+            bracket = grow & ~full & ~capped
+            keep = bracket | ~grow & (hi[live] - lo[live] > step * 1.0001)
+            live, bracket = live[keep], bracket[keep]
+
+    def raise_other(lanes: np.ndarray) -> None:
+        for error in map(errors.get, lanes.tolist()):
+            if error is not None and not isinstance(error, FeasibilityError):
+                raise error
+
+    order = np.argsort(m, kind="stable")
+    new_m = np.flatnonzero(np.diff(m[order], prepend=np.nan))  # a lane of each M
+    for group in np.split(order, new_m[_LANE_M::_LANE_M]):
+        try:
+            search(group)
+        except MultiqfError:  # a quantile raised: search lane by lane, as each point would
+            for i in range(len(group)):
+                search(group[i : i + 1])
+                raise_other(group[i : i + 1])
+        raise_other(group)
+    return hi, r_d, errors
 
 
 def algorithm_two_user(
@@ -699,6 +926,9 @@ def algorithm_two_user(
     Raises ``FeasibilityError`` once the equal-sequence threshold reaches M:
     the different-sequence threshold is at most M - 1, and the equal one
     does not decrease as the photon number grows, so they cannot meet.
+    Array ``params`` (N or p_dark) search every point at once, as scalar
+    calls would; a point that cannot cross is masked (``feasible`` False,
+    nan fields), and another error, the first in order of M, is raised.
     """
     check_type("params", params, ProtocolParams)
     if params.k != 2:
@@ -711,44 +941,19 @@ def algorithm_two_user(
     check_real("p_error_equal", pe_eq, 0.0, 1.0, "()")
     check_real("p_error_diff", pe_df, 0.0, 1.0, "()")
     m = params.m_pulses
-    delta = params.ecc.delta
-
-    def crossed(alpha2: float) -> tuple[bool, int, int]:
-        r_e, r_d = _two_user_thresholds(alpha2, m, v, delta, params.p_dark, pe_eq, pe_df)
-        return r_d >= r_e, r_e, r_d
-
-    ok0, _, _ = crossed(0.0)
-    if ok0:
-        raise ConvergenceError("threshold search degenerate: crossing at zero photons")
-    lo = 0.0
-    hi = step
-    while True:
-        ok, r_e, r_d = crossed(hi)
-        if ok:
-            break
-        if r_e == m:
-            raise FeasibilityError(
-                f"no threshold crossing possible at M = {m}: the equal-sequence threshold "
-                f"reaches M at alpha2 = {hi:.4g}, and the different-sequence one stays "
-                "below M"
-            )
-        if hi > alpha2_cap:
-            raise ConvergenceError(
-                f"no threshold crossing up to alpha2 = {hi:.4g}; "
-                f"remaining gap r_E - r_D = {r_e - r_d}"
-            )
-        lo = hi
-        hi *= 2.0
-    while hi - lo > step * 1.0001:
-        mid = lo + step * round((hi - lo) / (2.0 * step))
-        mid = min(max(mid, lo + step), hi - step)
-        ok, _, _ = crossed(mid)
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-    _, _, r_d = crossed(hi)
-    return _costed(STRATEGY_TWO_USER, hi / params.eta, float(r_d), m, params.epsilon)
+    shape = np.broadcast_shapes(np.shape(m), np.shape(params.p_dark))
+    lanes = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (m, params.p_dark))
+    hi, r_d, infeasible = _search_lanes(*lanes, v, params.ecc.delta, step, alpha2_cap, pe_eq, pe_df)
+    if not shape:
+        if infeasible:
+            raise infeasible[0]
+        return _costed(STRATEGY_TWO_USER, hi.item() / params.eta, float(r_d.item()), m,
+                       params.epsilon)
+    feasible = np.ones(len(hi), dtype=bool)
+    feasible[list(infeasible)] = False
+    alpha2, r = (np.where(feasible, x, np.nan).reshape(shape) for x in (hi / params.eta, r_d))
+    return _costed(STRATEGY_TWO_USER, alpha2, r, np.broadcast_to(m, shape), params.epsilon,
+                   feasible=feasible.reshape(shape))
 
 
 def naive_error_probability(k: int, p_error: float) -> float:

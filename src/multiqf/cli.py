@@ -24,7 +24,6 @@ from . import circuits, classical
 from .bounds import (
     STRATEGY_FIRST,
     STRATEGY_LAST,
-    STRATEGY_TWO_USER,
     BoundResult,
     ECCParams,
     ProtocolParams,
@@ -226,15 +225,13 @@ def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], p_darks: list[floa
                v: float | None = None, **extra) -> dict[str, list]:
     """Column table (field -> list) of figures 14-16 for one (K, gains) family.
 
-    One call each to both strategy bounds and the ideal curve covers every
-    p_dark and N, a column of p_dark against the row of N; a strategy whose
-    gain inequality fails gives infeasible rows.  The best known
-    (``best_two_user`` at K = 2, ``best_k_user`` otherwise) and limiting
-    classical costs are computed once per N.  With a visibility ``v``, the
-    iterative two-user search runs at every point, N outside and p_dark
-    inside, so that the searches at one codeword length find their log-pmf
-    runs in ``bounds``' caches; a search that cannot cross gives an
-    infeasible row.  ``extra`` adds columns of one value, such as K.
+    One call each to both strategy bounds and the ideal curve, and with a
+    visibility ``v`` to the iterative two-user search, covers every p_dark
+    and N, a column of p_dark against the row of N.  A strategy whose gain
+    inequality fails gives infeasible rows, and so does a point whose
+    two-user search cannot cross.  The best known (``best_two_user`` at
+    K = 2, ``best_k_user`` otherwise) and limiting classical costs are
+    computed once per N.  ``extra`` adds columns of one value, such as K.
     """
     p_error, eta = cfg["p_error"], cfg["eta"]
     params = _params(k, np.array(n_grid), dict(cfg, p_dark=np.array(p_darks)[:, None]))
@@ -246,27 +243,29 @@ def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], p_darks: list[floa
     }
     table: dict[str, list] = {}
 
-    def add(strategy: str, at: int | None = None, **values) -> None:
+    def add(strategy: str, **values) -> None:
         """Rows of ``strategy`` at every point, an array value broadcast
-        against the grid, or the one row of the point with flat index
-        ``at``.  A value left out is the one of a classical row."""
+        against the grid.  A value left out is the one of a classical row."""
         values = {"alpha2": None, "r": None, "Q": None, "feasible": True, "dominant": False,
                   "valid": True, "k_alpha2_over_m": None, **values, **extra, "strategy": strategy}
-        rows = slice(None) if at is None else slice(at, at + 1)
-        size = len(points["N"]) if at is None else 1
         for field, column in points.items():
-            table.setdefault(field, []).extend(column[rows])
+            table.setdefault(field, []).extend(column)
         for field, value in values.items():
             if np.ndim(value):
                 column = np.broadcast_to(value, shape).ravel().tolist()
             else:
-                column = [value] * size
+                column = [value] * len(points["N"])
             table.setdefault(field, []).extend(column)
 
-    def add_bound(res: BoundResult, at: int | None = None) -> None:
-        add(res.strategy, at, alpha2=res.alpha2, r=res.threshold_r, Q=res.q_qubits,
-            feasible=res.feasible, dominant=res.dominant_dark_term,
-            valid=res.within_validity(k), k_alpha2_over_m=res.photon_load(k))
+    def add_bound(res: BoundResult) -> None:
+        fields = {"alpha2": res.alpha2, "r": res.threshold_r, "Q": res.q_qubits,
+                  "k_alpha2_over_m": res.photon_load(k)}
+        valid = res.within_validity(k)
+        if np.ndim(res.feasible):  # a masked point's row is an infeasible one
+            fields = {f: np.where(res.feasible, x, None) for f, x in fields.items()}
+            valid = valid | ~res.feasible
+        add(res.strategy, **fields, feasible=res.feasible, dominant=res.dominant_dark_term,
+            valid=valid)
 
     for strategy, compute in ((STRATEGY_FIRST, bound_first_detectors),
                               (STRATEGY_LAST, bound_last_detector)):
@@ -284,13 +283,7 @@ def sweep_rows(cfg: dict, k: int, gains, n_grid: list[float], p_darks: list[floa
         alpha2=[classical.photonic_limit_photons(k, n, p_error, eta) for n in n_grid],
         Q=[classical.classical_limit(k, n, p_error) for n in n_grid])
     if v is not None:
-        for j, n in enumerate(n_grid):
-            for i, p_dark in enumerate(p_darks):
-                at = i * len(n_grid) + j
-                try:
-                    add_bound(algorithm_two_user(_params(k, n, dict(cfg, p_dark=p_dark)), v), at)
-                except FeasibilityError:
-                    add(STRATEGY_TWO_USER, at, feasible=False)
+        add_bound(algorithm_two_user(params, v))
     return table
 
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from multiqf import bounds as b
+from multiqf.cli import log_spaced
 from multiqf.errors import ConvergenceError, FeasibilityError, ParameterError
-from multiqf.gains import ideal_gain_set
+from multiqf.gains import click_probability, ideal_gain_set
 
 LN1E5 = math.log(1e5)
 
@@ -995,6 +996,225 @@ class TestTwoUserAlgorithm:
             b.algorithm_two_user(params_for(3, 1000, ecc), v=0.9)
         with pytest.raises(ParameterError):
             b.algorithm_two_user(params_for(2, 1000, ecc), v=0.4)
+
+
+# The per-point search that the lockstep one replaced, kept as its oracle.
+
+
+def reference_two_user_thresholds(alpha2, m, v, delta, p_dark, p_error_equal, p_error_diff):
+    p_e = click_probability(2.0 * (1.0 - v) * alpha2 / m, 1.0, p_dark)
+    p_d = click_probability(2.0 * v * alpha2 / m, 1.0, p_dark)
+    mix = min(1.0, (1.0 - delta) * p_d + delta * p_e)
+    r_equal = b.binomial_inv_cdf(1.0 - p_error_equal, m, p_e)
+    r_diff = b.binomial_inv_cdf(p_error_diff, m, mix) - 1
+    return r_equal, r_diff
+
+
+def reference_two_user(params, v, step=1.0, alpha2_cap=1e6, p_error_equal=None,
+                       p_error_diff=None):
+    pe_eq = params.p_error if p_error_equal is None else p_error_equal
+    pe_df = params.p_error if p_error_diff is None else p_error_diff
+    m = params.m_pulses
+    delta = params.ecc.delta
+
+    def crossed(alpha2):
+        r_e, r_d = reference_two_user_thresholds(alpha2, m, v, delta, params.p_dark, pe_eq, pe_df)
+        return r_d >= r_e, r_e, r_d
+
+    ok0, _, _ = crossed(0.0)
+    if ok0:
+        raise ConvergenceError("threshold search degenerate: crossing at zero photons")
+    lo = 0.0
+    hi = step
+    while True:
+        ok, r_e, r_d = crossed(hi)
+        if ok:
+            break
+        if r_e == m:
+            raise FeasibilityError(
+                f"no threshold crossing possible at M = {m}: the equal-sequence threshold "
+                f"reaches M at alpha2 = {hi:.4g}, and the different-sequence one stays "
+                "below M"
+            )
+        if hi > alpha2_cap:
+            raise ConvergenceError(
+                f"no threshold crossing up to alpha2 = {hi:.4g}; "
+                f"remaining gap r_E - r_D = {r_e - r_d}"
+            )
+        lo = hi
+        hi *= 2.0
+    while hi - lo > step * 1.0001:
+        mid = lo + step * round((hi - lo) / (2.0 * step))
+        mid = min(max(mid, lo + step), hi - step)
+        ok, _, _ = crossed(mid)
+        if ok:
+            hi = mid
+        else:
+            lo = mid
+    _, _, r_d = crossed(hi)
+    return b._costed(b.STRATEGY_TWO_USER, hi / params.eta, float(r_d), m, params.epsilon)
+
+
+class TestLockstepSearch:
+    """Array ``algorithm_two_user`` against the per-point oracle, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n_range, v, kwargs",
+        [
+            ((1e4, 1e12, 25), 0.98, {}),  # figure 14's presets
+            ((10, 1e4, 2), 0.98, {}),  # infeasible at N = 10 and 32
+            ((1e4, 1e14, 2), 0.98, {}),  # windows that widen
+            ((1e4, 1e10, 2), 0.98, {"p_error_equal": 1e-3, "p_error_diff": 1e-7}),
+            ((1e4, 1e10, 2), 0.98, {"step": 0.37}),
+            ((1e4, 1e10, 2), 0.98, {"step": 5.0}),
+            ((1e4, 1e10, 2), 0.7, {}),
+            ((1e4, 1e10, 2), 1.0, {}),
+            ((1e4, 1e10, 2), 0.9999, {}),
+        ],
+    )
+    def test_fields_equal_the_per_point_search(self, ecc, n_range, v, kwargs):
+        n_grid = log_spaced(*n_range)
+        p_darks = (1e-9, 1e-11)
+        params = params_for(2, np.array(n_grid), ecc, eta=0.5, p_dark=np.array(p_darks)[:, None])
+        res = b.algorithm_two_user(params, v, **kwargs)
+        assert res.alpha2.shape == (2, len(n_grid))
+        for (i, p_dark), (j, n) in itertools.product(enumerate(p_darks), enumerate(n_grid)):
+            try:
+                want = reference_two_user(params_for(2, n, ecc, eta=0.5, p_dark=p_dark), v,
+                                          **kwargs)
+            except FeasibilityError:
+                assert not res.feasible[i, j], (p_dark, n)
+                for field in (res.alpha2, res.threshold_r, res.q_qubits):
+                    assert math.isnan(field[i, j])
+                continue
+            got = [x[i, j] for x in (res.alpha2, res.threshold_r, res.q_qubits, res.feasible)]
+            assert got == [want.alpha2, want.threshold_r, want.q_qubits, True], (p_dark, n)
+        if n_range[0] == 10:
+            assert res.feasible.sum() == res.feasible.size - 4
+
+    @pytest.mark.parametrize("n_bits", [1000, np.array([1000.0, 2000.0, 4000.0])])
+    def test_small_cap_raises_the_per_point_error(self, ecc, n_bits):
+        params = params_for(2, n_bits, ecc, p_dark=0.0)
+        with pytest.raises(ConvergenceError) as want:
+            reference_two_user(params_for(2, 1000, ecc, p_dark=0.0), 0.51, alpha2_cap=4.0)
+        with pytest.raises(ConvergenceError) as got:
+            b.algorithm_two_user(params, 0.51, alpha2_cap=4.0)
+        assert str(got.value) == str(want.value)
+
+    def test_a_quantile_error_is_the_first_point_s(self, ecc):
+        # the binomial masses overflow from N of about 1e17; the array search
+        # raises the error the per-point search meets first
+        n_grid = [1e4, 1e17, 1e18]
+        with pytest.raises(ParameterError) as want:
+            for n in n_grid:
+                reference_two_user(params_for(2, n, ecc, eta=0.5, p_dark=1e-9), 0.98)
+        params = params_for(2, np.array(n_grid), ecc, eta=0.5, p_dark=np.array([[1e-9], [1e-11]]))
+        with pytest.raises(ParameterError) as got:
+            b.algorithm_two_user(params, 0.98)
+        assert str(got.value) == str(want.value)
+
+    def test_scalar_calls_keep_their_types_and_errors(self, ecc):
+        params = params_for(2, 1e6, ecc, eta=0.5, p_dark=1e-9)
+        got, want = b.algorithm_two_user(params, 0.98), reference_two_user(params, 0.98)
+        assert got == want
+        assert [type(x) for x in (got.alpha2, got.threshold_r, got.m_pulses)] == [float, float, int]
+        with pytest.raises(FeasibilityError) as err:
+            b.algorithm_two_user(params_for(2, 10, ecc, eta=0.5, p_dark=1e-9), 0.98)
+        with pytest.raises(FeasibilityError) as ref:
+            reference_two_user(params_for(2, 10, ecc, eta=0.5, p_dark=1e-9), 0.98)
+        assert str(err.value) == str(ref.value)
+
+    def test_figure_14_takes_12664_quantile_rows(self, tmp_path, monkeypatch):
+        # 402 searches of about 16 threshold pairs; the per-point search took
+        # 13,468 quantiles, two more per search to reread the crossing's r_D
+        from multiqf import cli
+
+        rows, kernel = [], b._inv_cdf_rows
+        monkeypatch.setattr(b, "_inv_cdf_rows",
+                            lambda p, *args, **kw: rows.append(len(p)) or kernel(p, *args, **kw))
+        assert cli.main(["figure", "--id", "14", "--out-dir", str(tmp_path)]) == 0
+        assert sum(rows) == 12_664
+
+
+def _symmetric_ties():
+    """(p, n, 1/2) at every exact CDF value of Binomial(n, 1/2), n < 16."""
+    out = []
+    for n in range(1, 16):
+        cdf = Fraction(0)
+        for k in range(n):
+            cdf += Fraction(math.comb(n, k), 2**n)
+            out.append((float(cdf), n, 0.5))
+    return out
+
+
+#: (p, n, q) rows for ``_inv_cdf_rows``: p either side of 1/2 and at the
+#: edges, q at 0, 1 and near 1 (starts at n), figure 14's codeword lengths
+#: with means up to 1e5 (windows that widen), and n from 4e15, where the
+#: lgamma tail masses exceed 1.
+_ROWS_GRID = _symmetric_ties() + [
+    (p, n, q)
+    for n in (1, 7, 300, 2049, 41_700, 4_170_000, 4_170_000_000, 4_170_000_000_000,
+              4_000_000_000_000_000, 8_000_000_000_000_000)
+    for q in (0.0, 1.0, 1e-9, 30 / n, 3000 / n, 1e5 / n, 0.5, 1 - 1e-9)
+    if q <= 1.0 and (n < 1e6 or q < 1e-3 or q == 1.0)
+    for p in (0.0, 1e-5, 0.37, 0.5, 0.63, 1 - 1e-5, 1.0)
+]
+
+
+class TestInvCdfRows:
+    def test_equal_to_the_scalar_function(self, monkeypatch):
+        scalar, fallbacks = b.binomial_inv_cdf, []
+        monkeypatch.setattr(b, "binomial_inv_cdf",
+                            lambda *args: fallbacks.append(args) or scalar(*args))
+        p, n, q = (np.array(x, dtype=float) for x in zip(*_ROWS_GRID))
+        got = b._inv_cdf_rows(p, n, q)
+        assert got.tolist() == [scalar(*row) for row in _ROWS_GRID]
+        inside = [row for row in _ROWS_GRID if 0 < row[0] < 1 and 0 < row[2] < 1]
+        doubted = [row for row in fallbacks if 0 < row[0] < 1 and 0 < row[2] < 1]
+        assert 0 < len(doubted) < len(inside) / 4  # the fallback runs; the 2-d rows do most
+
+    def test_every_row_in_doubt_falls_back(self, monkeypatch):
+        rows = [row for row in _ROWS_GRID if 0 < row[0] < 1 and 0 < row[2] < 1]
+        expect = [b.binomial_inv_cdf(*row) for row in rows]
+        scalar, fallbacks = b.binomial_inv_cdf, []
+        monkeypatch.setattr(b, "binomial_inv_cdf",
+                            lambda *args: fallbacks.append(args) or scalar(*args))
+        monkeypatch.setattr(b, "_SUM_BAND", math.inf)  # every comparison is in doubt
+        p, n, q = (np.array(x, dtype=float) for x in zip(*rows))
+        assert b._inv_cdf_rows(p, n, q).tolist() == expect
+        assert len(fallbacks) == len(rows)
+
+    def test_widened_windows_come_from_the_blocks(self, monkeypatch):
+        walks = []  # the log-pmf function of each walk
+        walk = b._walk
+        monkeypatch.setattr(b, "_walk", lambda *args, **kw: walks.append(kw.get("log_pmf"))
+                            or walk(*args, **kw))
+        n = 4_170_000_000_000
+        rows = [(p, n, 1e5 / n) for p in np.linspace(0.01, 0.99, 20)]
+        p, n, q = (np.array(x, dtype=float) for x in zip(*rows))
+        assert b._inv_cdf_rows(p, n, q).tolist() == [b.binomial_inv_cdf(*row) for row in rows]
+        assert sum(log_pmf is not None for log_pmf in walks) >= 10
+
+    @pytest.mark.parametrize("n, q", _TIE_CASES)
+    def test_near_ties_decide_like_the_fsum_walk(self, n, q):
+        # the targets of each set lie up to three ulps either side of a value
+        # the walk computes: a row decides them like the scalar or falls back
+        sets = [ps for p0 in (1e-5, 0.37, 0.5, 0.63, 0.9) for ps in _near_tie_sets(n, q, p0)]
+        rows = [p for ps in sets for p in ps]
+        got = b._inv_cdf_rows(np.array(rows), np.full(len(rows), float(n)), np.full(len(rows), q))
+        assert got.tolist() == [reference_fsum_inv_cdf(p, n, q) for p in rows]
+        assert any(len(set(got[i : i + len(ps)].tolist())) > 1
+                   for i, ps in zip(itertools.accumulate(map(len, sets), initial=0), sets))
+
+    def test_raises_the_scalar_error(self):
+        rows = _ROWS_GRID[:20] + [(1e-5, 4.17e17, 1e-9)]
+        with pytest.raises(ParameterError) as want:
+            for row in rows:
+                b.binomial_inv_cdf(*row)
+        p, n, q = (np.array(x, dtype=float) for x in zip(*rows))
+        with pytest.raises(ParameterError) as got:
+            b._inv_cdf_rows(p, n, q)
+        assert str(got.value) == str(want.value)
 
 
 class TestNaiveProtocol:

@@ -323,10 +323,12 @@ class TestSweepRows:
 
     @pytest.mark.parametrize("figure, families", [(14, 1), (15, 4), (16, 2)])
     def test_one_bound_call_per_family(self, tmp_path, monkeypatch, figure, families):
-        # three bound calls per (K, sigma) family, each over the whole
-        # (p_dark, N) grid; only the two-user searches build per-point params
+        # three bound calls per (K, sigma) family, and at K = 2 one two-user
+        # search, each over the whole (p_dark, N) grid; no per-point params
         bound_calls, point_params = [], []
-        for name in ("bound_first_detectors", "bound_last_detector", "ideal_bound"):
+        names = ("bound_first_detectors", "bound_last_detector", "ideal_bound",
+                 "algorithm_two_user")
+        for name in names:
             def spy(params, *args, real=getattr(cli, name), name=name):
                 bound_calls.append((name, np.shape(params.p_dark), np.shape(params.n_bits)))
                 return real(params, *args)
@@ -343,13 +345,11 @@ class TestSweepRows:
              "--out-dir", str(tmp_path)])
         (n_min, n_max), _, _, p_darks = cli.FIGURES[figure]
         n_grid = cli.log_spaced(n_min, n_max, 1)
-        assert len(bound_calls) == 3 * families
-        assert set(bound_calls) == {
-            (name, (len(p_darks), 1), (len(n_grid),))
-            for name in ("bound_first_detectors", "bound_last_detector", "ideal_bound")
-        }
-        searches = [(n, p) for n in n_grid for p in p_darks] if figure == 14 else []
-        assert point_params == searches
+        per_family = names if figure == 14 else names[:3]
+        assert len(bound_calls) == len(per_family) * families
+        assert set(bound_calls) == {(name, (len(p_darks), 1), (len(n_grid),))
+                                    for name in per_family}
+        assert point_params == []
 
 
 def test_infeasible_two_user_search_gives_infeasible_rows(tmp_path):
@@ -366,6 +366,8 @@ def test_infeasible_two_user_search_gives_infeasible_rows(tmp_path):
     for r in rows:
         filled = [r[f] != "" for f in ("alpha2", "r", "Q")]
         assert filled == [r["feasible"] == "1"] * 3
+        if r["feasible"] == "0":  # the cells of any infeasible row
+            assert (r["dominant"], r["valid"]) == ("0", "1")
 
 
 def reference_advantage_rows(cfg, k_grid, p_dark_grid, gains_by_k, n_grid, energy):
