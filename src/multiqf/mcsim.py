@@ -2,23 +2,28 @@
 
 Simulates complete protocol runs at the detector level: every pulse slot
 produces an independent click per detector with ``gains.click_probability``,
-1 - exp(-eta * mu) OR-ed with an independent dark click.  Because slots of
-one type are i.i.d., per-trial detector counts are drawn directly from the
-matching binomials, which is distribution-identical to slot-by-slot sampling.
+1 - exp(-eta * mu) OR-ed with an independent dark click.  Slots of one type
+are i.i.d., so a detector's count over them is a binomial; the counts are
+independent, so their sum, the statistic, follows the convolution of their
+pmfs.  Drawing from that law is distribution-identical to drawing slot by
+slot and adding up, and counts of one click probability add up to one
+binomial exactly.
 
-The sampling contract: seed s draws from ``PCG64(SeedSequence((s, 0)))``,
-and only the (detector, slot type) pairs the statistic reads draw counts, in
-detector order.  Their counts go into the statistic in blocks of
-``_TRIAL_BLOCK`` trials.  A block takes one ``bit_generator.random_raw`` word
-per four trials: trial 4w + j reads lane j, bits 16j to 16j + 15, of word w,
-and the lane's top bits pick a cell of the guide table over the package's own
-cdf (``_binomial_cdf``, ``_CountTable``).  A cell no cdf sum falls in holds
-the count; a trial whose cell holds a sum then draws one ``Generator.random``
-uniform u, in trial order after the block's words, and its count is the
-smallest k with ``sums[k] >= cell + u``.  A window wider than
-``_TABLE_COUNTS`` takes ``Generator.binomial``'s counts.  A simulation holds
-4 B per trial (8 B once M * K reaches 2**31), one block of scratch and the
-tables it reads.
+The sampling contract: seed s draws from ``PCG64(SeedSequence((s, 0)))``.
+The (detector, slot type) pairs the statistic reads, merged by click
+probability into binomials of their summed slots in order of first read,
+form groups of consecutive ones whose ``_window`` widths sum to under
+``_TABLE_COUNTS``; a binomial whose own window is that wide takes
+``Generator.binomial``'s counts after every group.  Counts go into the
+statistic in blocks of ``_TRIAL_BLOCK`` trials.  A group's block takes one
+``bit_generator.random_raw`` word per four trials: trial 4w + j reads lane
+j, bits 16j to 16j + 15, of word w, and the lane's top bits pick a cell of
+the guide table over the cdf of the group's law (``_law``, ``_CountTable``).
+A cell no cdf sum falls in holds the count; a trial whose cell holds a sum
+then draws one ``Generator.random`` uniform u, in trial order after the
+block's words, and its count is the smallest k with ``sums[k] >= cell + u``.
+A simulation holds 4 B per trial (8 B once M * K reaches 2**31), one block
+of scratch and one table at a time.
 
 The oracle knows nothing about the analytical tail bounds; feeding it a
 bound's (alpha2, threshold) and checking the empirical error rate against
@@ -59,10 +64,11 @@ _Z95 = 1.6448536269514722
 #: indices and 64 or 128 KiB of counts.
 _TRIAL_BLOCK = 1 << 14
 
-#: Most counts a table spans (a wider window, a standard deviation above
-#: about 1,350 counts or M of 1e10 at high click rates, takes numpy's
-#: counts); its cells per count, which leave under 2% of them holding a sum;
-#: and its most cells, one per 16-bit lane (256 KiB of int32 counts).
+#: Most counts a table spans, over a group's summed windows (a wider window
+#: alone, a standard deviation above about 1,350 counts or M of 1e10 at high
+#: click rates, takes numpy's counts); its cells per count, which leave under
+#: 2% of them holding a sum; and its most cells, one per 16-bit lane (256 KiB
+#: of int32 counts).
 _TABLE_COUNTS = 1 << 15
 _CELLS_PER_COUNT = 16
 _MAX_CELLS = 1 << 16
@@ -191,28 +197,34 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
             slot_types = [(m - m_diff, mu_equal), (m_diff, mu_diff)]
     slot_types = [(n, click_probability(mu, params.eta, params.p_dark)) for n, mu in slot_types]
 
-    # The (detector, slot type) pairs the statistic reads, in detector
-    # order: first-K-1 adds the detectors other than the last, last-only the
-    # last alone.  A table is built at the first read of its (n, p), which
-    # the dark-only detectors share, and dropped after the last.
+    # First-K-1 reads the detectors other than the last, last-only the last
+    # alone; reads of one p (the dark-only detectors share one) are merged,
+    # then grouped into tables of under _TABLE_COUNTS counts each.
+    merged = {}
+    for det in range(k):
+        if (det != last) == first:
+            for n, p in slot_types:
+                merged[float(p[det])] = merged.get(float(p[det]), 0) + n
+    groups, wide, span = [], [], _TABLE_COUNTS
+    for p, n in merged.items():
+        lo, hi = _window(n, p)
+        if hi - lo >= _TABLE_COUNTS:
+            wide.append((n, p))
+        elif span + hi - lo < _TABLE_COUNTS:
+            groups[-1].append((n, p))
+            span += hi - lo
+        else:
+            groups.append([(n, p)])
+            span = hi - lo
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     trials = config.trials
     stat = np.zeros(trials, dtype=np.int32 if int(m) * int(k) < 2**31 else np.int64)
-    reads = [(n, float(p[det])) for det in range(k) if (det != last) == first
-             for n, p in slot_types]
-    last_read = {key: i for i, key in enumerate(reads)}
-    tables = {}
-    for i, (n, p) in enumerate(reads):
-        lo, hi = _window(n, p)
-        if hi - lo >= _TABLE_COUNTS:
-            for start in range(0, trials, _TRIAL_BLOCK):
-                stat[start:start + _TRIAL_BLOCK] += rng.binomial(
-                    n, p, size=min(_TRIAL_BLOCK, trials - start))
-        else:
-            table = tables.pop((n, p), None) or _CountTable(n, p, stat.dtype)
-            table.add_into(rng, stat)
-            if last_read[n, p] > i:
-                tables[n, p] = table
+    for group in groups:
+        _CountTable(*_law(group), stat.dtype).add_into(rng, stat)
+    for n, p in wide:
+        for start in range(0, trials, _TRIAL_BLOCK):
+            stat[start:start + _TRIAL_BLOCK] += rng.binomial(
+                n, p, size=min(_TRIAL_BLOCK, trials - start))
     # First-K-1 says "different" above the threshold, last-only at or
     # below it; a trial errs where that disagrees with the scenario.
     above = int(np.count_nonzero(stat > config.threshold_r))
@@ -236,11 +248,11 @@ def _window(n: int, p: float) -> tuple[int, int]:
     return max(0, math.floor(mean - width)), min(n, math.ceil(mean + width))
 
 
-def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
-    """``(lo, cdf)``: ``cdf[i]`` is P(X <= lo + i), X ~ Binomial(n, p), over
-    ``_window(n, p)`` and normalized to ``cdf[-1] == 1``.  The log-pmf walks
-    out from the mode by cumulative sums of log (n - k + 1) p / (k q), so a
-    term's rounding grows with its distance from the mode."""
+def _binomial_pmf(n: int, p: float) -> tuple[int, np.ndarray]:
+    """``(lo, pmf)``: ``pmf[i]`` is P(X = lo + i), X ~ Binomial(n, p), over
+    ``_window(n, p)`` and up to a factor (the mode's term is 1).  The log-pmf
+    walks out from the mode by cumulative sums of log (n - k + 1) p / (k q),
+    so a term's rounding grows with its distance from the mode."""
     if p == 0.0 or p == 1.0 or n == 0:
         return (n if p == 1.0 else 0), np.ones(1)
     lo, hi = _window(n, p)
@@ -250,22 +262,46 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     logs = np.zeros(hi - lo + 1)
     logs[mode + 1:] = np.cumsum(steps[mode:])
     logs[:mode] = -np.cumsum(steps[:mode][::-1])[::-1]
-    cdf = np.cumsum(np.exp(logs))
-    return lo, cdf / cdf[-1]
+    return lo, np.exp(logs)
+
+
+def _law(reads: Sequence[tuple[int, float]]) -> tuple[int, np.ndarray]:
+    """``(lo, pmf)`` of the sum of independent Binomial(n, p) over ``reads``
+    ``[(n, p)]``, up to a factor, over the sum of their windows: one read's
+    ``_binomial_pmf``, else the reads' pmfs convolved in a balanced pairwise
+    tree, each product normalized to sum 1: ``np.convolve``'s under a
+    million terms, else through ``np.fft.rfft``, whose rounding of ~1e-16
+    absolute is clipped at 0."""
+    parts = [_binomial_pmf(n, p) for n, p in reads]
+    while len(parts) > 1:
+        paired = []
+        for (lo_a, a), (lo_b, b) in zip(parts[::2], parts[1::2]):
+            if a.size * b.size < 10**6:
+                pmf = np.convolve(a, b)
+            else:
+                size = a.size + b.size - 1
+                fft = 1 << (size - 1).bit_length()
+                pmf = np.fft.irfft(np.fft.rfft(a, fft) * np.fft.rfft(b, fft), fft)[:size]
+                np.maximum(pmf, 0.0, out=pmf)
+            paired.append((lo_a + lo_b, pmf / pmf.sum()))
+        parts = paired + parts[len(paired) * 2:]
+    return parts[0]
 
 
 class _CountTable:
-    """Binomial(n, p) counts through a guide table (Chen & Asau) of a power
-    of two cells over ``_binomial_cdf``, whose sums ``cdf * cells`` are exact.
+    """Counts of the law ``(lo, pmf)`` through a guide table (Chen & Asau) of
+    a power of two cells over its cdf, the cumulative sums of ``pmf``
+    normalized to end at 1, whose sums ``cdf * cells`` are exact.
     A 16-bit lane's top ``log2(cells)`` bits pick a cell.  A cell no sum falls
     in holds the count of all its lanes; the others hold -1, and a lane there
     takes a uniform u and the smallest ``lo + i`` with ``sums[i] >= cell + u``."""
 
-    def __init__(self, n: int, p: float, dtype):
-        self.lo, cdf = _binomial_cdf(n, p)
+    def __init__(self, lo: int, pmf: np.ndarray, dtype):
+        self.lo = lo
+        cdf = np.cumsum(pmf)
         cells = min(_MAX_CELLS, 1 << (_CELLS_PER_COUNT * cdf.size - 1).bit_length())
         self.shift = _MAX_CELLS.bit_length() - cells.bit_length()
-        self.sums = cdf * cells
+        self.sums = cdf / cdf[-1] * cells
         # sum i lies in cell at[i]: the cells in (at[i - 1], at[i]) hold
         # lo + i; the sums equal to 1 mark the cell past the table
         at = self.sums.astype(np.intp)

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.signal as sg
 import scipy.stats as st
+import test_soundness as soundness
 
 from multiqf import bounds as b
 from multiqf import circuits as qc
@@ -38,25 +40,24 @@ def words_of(lane_values):
             for i in range(0, len(padded), 4)]
 
 
-def table_sums(n, p):
-    """``(lo, sums, cells)``: the guide table of Binomial(n, p) has 16 cells
-    per count of its window, a power of two, at most 2**16, and its sums
-    are ``cdf * cells``."""
-    lo, cdf = mc._binomial_cdf(n, p)
+def table_sums(reads):
+    """``(lo, sums, cells)``: the guide table of the law of the sum of
+    ``reads`` [(n, p)] has 16 cells per count of its window, a power of two,
+    at most 2**16, and its sums are ``cdf * cells``, where the cdf is the
+    law's cumulative sums normalized to end at 1."""
+    lo, pmf = mc._law(reads)
+    cdf = np.cumsum(pmf)
     cells = min(2**16, 1 << math.ceil(math.log2(16 * cdf.size)))
-    return lo, cdf * cells, cells
+    return lo, cdf / cdf[-1] * cells, cells
 
 
-def contract_counts(rng, n, p, trials):
-    """Binomial(n, p) counts of ``trials`` trials as the contract draws them,
-    and the stream outputs they take (None for ``Generator.binomial``'s).
-    Block by block: one word per four trials, each lane's top bits a cell,
-    then one uniform u per trial in a cell that holds a sum, in trial
+def contract_counts(rng, reads, trials):
+    """Counts of the sum of ``reads`` [(n, p)] for ``trials`` trials as the
+    contract draws them through one table, and the stream outputs they
+    take.  Block by block: one word per four trials, each lane's top bits a
+    cell, then one uniform u per trial in a cell that holds a sum, in trial
     order; the count is the smallest k with sums[k] >= cell + u."""
-    lo, hi = mc._window(n, p)
-    if hi - lo >= mc._TABLE_COUNTS:
-        return rng.binomial(n, p, size=trials), None
-    lo, sums, cells = table_sums(n, p)
+    lo, sums, cells = table_sums(reads)
     held = np.unique(np.floor(sums))
     counts, taken = [], 0
     for start in range(0, trials, mc._TRIAL_BLOCK):
@@ -71,11 +72,10 @@ def contract_counts(rng, n, p, trials):
     return np.concatenate(counts), taken
 
 
-def reference_statistic(config, seed=0):
-    """The statistic ``(trials,)`` drawn as the contract of ``simulate``
-    says, (detector, slot type) after (detector, slot type) of the ones it
-    reads, and the stream outputs taken (None if a window took
-    ``Generator.binomial``'s counts)."""
+def reads_of(config):
+    """``(n, p)`` of every (detector, slot type) the statistic of ``config``
+    reads, in detector order: first-K-1 reads the detectors other than the
+    photon-keeping one, last-only that one alone."""
     params = config.params
     k = params.k
     m = params.m_pulses
@@ -109,28 +109,64 @@ def reference_statistic(config, seed=0):
     slot_types = [(m_equal, click_prob(mu_equal))]
     if m_diff:
         slot_types.append((m_diff, click_prob(mu_diff)))
+    return [(n, float(p[det])) for det in range(k) if (det == last_label - 1) != first
+            for n, p in slot_types]
+
+
+def grouped(reads):
+    """``(groups, wide)``: the reads of one p merged into one binomial of
+    their summed slots, in order of first read; consecutive merged ones
+    whose window widths sum to under ``_TABLE_COUNTS`` form a group, and a
+    binomial whose own window is that wide is left to ``wide``."""
+    merged = {}
+    for n, p in reads:
+        merged[p] = merged.get(p, 0) + n
+    groups, wide, span = [], [], None
+    for p, n in merged.items():
+        lo, hi = mc._window(n, p)
+        if hi - lo >= mc._TABLE_COUNTS:
+            wide.append((n, p))
+        elif span is not None and span + hi - lo < mc._TABLE_COUNTS:
+            groups[-1].append((n, p))
+            span += hi - lo
+        else:
+            groups.append([(n, p)])
+            span = hi - lo
+    return groups, wide
+
+
+def reference_statistic(config, seed=0):
+    """The statistic ``(trials,)`` drawn as the contract of ``simulate``
+    says, one table per group and then the wide binomials, and the stream
+    outputs taken (None if a binomial took ``Generator.binomial``'s
+    counts)."""
+    groups, wide = grouped(reads_of(config))
     rng = pcg(seed)
     stat = np.zeros(config.trials, dtype=np.int64)
     taken = 0
-    for det in range(k):
-        if (det == last_label - 1) == first:
-            continue
-        for n, p in slot_types:
-            counts, outputs = contract_counts(rng, n, float(p[det]), config.trials)
-            stat += counts
-            taken = None if outputs is None or taken is None else taken + outputs
+    for group in groups:
+        counts, outputs = contract_counts(rng, group, config.trials)
+        stat += counts
+        taken += outputs
+    for n, p in wide:
+        stat += rng.binomial(n, p, size=config.trials)
+        taken = None
     return stat, taken
 
 
-def reference_simulate(config, seed=0):
-    """``simulate`` by the contract, with every count of the statistic kept."""
-    stat, _ = reference_statistic(config, seed)
+def errors_of(config, stat):
+    """The trials whose decision on ``stat`` disagrees with the scenario."""
     if config.strategy == b.STRATEGY_FIRST:
         says_different = stat > config.threshold_r
     else:
         says_different = stat <= config.threshold_r
     truly_different = config.scenario == mc.WORST_DIFFERENT
-    errors = int(np.count_nonzero(says_different != truly_different))
+    return int(np.count_nonzero(says_different != truly_different))
+
+
+def reference_simulate(config, seed=0):
+    """``simulate`` by the contract, with every count of the statistic kept."""
+    errors = errors_of(config, reference_statistic(config, seed)[0])
     return mc.SimOutcome(
         scenario=config.scenario,
         strategy=config.strategy,
@@ -387,9 +423,9 @@ def test_draws_stop_after_the_last_detector_read(ecc, strategy, scenario, last_l
 @pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
 def test_stream_ends_after_the_words_and_uniforms_drawn(ecc, monkeypatch, strategy, scenario):
     # the photon-losing detector in the middle of five, a block and a tail:
-    # simulate leaves its stream one output past each word it drew and
-    # each uniform of a trial in a cell that holds a sum, and no further,
-    # so a detector the statistic does not read takes nothing
+    # the reads' windows fit one table, so simulate leaves its stream one
+    # output past each word of that table and each uniform of a trial in a
+    # cell that holds a sum, and no further
     cfg = noisy_config(ecc, 5, strategy, scenario, trials=mc._TRIAL_BLOCK + 5, last_label=3)
     made = []
     real = np.random.Generator
@@ -403,9 +439,7 @@ def test_stream_ends_after_the_words_and_uniforms_drawn(ecc, monkeypatch, strate
     monkeypatch.undo()
     (rng,) = made
     _, taken = reference_statistic(cfg, seed=6)
-    detectors = 4 if strategy == b.STRATEGY_FIRST else 1
-    slot_types = 2 if scenario == mc.WORST_DIFFERENT else 1
-    assert taken > detectors * slot_types * -(-cfg.trials // 4)  # and some uniforms
+    assert taken > -(-cfg.trials // 4)  # and some uniforms
     expect = pcg(6)
     expect.bit_generator.advance(taken)
     assert rng.bit_generator.state == expect.bit_generator.state
@@ -488,9 +522,9 @@ class Scripted:
 
 
 def drawn_blocks(rng, n, p, trials, table=None):
-    """The counts ``simulate`` adds for one (detector, slot type) it reads."""
+    """The counts ``simulate`` adds for a group of one binomial it reads."""
     stat = np.zeros(trials, dtype=np.int64)
-    (table or mc._CountTable(n, p, np.int64)).add_into(rng, stat)
+    (table or mc._CountTable(*mc._law([(n, p)]), np.int64)).add_into(rng, stat)
     return stat
 
 
@@ -546,7 +580,7 @@ class TestBinomialBlocks:
         # numpy's own words and uniforms, and the stream ends where its does
         trials = 2 * mc._TRIAL_BLOCK + 5
         ours, theirs = pcg(seed), pcg(seed)
-        expect, _ = contract_counts(theirs, n, p, trials)
+        expect, _ = contract_counts(theirs, [(n, p)], trials)
         assert np.array_equal(drawn_blocks(ours, n, p, trials), expect)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -568,7 +602,7 @@ class TestBinomialBlocks:
         # trial 4w + j; seven trials read two words, and the eighth lane,
         # in a cell that holds a sum, is never read
         n, p = 60, 0.5
-        lo, sums, cells = table_sums(n, p)
+        lo, sums, cells = table_sums([(n, p)])
         held = set(np.floor(sums).astype(int).tolist())
         pure = [c for c in range(cells) if c not in held]
         picks = [pure[i] for i in (0, 40, 150, 300, 500, 700, 900)]
@@ -590,8 +624,8 @@ class TestBinomialBlocks:
         # bits pick the cell, down to a 16-cell point mass (a shift of 12)
         # and up to 2**16 cells (no shift); a lane in a cell that holds a
         # sum takes the next hand-placed uniform
-        table = mc._CountTable(n, p, np.int64)
-        lo, sums, want_cells = table_sums(n, p)
+        table = mc._CountTable(*mc._law([(n, p)]), np.int64)
+        lo, sums, want_cells = table_sums([(n, p)])
         assert want_cells == cells == table.guide.size
         lane = np.arange(2**16)
         cell = lane >> (16 - cells.bit_length() + 1)
@@ -615,7 +649,7 @@ class TestBinomialBlocks:
         # sums[k] >= cell + u, as a loop up the sums finds it (numpy's
         # inversion loop walks its own sums so), drawn alone and then all
         # as one block; a point in a cell that holds no sum takes no uniform
-        lo, sums, cells = table_sums(n, p)
+        lo, sums, cells = table_sums([(n, p)])
         held = set(np.floor(sums).tolist())
         hand = [0.0, cells - np.spacing(float(cells))]
         for s in sums:
@@ -641,8 +675,8 @@ class TestBinomialBlocks:
         # the guide table alone: with every sum at -inf, a searched lane
         # would come out past the window, and no uniform is taken
         n, p = 60, 0.5
-        table = mc._CountTable(n, p, np.int64)
-        lo, sums, cells = table_sums(n, p)
+        table = mc._CountTable(*mc._law([(n, p)]), np.int64)
+        lo, sums, cells = table_sums([(n, p)])
         pure = np.flatnonzero(table.guide >= 0)
         assert pure.size > 0.9 * cells
         placed = [lane_at(c + 0.5, cells, low=i % 64)[0] for i, c in enumerate(pure.tolist())]
@@ -655,10 +689,12 @@ class TestBinomialBlocks:
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 1000, 10**5, 2**20 + 3, 10**8, 2**30])
 def test_binomial_cdf_matches_scipy(n):
-    # within 2**-50 * (sd + 16): the log-ratio walk gathers a few ulps per
-    # count away from the mode, where the mass sits one sd out
+    # a one-read table's cdf, within 2**-50 * (sd + 16): the log-ratio walk
+    # gathers a few ulps per count away from the mode, where the mass sits
+    # one sd out
     for p in (1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
-        lo, cdf = mc._binomial_cdf(n, p)
+        lo, sums, cells = table_sums([(n, p)])
+        cdf = sums / cells
         assert (lo, lo + cdf.size - 1) == mc._window(n, p)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
         want = st.binom.cdf(np.arange(lo, lo + cdf.size), n, p)
@@ -675,7 +711,7 @@ def test_advance_equals_drawing_and_dropping(trials):
     # one per trial in a cell that holds a sum, so advancing by that many
     # leaves the stream where drawing does
     skipped, drawn = pcg(9), pcg(9)
-    _, taken = contract_counts(pcg(9), 10**5, 1e-4, trials)
+    _, taken = contract_counts(pcg(9), [(10**5, 1e-4)], trials)
     assert taken >= -(-trials // 4)
     skipped.bit_generator.advance(taken)
     drawn_blocks(drawn, 10**5, 1e-4, trials)
@@ -733,55 +769,274 @@ def test_differing_slots_are_exact(delta, m_pulses, m_diff):
         assert mc.simulate(cfg, seed=1).errors == errors
 
 
+def recorder(monkeypatch, name):
+    """The arguments of every call to ``mc.<name>`` from now on."""
+    calls = []
+    real = getattr(mc, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mc, name, recording)
+    return calls
+
+
 def test_each_table_is_built_once_per_simulation(ecc, monkeypatch):
     # the ideal K = 16 tree with dark counts: the 15 detectors first-K-1
     # reads share one click probability in the equal slots, and the flip's
     # light reaches them at five levels in the differing slots, so 30 reads
-    # take 6 tables
-    builds = []
-    real = mc._CountTable
-
-    def counting(n, p, dtype):
-        builds.append((n, p))
-        return real(n, p, dtype)
-
-    monkeypatch.setattr(mc, "_CountTable", counting)
+    # merge into at most 6 binomials, and one table draws their sum
     k = 16
+    params = make_params(ecc, k, 10**4, 0.05, p_dark=1e-4)
     cfg = at_mean(mc.SimConfig(
         trials=2000, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
-        params=make_params(ecc, k, 10**4, 0.05, p_dark=1e-4), transfer=tree_matrix(k),
-        alpha2=b.ideal_alpha2(k, ecc, 0.05), threshold_r=0.0,
+        params=params, transfer=tree_matrix(k), alpha2=b.ideal_alpha2(k, ecc, 0.05),
+        threshold_r=0.0,
     ))
-    builds.clear()
+    laws, tables = recorder(monkeypatch, "_law"), recorder(monkeypatch, "_CountTable")
     out = mc.simulate(cfg, seed=4)
+    ((merged,),) = laws
+    assert len(tables) == 1
+    assert len(merged) <= 6 and len({p for _, p in merged}) == len(merged)
+    assert sum(n for n, _ in merged) == (k - 1) * params.m_pulses
+    assert len(reads_of(cfg)) == 30
     assert out == reference_simulate(cfg, seed=4)
-    assert len(builds) == len(set(builds)) <= 6
+
+
+def test_windows_beyond_one_table_split_into_groups(ecc, monkeypatch):
+    # a noisy K = 8 tree at M = 1e8: the light of the differing slots and
+    # the dark and leaked clicks of the equal slots give binomials whose
+    # windows each fit a table but together span more than _TABLE_COUNTS
+    # counts, so two tables draw, each over a group of consecutive ones;
+    # the larger convolutions go through the FFT
+    k = 8
+    model = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=5)
+    t = realize_circuit(qc.optimal_tree_layout(k), model, index=0)
+    params = make_params(ecc, k, 10**8, 0.05, eta=0.5, p_dark=1e-4)
+    cfg = at_mean(mc.SimConfig(
+        trials=mc._TRIAL_BLOCK + 3, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
+        params=params, transfer=t, alpha2=0.05 * params.m_pulses / k, threshold_r=0.0,
+    ))
+    groups, wide = grouped(reads_of(cfg))
+    assert len(groups) >= 2 and not wide
+    laws = recorder(monkeypatch, "_law")
+    out = mc.simulate(cfg, seed=8)
+    assert [list(reads) for (reads,) in laws] == groups
+    assert out == reference_simulate(cfg, seed=8)
+    assert 0 < out.errors < cfg.trials
+
+
+@pytest.mark.parametrize("m_pulses, threshold, errors", [
+    (10**4, 221, [2399, 2442, 2511, 2474, 2428, 2500, 2423, 2492]),
+    (10**12, 22192419762, [2539, 2531, 2503, 2507, 2515, 2509, 2498, 2530]),
+])
+def test_single_read_draws_keep_their_counts(ecc, m_pulses, threshold, errors):
+    # last-only in the all-equal scenario reads one binomial: its table is
+    # the one-read table of the per-read sampler (at M = 1e12 its window
+    # is numpy's), so the error counts at seeds 0-7, thresholded at the
+    # floor of the mean, are the ones that sampler gave
+    k = 5
+    model = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=5)
+    t = realize_circuit(qc.optimal_tree_layout(k), model, index=0)
+    cfg = mc.SimConfig(
+        trials=5000, scenario=mc.ALL_EQUAL, strategy=b.STRATEGY_LAST,
+        params=make_params(ecc, k, m_pulses, 0.05, eta=0.5, p_dark=1e-4), transfer=t,
+        alpha2=0.05 * m_pulses / k, threshold_r=threshold,
+    )
+    assert [mc.simulate(cfg, seed).errors for seed in range(8)] == errors
 
 
 def test_simulate_matches_materialized_in_every_sampling_regime(ecc, monkeypatch):
     # dark clicks (n * p < 1), the flipped input's light in the differing
     # slots (5 <= n * p <= 30) and the equal slots' light (above 30), each
-    # read through a table; first-K-1 skips the second detector, which is
-    # dark in both
-    means = []
-    real = mc._CountTable
-
-    def recording(n, p, dtype):
-        means.append(n * p)
-        return real(n, p, dtype)
-
-    monkeypatch.setattr(mc, "_CountTable", recording)
+    # a binomial of the one table's law; first-K-1 skips the second
+    # detector, which is dark in both
     k = 4
     cfg = at_mean(mc.SimConfig(
         trials=mc._TRIAL_BLOCK + 7, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
         params=make_params(ecc, k, 10**5, 0.05, p_dark=5e-6), transfer=tree_matrix(k),
         alpha2=20.0, threshold_r=0.0, last_label=2, worst_pattern=3,
     ))
+    laws = recorder(monkeypatch, "_law")
     out = mc.simulate(cfg, seed=2)
+    ((merged,),) = laws
+    means = [n * p for n, p in merged]
     assert out == reference_simulate(cfg, seed=2)
     assert 0 < out.errors < cfg.trials
     assert min(means) < 1.0 and max(means) > 30.0
     assert any(5.0 <= m <= 30.0 for m in means)
+
+
+def scipy_law(reads, direct):
+    """``(lo, pmf)`` of the sum of ``reads`` [(n, p)] from scipy's pmfs, each
+    over its window (a point mass at p = 0 or 1), convolved one after
+    another: by ``np.convolve``, whose terms keep their relative accuracy,
+    if ``direct``, else by ``scipy.signal.fftconvolve``."""
+    lo, pmf = 0, np.ones(1)
+    for n, p in reads:
+        first, last = (n if p == 1.0 else 0,) * 2 if p in (0.0, 1.0) else mc._window(n, p)
+        part = st.binom.pmf(np.arange(first, last + 1), n, p)
+        lo += first
+        pmf = np.convolve(pmf, part) if direct else sg.fftconvolve(pmf, part)
+    return lo, pmf
+
+
+def check_law(monkeypatch, merged, reads):
+    """``mc._law(merged)`` against scipy's law of ``merged`` over the same
+    window: within 1e-13 absolute where a convolution went through the FFT,
+    else within 1e-12 relative, or 2**-50 per count of the window where
+    that is more (the log-ratio walk of a read's pmf drifts by about that
+    per count from its mode, 5e-12 at 24,000 counts), and 1e-280 absolute
+    (where products of the far tails go subnormal).  Where ``merged`` adds
+    up the slots of reads of one p, it is also within 1e-13 absolute of
+    scipy's law of the unmerged ``reads``.  Returns whether the FFT was
+    taken."""
+    ffts = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args: ffts.append(1) or rfft(*args))
+    lo, pmf = mc._law(merged)
+    monkeypatch.undo()
+    assert np.all(pmf >= 0.0)
+    pmf = pmf / pmf.sum()
+    want_lo, want = scipy_law(merged, direct=not ffts)
+    assert (lo, pmf.size) == (want_lo, want.size)
+    if ffts:
+        assert np.abs(pmf - want).max() <= 1e-13
+    else:
+        rtol = max(1e-12, 2.0**-50 * pmf.size)
+        assert np.all(np.abs(pmf - want) <= rtol * want + 1e-280)
+    if reads != merged:
+        want_lo, want = scipy_law(reads, direct=False)
+        at = lo - want_lo
+        assert 0 <= at and at + pmf.size <= want.size
+        got = np.zeros_like(want)
+        got[at:at + pmf.size] = pmf
+        assert np.abs(got - want).max() <= 1e-13
+    return bool(ffts)
+
+
+#: (design, K, M, p_dark): the transfers of noisy trees and Reck meshes
+#: (sigma 0.01) and of ideal trees, whose dark-only detectors share p.
+LAW_GRID = [
+    ("tree", 2, 10**4, 0.0), ("tree", 5, 10**6, 1e-9), ("tree", 16, 10**8, 1e-6),
+    ("tree", 8, 10**4, 1e-6), ("reck", 2, 10**6, 1e-6), ("reck", 4, 10**8, 1e-9),
+    ("reck", 7, 10**4, 0.0), ("reck", 12, 10**6, 1e-6), ("reck", 16, 10**8, 0.0),
+    ("ideal-tree", 16, 10**6, 1e-6), ("ideal-tree", 8, 10**8, 0.0),
+]
+
+
+@pytest.mark.parametrize("design, k, m_pulses, p_dark", LAW_GRID)
+def test_group_laws_match_scipy(ecc, monkeypatch, design, k, m_pulses, p_dark):
+    # every group simulate draws, both strategies and both scenarios, at
+    # K * alpha2 / M = 0.05 (at M = 1e8 the lit detectors' windows are
+    # numpy's, which no law covers)
+    if design == "ideal-tree":
+        t = tree_matrix(k)
+    else:
+        layout = (qc.optimal_tree_layout(k) if design == "tree"
+                  else qc.reck_decompose(qc.dft_multiport(k)))
+        t = realize_circuit(layout, NoiseModel(sigma_t=0.01, sigma_p=0.01, seed=k), index=0)
+    params = make_params(ecc, k, m_pulses, 0.05, eta=0.5, p_dark=p_dark)
+    merges = 0
+    for strategy in (b.STRATEGY_FIRST, b.STRATEGY_LAST):
+        for scenario in mc.SCENARIOS:
+            cfg = mc.SimConfig(
+                trials=1, scenario=scenario, strategy=strategy, params=params, transfer=t,
+                alpha2=0.05 * m_pulses / k, threshold_r=0.0,
+            )
+            reads = reads_of(cfg)
+            for group in grouped(reads)[0]:
+                ps = {p for _, p in group}
+                merges += sum(p in ps for _, p in reads) - len(group)
+                check_law(monkeypatch, group, [(n, p) for n, p in reads if p in ps])
+    if design == "ideal-tree" and k > 2:
+        assert merges > 0
+
+
+@pytest.mark.parametrize("merged, reads, fft", [
+    # point masses at p = 0 and p = 1, and two reads of one p merged
+    ([(10**4, 0.0), (500, 1.0), (10**4, 1e-4), (2000, 0.3)],
+     [(10**4, 0.0), (500, 1.0), (6000, 1e-4), (4000, 1e-4), (2000, 0.3)], False),
+    ([(10**4, 0.0), (10**4, 0.0)], [(10**4, 0.0), (10**4, 0.0)], False),
+    ([(7, 1.0), (10**5, 3e-3), (50, 0.5)], [(3, 1.0), (4, 1.0), (10**5, 3e-3), (50, 0.5)], False),
+    # windows of about 13,000 and 16,000 counts: one FFT product
+    ([(10**7, 0.05), (10**7, 0.03)], [(10**7, 0.05), (10**7, 0.03)], True),
+    # the direct products below, the FFT at the top of the tree
+    ([(10**6, 0.01), (10**6, 0.02), (10**6, 0.03), (10**6, 0.04), (10**6, 1e-9)],
+     [(10**6, 0.01), (10**6, 0.02), (10**6, 0.03), (10**6, 0.04), (10**6, 1e-9)], True),
+])
+def test_law_at_point_masses_merges_and_both_products(monkeypatch, merged, reads, fft):
+    assert check_law(monkeypatch, merged, reads) == fft
+
+
+def per_read_statistic(config, seed=0):
+    """The statistic as ``simulate`` drew it before it sampled the law of the
+    sum, kept as an oracle: one count per (detector, slot type) read, from
+    the one-read table of its (n, p), built at its first read and dropped
+    after its last, or from numpy's binomial for a window wider than
+    ``_TABLE_COUNTS``."""
+    rng = pcg(seed)
+    trials = config.trials
+    stat = np.zeros(trials, dtype=np.int64)
+    reads = reads_of(config)
+    last_read = {key: i for i, key in enumerate(reads)}
+    tables = {}
+    for i, (n, p) in enumerate(reads):
+        lo, hi = mc._window(n, p)
+        if hi - lo >= mc._TABLE_COUNTS:
+            for start in range(0, trials, mc._TRIAL_BLOCK):
+                stat[start:start + mc._TRIAL_BLOCK] += rng.binomial(
+                    n, p, size=min(mc._TRIAL_BLOCK, trials - start))
+        else:
+            table = tables.pop((n, p), None) or mc._CountTable(*mc._law([(n, p)]), stat.dtype)
+            table.add_into(rng, stat)
+            if last_read[n, p] > i:
+                tables[n, p] = table
+    return stat
+
+
+def at_error(cfg, target):
+    """``cfg`` at the integer threshold whose exact error is nearest
+    ``target`` in log scale."""
+    lo, pmf = soundness.law(soundness.components(cfg))
+    below = np.cumsum(pmf)  # P(statistic <= lo + i)
+    errs_above = (cfg.strategy == b.STRATEGY_FIRST) != (cfg.scenario == mc.WORST_DIFFERENT)
+    errors = np.clip(1.0 - below if errs_above else below, 1e-300, None)
+    return replace(cfg, threshold_r=float(lo + np.argmin(np.abs(np.log(errors / target)))))
+
+
+def test_both_samplers_follow_the_exact_error(ecc):
+    # four configurations, error rates from 1e-3 to 0.5 by scipy's exact
+    # law: the sampler of the law of the sum and the per-read sampler each
+    # land inside the binomial band of that error, at a family-wise level
+    # of 1e-6 over the eight counts
+    trials = 200_000
+    noisy = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=5)
+    cases = []
+    for k, m_pulses, p_dark, layout, strategy, scenario, target in (
+        (5, 10**4, 1e-4, qc.optimal_tree_layout(5), b.STRATEGY_FIRST, mc.WORST_DIFFERENT, 1e-2),
+        (8, 10**8, 1e-4, qc.optimal_tree_layout(8), b.STRATEGY_FIRST, mc.ALL_EQUAL, 3e-3),
+        (3, 10**5, 1e-6, qc.reck_decompose(qc.dft_multiport(3)), b.STRATEGY_LAST,
+         mc.WORST_DIFFERENT, 0.2),
+        (16, 10**4, 1e-4, None, b.STRATEGY_FIRST, mc.WORST_DIFFERENT, 0.05),
+    ):
+        t = tree_matrix(k) if layout is None else realize_circuit(layout, noisy, index=0)
+        gains = gn.gain_set(t)
+        cfg = at_error(mc.SimConfig(
+            trials=trials, scenario=scenario, strategy=strategy,
+            params=make_params(ecc, k, m_pulses, 0.05, eta=0.5, p_dark=p_dark), transfer=t,
+            alpha2=0.05 * m_pulses / k, threshold_r=0.0, last_label=gains.last_label,
+            worst_pattern=(gains.worst_pattern_first if strategy == b.STRATEGY_FIRST
+                           else gains.worst_pattern_last),
+        ), target)
+        cases.append(cfg)
+    for seed, cfg in enumerate(cases):
+        exact = soundness.exact_error(cfg)
+        assert 1e-3 <= exact <= 0.5, (cfg.params.k, exact)
+        low, high = st.binom.interval(1 - 1e-6 / 8, trials, exact)
+        for errors in (mc.simulate(cfg, seed).errors, errors_of(cfg, per_read_statistic(cfg, seed))):
+            assert low <= errors <= high, (cfg.params.k, errors / trials, exact)
 
 
 @pytest.mark.parametrize("scenario", mc.SCENARIOS)
@@ -789,8 +1044,9 @@ def test_simulate_matches_materialized_in_every_sampling_regime(ecc, monkeypatch
 def test_wide_windows_draw_numpys_binomial_in_bounded_memory(ecc, strategy, scenario):
     # M = 1e12: the light's windows span millions of counts, so those
     # counts are Generator.binomial's, drawn block by block; the dark-only
-    # detectors' means of 1,000 keep their tables.  The statistic is int64, 128 KiB, and one block of counts
-    # another 128 KiB: no table over a wide window is built
+    # detectors' means of 1,000 keep a table.  The statistic is int64,
+    # 128 KiB, and one block of counts another 128 KiB: no table over a
+    # wide window is built
     import tracemalloc
 
     k = 4
