@@ -13,9 +13,10 @@ The sampling contract: seed s draws from ``PCG64(SeedSequence((s, 0)))``.
 The (detector, slot type) pairs the statistic reads, merged by click
 probability into binomials of their summed slots in order of first read,
 form groups of consecutive ones whose ``_window`` widths sum to under
-``_TABLE_COUNTS``; a binomial whose own window is that wide takes
-``Generator.binomial``'s counts after every group.  Counts go into the
-statistic in blocks of ``_TRIAL_BLOCK`` trials.  A group's block takes one
+``_GROUP_COUNTS``; a binomial whose own window is wider has a group of its
+own, and one wider than ``_TABLE_COUNTS`` takes ``Generator.binomial``'s
+counts after every group.  Counts go into the statistic in blocks of
+``_TRIAL_BLOCK`` trials.  A group's block takes one
 ``bit_generator.random_raw`` word per four trials: trial 4w + j reads lane
 j, bits 16j to 16j + 15, of word w, and the lane's top bits pick a cell of
 the guide table over the cdf of the group's law (``_law``, ``_CountTable``).
@@ -64,14 +65,15 @@ _Z95 = 1.6448536269514722
 #: indices and 64 or 128 KiB of counts.
 _TRIAL_BLOCK = 1 << 14
 
-#: Most counts a table spans, over a group's summed windows (a wider window
-#: alone, a standard deviation above about 1,350 counts or M of 1e10 at high
-#: click rates, takes numpy's counts); its cells per count, which leave under
-#: 2% of them holding a sum; and its most cells, one per 16-bit lane (256 KiB
-#: of int32 counts).
+#: Most counts one binomial's table spans (a wider window, a standard
+#: deviation above about 1,350 counts or M of 1e10 at high click rates, takes
+#: numpy's counts); a table's cells per count, which leave under 2% of them
+#: holding a sum; its most cells, one per 16-bit lane (256 KiB of int32
+#: counts); and so the most counts a group's summed windows span.
 _TABLE_COUNTS = 1 << 15
 _CELLS_PER_COUNT = 16
 _MAX_CELLS = 1 << 16
+_GROUP_COUNTS = _MAX_CELLS // _CELLS_PER_COUNT
 
 
 def wilson_upper(errors: int, trials: int, z: float = _Z95) -> float:
@@ -199,18 +201,18 @@ def simulate(config: SimConfig, seed: int = 0) -> SimOutcome:
 
     # First-K-1 reads the detectors other than the last, last-only the last
     # alone; reads of one p (the dark-only detectors share one) are merged,
-    # then grouped into tables of under _TABLE_COUNTS counts each.
+    # then grouped into tables of under _GROUP_COUNTS counts each.
     merged = {}
     for det in range(k):
         if (det != last) == first:
             for n, p in slot_types:
                 merged[float(p[det])] = merged.get(float(p[det]), 0) + n
-    groups, wide, span = [], [], _TABLE_COUNTS
+    groups, wide, span = [], [], _GROUP_COUNTS
     for p, n in merged.items():
         lo, hi = _window(n, p)
         if hi - lo >= _TABLE_COUNTS:
             wide.append((n, p))
-        elif span + hi - lo < _TABLE_COUNTS:
+        elif span + hi - lo < _GROUP_COUNTS:
             groups[-1].append((n, p))
             span += hi - lo
         else:
@@ -268,24 +270,15 @@ def _binomial_pmf(n: int, p: float) -> tuple[int, np.ndarray]:
 def _law(reads: Sequence[tuple[int, float]]) -> tuple[int, np.ndarray]:
     """``(lo, pmf)`` of the sum of independent Binomial(n, p) over ``reads``
     ``[(n, p)]``, up to a factor, over the sum of their windows: one read's
-    ``_binomial_pmf``, else the reads' pmfs convolved in a balanced pairwise
-    tree, each product normalized to sum 1: ``np.convolve``'s under a
-    million terms, else through ``np.fft.rfft``, whose rounding of ~1e-16
-    absolute is clipped at 0."""
-    parts = [_binomial_pmf(n, p) for n, p in reads]
-    while len(parts) > 1:
-        paired = []
-        for (lo_a, a), (lo_b, b) in zip(parts[::2], parts[1::2]):
-            if a.size * b.size < 10**6:
-                pmf = np.convolve(a, b)
-            else:
-                size = a.size + b.size - 1
-                fft = 1 << (size - 1).bit_length()
-                pmf = np.fft.irfft(np.fft.rfft(a, fft) * np.fft.rfft(b, fft), fft)[:size]
-                np.maximum(pmf, 0.0, out=pmf)
-            paired.append((lo_a + lo_b, pmf / pmf.sum()))
-        parts = paired + parts[len(paired) * 2:]
-    return parts[0]
+    ``_binomial_pmf``, else the reads' pmfs convolved one after another by
+    ``np.convolve``, each product normalized to sum 1 (a group's windows sum
+    to under ``_GROUP_COUNTS``, so under 8e6 products in all)."""
+    lo, pmf = _binomial_pmf(*reads[0])
+    for n, p in reads[1:]:
+        lo_b, b = _binomial_pmf(n, p)
+        lo, pmf = lo + lo_b, np.convolve(pmf, b)
+        pmf /= pmf.sum()
+    return lo, pmf
 
 
 class _CountTable:

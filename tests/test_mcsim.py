@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.signal as sg
 import scipy.stats as st
 import test_soundness as soundness
 
@@ -116,17 +115,15 @@ def reads_of(config):
 def grouped(reads):
     """``(groups, wide)``: the reads of one p merged into one binomial of
     their summed slots, in order of first read; consecutive merged ones
-    whose window widths sum to under ``_TABLE_COUNTS`` form a group, and a
-    binomial whose own window is that wide is left to ``wide``."""
-    merged = {}
-    for n, p in reads:
-        merged[p] = merged.get(p, 0) + n
+    whose window widths sum to under ``_GROUP_COUNTS`` form a group, a
+    binomial whose own window is wider has a group of its own, and one
+    wider than ``_TABLE_COUNTS`` is left to ``wide``."""
     groups, wide, span = [], [], None
-    for p, n in merged.items():
+    for n, p in soundness.merged(reads):
         lo, hi = mc._window(n, p)
         if hi - lo >= mc._TABLE_COUNTS:
             wide.append((n, p))
-        elif span is not None and span + hi - lo < mc._TABLE_COUNTS:
+        elif span is not None and span + hi - lo < mc._GROUP_COUNTS:
             groups[-1].append((n, p))
             span += hi - lo
         else:
@@ -412,7 +409,10 @@ def test_streamed_counts_match_materialized(ecc, strategy, scenario, k, seed):
 @pytest.mark.parametrize("strategy", [b.STRATEGY_FIRST, b.STRATEGY_LAST])
 def test_draws_stop_after_the_last_detector_read(ecc, strategy, scenario, last_label):
     # the photon-losing detector first, in the middle and at the end: the
-    # detectors after the last one the statistic reads are never drawn
+    # binomials the statistic reads, merged and grouped, draw as the
+    # reference does wherever the detector it skips sits (the next test
+    # checks that the stream ends after the groups' tables and the wide
+    # binomials)
     cfg = noisy_config(ecc, 5, strategy, scenario, last_label=last_label)
     out = mc.simulate(cfg, seed=3)
     assert out == reference_simulate(cfg, seed=3)
@@ -805,21 +805,24 @@ def test_each_table_is_built_once_per_simulation(ecc, monkeypatch):
 
 
 def test_windows_beyond_one_table_split_into_groups(ecc, monkeypatch):
-    # a noisy K = 8 tree at M = 1e8: the light of the differing slots and
+    # a noisy K = 8 tree at M = 3e7: the light of the differing slots and
     # the dark and leaked clicks of the equal slots give binomials whose
-    # windows each fit a table but together span more than _TABLE_COUNTS
-    # counts, so two tables draw, each over a group of consecutive ones;
-    # the larger convolutions go through the FFT
+    # windows each fit a table but together span more than _GROUP_COUNTS
+    # counts, so several tables draw, each over a group of consecutive
+    # ones, and a binomial wider than _GROUP_COUNTS has a table of its own
     k = 8
     model = NoiseModel(sigma_t=0.02, sigma_p=0.02, bs_loss_db=-0.2, seed=5)
     t = realize_circuit(qc.optimal_tree_layout(k), model, index=0)
-    params = make_params(ecc, k, 10**8, 0.05, eta=0.5, p_dark=1e-4)
+    params = make_params(ecc, k, 3 * 10**7, 0.05, eta=0.5, p_dark=1e-4)
     cfg = at_mean(mc.SimConfig(
         trials=mc._TRIAL_BLOCK + 3, scenario=mc.WORST_DIFFERENT, strategy=b.STRATEGY_FIRST,
         params=params, transfer=t, alpha2=0.05 * params.m_pulses / k, threshold_r=0.0,
     ))
     groups, wide = grouped(reads_of(cfg))
-    assert len(groups) >= 2 and not wide
+    widths = [[hi - lo for lo, hi in (mc._window(n, p) for n, p in g)] for g in groups]
+    assert not wide and max(map(len, widths)) >= 2
+    assert all(sum(w) < mc._GROUP_COUNTS for w in widths if len(w) > 1)
+    assert any(mc._GROUP_COUNTS < w[0] < mc._TABLE_COUNTS for w in widths if len(w) == 1)
     laws = recorder(monkeypatch, "_law")
     out = mc.simulate(cfg, seed=8)
     assert [list(reads) for (reads,) in laws] == groups
@@ -868,52 +871,28 @@ def test_simulate_matches_materialized_in_every_sampling_regime(ecc, monkeypatch
     assert any(5.0 <= m <= 30.0 for m in means)
 
 
-def scipy_law(reads, direct):
-    """``(lo, pmf)`` of the sum of ``reads`` [(n, p)] from scipy's pmfs, each
-    over its window (a point mass at p = 0 or 1), convolved one after
-    another: by ``np.convolve``, whose terms keep their relative accuracy,
-    if ``direct``, else by ``scipy.signal.fftconvolve``."""
-    lo, pmf = 0, np.ones(1)
-    for n, p in reads:
-        first, last = (n if p == 1.0 else 0,) * 2 if p in (0.0, 1.0) else mc._window(n, p)
-        part = st.binom.pmf(np.arange(first, last + 1), n, p)
-        lo += first
-        pmf = np.convolve(pmf, part) if direct else sg.fftconvolve(pmf, part)
-    return lo, pmf
-
-
-def check_law(monkeypatch, merged, reads):
+def check_law(merged, reads):
     """``mc._law(merged)`` against scipy's law of ``merged`` over the same
-    window: within 1e-13 absolute where a convolution went through the FFT,
-    else within 1e-12 relative, or 2**-50 per count of the window where
-    that is more (the log-ratio walk of a read's pmf drifts by about that
-    per count from its mode, 5e-12 at 24,000 counts), and 1e-280 absolute
-    (where products of the far tails go subnormal).  Where ``merged`` adds
-    up the slots of reads of one p, it is also within 1e-13 absolute of
-    scipy's law of the unmerged ``reads``.  Returns whether the FFT was
-    taken."""
-    ffts = []
-    rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda *args: ffts.append(1) or rfft(*args))
+    window, convolved directly: within 1e-12 relative, or 2**-50 per count
+    of the window where that is more (the log-ratio walk of a read's pmf
+    drifts by about that per count from its mode, 5e-12 at 24,000 counts),
+    and 1e-280 absolute (where products of the far tails go subnormal).
+    Where ``merged`` adds up the slots of reads of one p, it is also within
+    1e-13 absolute of scipy's law of the unmerged ``reads``."""
     lo, pmf = mc._law(merged)
-    monkeypatch.undo()
     assert np.all(pmf >= 0.0)
     pmf = pmf / pmf.sum()
-    want_lo, want = scipy_law(merged, direct=not ffts)
+    want_lo, want = soundness.law(merged, direct=True)
     assert (lo, pmf.size) == (want_lo, want.size)
-    if ffts:
-        assert np.abs(pmf - want).max() <= 1e-13
-    else:
-        rtol = max(1e-12, 2.0**-50 * pmf.size)
-        assert np.all(np.abs(pmf - want) <= rtol * want + 1e-280)
+    rtol = max(1e-12, 2.0**-50 * pmf.size)
+    assert np.all(np.abs(pmf - want) <= rtol * want + 1e-280)
     if reads != merged:
-        want_lo, want = scipy_law(reads, direct=False)
+        want_lo, want = soundness.law(reads)
         at = lo - want_lo
         assert 0 <= at and at + pmf.size <= want.size
         got = np.zeros_like(want)
         got[at:at + pmf.size] = pmf
         assert np.abs(got - want).max() <= 1e-13
-    return bool(ffts)
 
 
 #: (design, K, M, p_dark): the transfers of noisy trees and Reck meshes
@@ -927,7 +906,7 @@ LAW_GRID = [
 
 
 @pytest.mark.parametrize("design, k, m_pulses, p_dark", LAW_GRID)
-def test_group_laws_match_scipy(ecc, monkeypatch, design, k, m_pulses, p_dark):
+def test_group_laws_match_scipy(ecc, design, k, m_pulses, p_dark):
     # every group simulate draws, both strategies and both scenarios, at
     # K * alpha2 / M = 0.05 (at M = 1e8 the lit detectors' windows are
     # numpy's, which no law covers)
@@ -949,25 +928,23 @@ def test_group_laws_match_scipy(ecc, monkeypatch, design, k, m_pulses, p_dark):
             for group in grouped(reads)[0]:
                 ps = {p for _, p in group}
                 merges += sum(p in ps for _, p in reads) - len(group)
-                check_law(monkeypatch, group, [(n, p) for n, p in reads if p in ps])
+                check_law(group, [(n, p) for n, p in reads if p in ps])
     if design == "ideal-tree" and k > 2:
         assert merges > 0
 
 
-@pytest.mark.parametrize("merged, reads, fft", [
+@pytest.mark.parametrize("merged, reads", [
     # point masses at p = 0 and p = 1, and two reads of one p merged
     ([(10**4, 0.0), (500, 1.0), (10**4, 1e-4), (2000, 0.3)],
-     [(10**4, 0.0), (500, 1.0), (6000, 1e-4), (4000, 1e-4), (2000, 0.3)], False),
-    ([(10**4, 0.0), (10**4, 0.0)], [(10**4, 0.0), (10**4, 0.0)], False),
-    ([(7, 1.0), (10**5, 3e-3), (50, 0.5)], [(3, 1.0), (4, 1.0), (10**5, 3e-3), (50, 0.5)], False),
-    # windows of about 13,000 and 16,000 counts: one FFT product
-    ([(10**7, 0.05), (10**7, 0.03)], [(10**7, 0.05), (10**7, 0.03)], True),
-    # the direct products below, the FFT at the top of the tree
-    ([(10**6, 0.01), (10**6, 0.02), (10**6, 0.03), (10**6, 0.04), (10**6, 1e-9)],
-     [(10**6, 0.01), (10**6, 0.02), (10**6, 0.03), (10**6, 0.04), (10**6, 1e-9)], True),
+     [(10**4, 0.0), (500, 1.0), (6000, 1e-4), (4000, 1e-4), (2000, 0.3)]),
+    ([(10**4, 0.0), (10**4, 0.0)], [(10**4, 0.0), (10**4, 0.0)]),
+    ([(7, 1.0), (10**5, 3e-3), (50, 0.5)], [(3, 1.0), (4, 1.0), (10**5, 3e-3), (50, 0.5)]),
+    # four windows that sum to 3,972 counts, just under _GROUP_COUNTS
+    ([(10**5, 0.01), (10**5, 0.02), (10**5, 0.03), (10**6, 1e-3)],
+     [(10**5, 0.01), (10**5, 0.02), (10**5, 0.03), (10**6, 1e-3)]),
 ])
-def test_law_at_point_masses_merges_and_both_products(monkeypatch, merged, reads, fft):
-    assert check_law(monkeypatch, merged, reads) == fft
+def test_law_at_point_masses_merges_and_the_widest_group(merged, reads):
+    check_law(merged, reads)
 
 
 def per_read_statistic(config, seed=0):

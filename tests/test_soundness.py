@@ -86,24 +86,36 @@ def components(config):
         slot_types = [(m - m_diff, equal),
                       (m_diff, click(np.abs(t @ pattern) ** 2 * mu_in))]
     first = config.strategy == b.STRATEGY_FIRST
+    return merged([(n, float(p[det])) for det in range(k)
+                   if (det != config.last_label - 1) == first for n, p in slot_types])
+
+
+def merged(reads):
+    """``[(slots, p)]``: the binomials ``reads`` with the slots of equal p
+    added together, in order of first read."""
     slots = {}
-    for det in range(k):
-        if (det != config.last_label - 1) == first:
-            for n, p in slot_types:
-                slots[float(p[det])] = slots.get(float(p[det]), 0) + n
-    return [(n, p) for p, n in slots.items() if n]
+    for n, p in reads:
+        slots[p] = slots.get(p, 0) + n
+    return [(n, p) for p, n in slots.items()]
 
 
-def law(parts):
+def law(parts, direct=False):
     """``(lo, pmf)`` of a sum of independent binomials ``[(n, p)]``: each
-    pmf over its mean +- (12 sd + 12), whose outside mass is below 1e-26."""
+    pmf over its mean +- (12 sd + 12), whose outside mass is below 1e-26,
+    or a point mass at p = 0 or 1.  Pmfs of more than 64 terms are convolved
+    by FFT, unless ``direct``: ``np.convolve`` keeps every term's relative
+    accuracy."""
     lo, pmf = 0, np.ones(1)
     for n, p in parts:
-        width = 12.0 * math.sqrt(n * p * (1.0 - p)) + 12.0
-        first, last = max(0, math.floor(n * p - width)), min(n, math.ceil(n * p + width))
+        if p in (0.0, 1.0):
+            first = last = n if p == 1.0 else 0
+        else:
+            width = 12.0 * math.sqrt(n * p * (1.0 - p)) + 12.0
+            first, last = max(0, math.floor(n * p - width)), min(n, math.ceil(n * p + width))
         part = st.binom.pmf(np.arange(first, last + 1), n, p)
         lo += first
-        pmf = sg.fftconvolve(pmf, part) if min(pmf.size, part.size) > 64 else np.convolve(pmf, part)
+        fft = not direct and min(pmf.size, part.size) > 64
+        pmf = sg.fftconvolve(pmf, part) if fft else np.convolve(pmf, part)
     return lo, pmf
 
 
