@@ -62,6 +62,6 @@ from .mcsim import (
     verify_bound,
     wilson_upper,
 )
-from .noise import NoiseModel, noisy_block, realize_batch, realize_circuit
+from .noise import NoiseModel, realize_batch, realize_circuit
 
 __version__ = "0.1.0"

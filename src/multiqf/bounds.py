@@ -395,10 +395,14 @@ _MAX_K = 2**53
 _LOG_MASS_MAX = math.log(sys.float_info.max)
 
 #: log C(n, k) is cached in aligned blocks of k: block j covers
-#: [j * _BLOCK, (j + 1) * _BLOCK), clipped to n.  One search asks for the
-#: same (n, k) about 25 times (both thresholds and every bisection step
-#: share n = M); 64 blocks hold 128 KB.
+#: [j * _BLOCK, (j + 1) * _BLOCK), -inf past n (``_NO_TERMS`` is a block
+#: wholly past n).  One search asks for the same (n, k) about 25 times (both
+#: thresholds and every bisection step share n = M), and the lanes of one
+#: ``_search_lanes`` group share the cache; 256 blocks hold 512 KiB, and with
+#: the 64 lgamma(k + 1) blocks the caches hold at most 640 KiB.
 _BLOCK = 256
+_NO_TERMS = np.full(_BLOCK, -np.inf)
+_NO_TERMS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=64)
@@ -413,60 +417,38 @@ def _lgamma_k1_block(j: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _log_binom_block(n: float, j: int) -> np.ndarray:
-    """(lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1) for k in block j.
+    """(lgamma(n + 1) - lgamma(k + 1)) - lgamma(n - k + 1) for the k of block
+    j, -inf past n.
 
     The array is read-only because the cache hands it to every caller.
     """
     lg = math.lgamma
     ks = np.arange(j * _BLOCK, min((j + 1) * _BLOCK, n + 1.0), dtype=float)
     lgnk = np.fromiter(map(lg, (n - ks + 1.0).tolist()), float, len(ks))
-    out = (lg(n + 1.0) - _lgamma_k1_block(j)[: len(ks)]) - lgnk
+    out = np.concatenate([(lg(n + 1.0) - _lgamma_k1_block(j)[: len(ks)]) - lgnk,
+                          _NO_TERMS[len(ks) :]])
     out.flags.writeable = False
     return out
 
 
-def _build_run(n: float, j0: int, j1: int, blocks=None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lgamma prefix, k and n - k over blocks j0 .. j1, each contiguous
-    and read-only; the blocks come from ``blocks`` if given (a ``_Blocks``)."""
-    prefix = np.concatenate([_log_binom_block(n, j) if blocks is None else blocks[n, j]
-                             for j in range(j0, j1 + 1)])
-    ks = np.arange(j0 * _BLOCK, j0 * _BLOCK + len(prefix), dtype=float)
-    nks = n - ks
-    for a in (prefix, ks, nks):
-        a.flags.writeable = False
-    return prefix, ks, nks
-
-
-#: Runs of at most this many blocks are cached, 16 of them (576 KiB at
-#: most); with 64 prefix blocks and 64 lgamma(k + 1) blocks, the caches hold
-#: at most 832 KiB.  Figure 14's windows span one to six blocks, and the two
-#: searches at one N need a few runs each.
-_RUN_BLOCKS = 6
-_cached_run = functools.lru_cache(maxsize=16)(_build_run)
-
-
-def _log_pmf_array(ks: range | np.ndarray, n: float, log_q: float, log_1mq: float,
-                   blocks=None) -> np.ndarray:
+def _log_pmf_array(ks: range | np.ndarray, n: float, log_q: float, log_1mq: float) -> np.ndarray:
     """Binomial log-pmf over ``ks``, a run of consecutive integers in [0, n]
     (a ``range``, or an array of them).
 
     Rounds exactly like lgn - lg(k + 1) - lg(n - k + 1) + k log q + (n - k) log(1 - q)
-    term by term; the lgamma prefix, k and n - k come from the cached runs,
-    or from the caller's ``blocks``.
+    term by term; the lgamma prefix comes from the cached blocks.
     """
     first, count = int(ks[0]), len(ks)
-    j0, j1 = first // _BLOCK, (first + count - 1) // _BLOCK
-    if blocks is None and j1 - j0 < _RUN_BLOCKS:
-        prefix, k, n_k = _cached_run(n, j0, j1)
-    else:
-        prefix, k, n_k = _build_run(n, j0, j1, blocks)
-    w = slice(first - j0 * _BLOCK, first - j0 * _BLOCK + count)
-    out = k[w] * log_q
-    out += prefix[w]  # float addition commutes: prefix + k log q, bit for bit
-    out += n_k[w] * log_1mq
+    j0 = first // _BLOCK
+    prefix = np.concatenate([_log_binom_block(n, j)
+                             for j in range(j0, (first + count - 1) // _BLOCK + 1)])
+    k = np.arange(first, first + count, dtype=float)
+    out = k * log_q
+    # float addition commutes: prefix + k log q, bit for bit
+    out += prefix[first - j0 * _BLOCK : first - j0 * _BLOCK + count]
+    out += (n - k) * log_1mq
     return out
 
 
@@ -501,6 +483,11 @@ def _logsumexp(values: np.ndarray, exact: bool) -> tuple[float, float]:
 
 _WIDTH = 256  # terms of a tail window's first try; it widens 4x at a time
 
+#: Log-pmf terms evaluated past the tail window's end, on the side of k
+#: that the walk reads when it leaves the window; figure 14's walks take
+#: one or two steps.
+_PAD = 16
+
 
 def _log_tail(
     lo: float,
@@ -509,9 +496,7 @@ def _log_tail(
     log_q: float,
     log_1mq: float,
     from_top: bool,
-    pad: int,
     exact: bool,
-    log_pmf=None,
 ) -> tuple[float, float, np.ndarray, int]:
     """log of the pmf sum over the integer window [lo, hi], with its error bound.
 
@@ -521,9 +506,8 @@ def _log_tail(
     within the returned bound of the one an exactly rounded sum gives
     (``exact``: that total, bound 0); a widening test within the bound is
     re-decided by an exact call.  One log-pmf array covers the final window
-    and up to ``pad`` more terms past its fixed end (above hi from the top,
-    below lo otherwise); it is returned with its first k.  ``log_pmf``
-    replaces ``_log_pmf_array``.
+    and up to _PAD more terms past its fixed end (above hi from the top,
+    below lo otherwise); it is returned with its first k.
     """
     width = _WIDTH
     while True:
@@ -534,17 +518,17 @@ def _log_tail(
         if b >= _MAX_K:
             raise ParameterError(f"binomial tail window reaches k = {b:.6g}, beyond 2**53")
         if from_top:
-            first, last = a, min(b + pad, n, _MAX_K - 1)
+            first, last = a, min(b + _PAD, n, _MAX_K - 1)
         else:
-            first, last = max(a - pad, 0.0), b
-        logs = (log_pmf or _log_pmf_array)(range(int(first), int(last) + 1), n, log_q, log_1mq)
+            first, last = max(a - _PAD, 0.0), b
+        logs = _log_pmf_array(range(int(first), int(last) + 1), n, log_q, log_1mq)
         window = logs[int(a - first) : int(b - first) + 1]
         total, err = _logsumexp(window, exact)
         if (a == lo and from_top) or (b == hi and not from_top):
             return total, err, logs, int(first)
         gap = float(window[0] if from_top else window[-1]) - total
         if not exact and abs(gap + 42.0) <= err + 2.0**-50 * abs(gap):
-            return _log_tail(lo, hi, n, log_q, log_1mq, from_top, pad, True, log_pmf)
+            return _log_tail(lo, hi, n, log_q, log_1mq, from_top, True)
         if gap < -42.0:
             return total, err, logs, int(first)
         width *= 4
@@ -617,11 +601,6 @@ def _start(p: float, n: int, q: float) -> tuple[int, int, float, float, float]:
     return k, n, log_q, log_1mq, target
 
 
-#: Log-pmf terms evaluated past the tail window's end, on the side of k
-#: that the walk reads when it leaves the window; figure 14's walks take
-#: one or two steps.
-_PAD = 16
-
 #: Log-pmf terms fetched at once when the walk leaves its array: a start
 #: far from the answer then costs one array call per _WALK_BLOCK steps.
 _WALK_BLOCK = 256
@@ -629,26 +608,22 @@ _WALK_BLOCK = 256
 
 #: ``_inv_cdf_rows``' walk steps (figure 14's walks take up to three), the
 #: rows of one chunk of its 2-d arrays and the fewest rows it takes (below
-#: that the scalar function is faster); log C(n, k) of a block past n.
+#: that the scalar function is faster).
 _STEPS, _CHUNK, _MIN_ROWS = np.arange(3.0), 16, 16
-_NO_TERMS = np.full(_BLOCK, -np.inf)
-_NO_TERMS.flags.writeable = False
 
 
 class _InDoubt(Exception):
     """A comparison of the fast tail sum lies within its error bound."""
 
 
-def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bool,
-          log_pmf=None) -> int:
+def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bool) -> int:
     """``binomial_inv_cdf``'s walk from the start k to the answer.
 
     h(k) is F(k), or -G(k) = F(k) - 1 for a target below 0: nondecreasing,
     one pmf per step of k.  Its tail comes from the fast sum unless
     ``exact``; ``err`` then bounds h's distance from the exactly summed
     walk's value, and a comparison within it raises ``_InDoubt``, so every
-    decision that returns is the exact walk's.  ``log_pmf`` replaces
-    ``_log_pmf_array``.
+    decision that returns is the exact walk's.
     """
     nf = float(n)
     logs, first = None, k
@@ -656,9 +631,9 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
         h, err = (0.0 if target < 0.0 else 1.0), 0.0
     else:
         if target < 0.0:
-            tail = _log_tail(k + 1.0, nf, nf, log_q, log_1mq, False, _PAD, exact, log_pmf)
+            tail = _log_tail(k + 1.0, nf, nf, log_q, log_1mq, False, exact)
         else:
-            tail = _log_tail(0.0, k, nf, log_q, log_1mq, True, _PAD, exact, log_pmf)
+            tail = _log_tail(0.0, k, nf, log_q, log_1mq, True, exact)
         total, err, logs, first = tail
         if not exact and total + err > _LOG_MASS_MAX:
             raise _InDoubt  # the exact walk raises, or not, with the exact total
@@ -675,7 +650,7 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
             # it would in a one-element array
             first = max(kk - _WALK_BLOCK + 1, 0) if down else kk
             ks = range(first, min(first + _WALK_BLOCK, n + 1))
-            logs = (log_pmf or _log_pmf_array)(ks, nf, log_q, log_1mq)
+            logs = _log_pmf_array(ks, nf, log_q, log_1mq)
         return _mass(logs.item(kk - first), n)
 
     def decided(h: float) -> float:
@@ -701,23 +676,22 @@ def _walk(k: int, n: int, log_q: float, log_1mq: float, target: float, exact: bo
     return n
 
 
-def _inv_cdf_rows(p: np.ndarray, n: np.ndarray, q: np.ndarray, blocks=None) -> np.ndarray:
+def _inv_cdf_rows(p: np.ndarray, n: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``binomial_inv_cdf`` of each row of the 1-d arrays ``p``, ``n``, ``q``.
 
     Each row's first tail window with _PAD more terms on each side is a row
     of a 2-d log-pmf array, _CHUNK rows at a time, rounded as
-    ``_log_pmf_array`` rounds it from the caller's ``_Blocks``; the zeros past
-    a short window change the order of np.sum's additions, not its error
+    ``_log_pmf_array`` rounds it from the cached blocks; the zeros past a
+    short window change the order of np.sum's additions, not its error
     bound.  Each row then walks len(_STEPS) pmfs at most, one cumsum adding
     them in the scalar loop's order; a window that must widen takes the
-    scalar tail and walk, from the blocks.  A row the scalar treats
-    specially, or whose mass may overflow, or one of whose tests lies within
-    its error bound, goes to ``binomial_inv_cdf``, so each k is the scalar
-    one.  The k are floats.
+    scalar tail and walk.  A row the scalar treats specially, or whose mass
+    may overflow, or one of whose tests lies within its error bound, goes to
+    ``binomial_inv_cdf``, so each k is the scalar one.  The k are floats.
     """
     if len(n) < _MIN_ROWS:  # too few rows to pay for the 2-d arrays
         return _map(lambda pp, nn, qq: binomial_inv_cdf(pp, int(nn), qq), p, n, q)
-    p0, n0, q0, blocks = p, n, q, _Blocks() if blocks is None else blocks
+    p0, n0, q0 = p, n, q
     k = np.empty_like(n)
     rows = np.flatnonzero((p > 0.0) & (q > 0.0) & (q < 1.0) & (p < 1.0) & (n < _MAX_K))
     p, n, q = p[rows], n[rows], q[rows]
@@ -750,7 +724,8 @@ def _inv_cdf_rows(p: np.ndarray, n: np.ndarray, q: np.ndarray, blocks=None) -> n
         logs = k0[r, None] + np.arange(width + 2 * _PAD)  # k
         n_k = (n[r, None] - logs) * log_1mq[r, None]
         logs *= log_q[r, None]
-        flat = np.concatenate([blocks[key] for key in keys[c * span : (c + _CHUNK) * span]])
+        flat = np.concatenate([_NO_TERMS if key is None else _log_binom_block(*key)
+                               for key in keys[c * span : (c + _CHUNK) * span]])
         rows_of = as_strided(flat, (len(flat) - cols + 1, logs.shape[1]), flat.strides * 2,
                              writeable=False)
         logs += rows_of[at[r]]
@@ -795,11 +770,9 @@ def _inv_cdf_rows(p: np.ndarray, n: np.ndarray, q: np.ndarray, blocks=None) -> n
     k[rows] = np.where(zero, 0.0, moved[at] + (down & hit[at]))
     fallback = np.ones(len(k), dtype=bool)
     fallback[rows[~doubt]] = False
-    log_pmf = functools.partial(_log_pmf_array, blocks=blocks)
     for i in rows[doubt & wide].tolist():
         try:
-            k[i] = _walk(*_start(p0[i].item(), int(n0[i]), q0[i].item()), exact=False,
-                         log_pmf=log_pmf)
+            k[i] = _walk(*_start(p0[i].item(), int(n0[i]), q0[i].item()), exact=False)
             fallback[i] = False
         except _InDoubt:
             pass
@@ -808,24 +781,12 @@ def _inv_cdf_rows(p: np.ndarray, n: np.ndarray, q: np.ndarray, blocks=None) -> n
     return k
 
 
-class _Blocks(dict):
-    """(n, j) -> log C(n, k) over block j, -inf past n; None -> all -inf."""
-
-    def __init__(self):
-        super().__init__({None: _NO_TERMS})
-
-    def __missing__(self, key):
-        blk = _log_binom_block(*key)
-        self[key] = blk = np.concatenate([blk, _NO_TERMS[len(blk) :]])
-        return blk
-
-
 # --------------------------------------------------------------------------
 # Iterative two-user threshold search and the naive multi-user composition
 
 
 def _two_user_thresholds(alpha2, m, v: float, delta: float, p_dark, p_error_equal: float,
-                         p_error_diff: float, blocks=None) -> tuple[np.ndarray, np.ndarray]:
+                         p_error_diff: float) -> tuple[np.ndarray, np.ndarray]:
     """Equal- and different-sequence thresholds of each lane (``alpha2``,
     ``m`` and ``p_dark`` broadcast) at the detector-side ``alpha2``, so the
     click model takes eta = 1; both quantiles of every lane in one
@@ -838,13 +799,13 @@ def _two_user_thresholds(alpha2, m, v: float, delta: float, p_dark, p_error_equa
     p_d = _map(click, 2.0 * v * alpha2 / m, p_dark)
     mix = np.minimum(1.0, (1.0 - delta) * p_d + delta * p_e)
     k = _inv_cdf_rows(np.repeat([1.0 - p_error_equal, p_error_diff], len(m)),
-                      np.concatenate([m, m]), np.concatenate([p_e, mix]), blocks)
+                      np.concatenate([m, m]), np.concatenate([p_e, mix]))
     return k[: len(m)].reshape(shape), (k[len(m) :] - 1).reshape(shape)
 
 
-#: Distinct codeword lengths searched together; the group's ``_Blocks``
-#: holds their log C(n, k) blocks (at most 133, 266 KiB, at figure 14's
-#: presets), which the 64-block cache alone would evict and rebuild.
+#: Distinct codeword lengths searched together.  A group's log C(n, k)
+#: blocks (at most 133 at figure 14's presets) must fit in the 256-block
+#: cache, or its search evicts and rebuilds them.
 _LANE_M = 32
 
 
@@ -860,8 +821,8 @@ def _search_lanes(m, p_dark, v, delta, step, alpha2_cap, pe_eq, pe_df):
     hi, lo, r_d, errors = np.zeros(len(m)), np.zeros(len(m)), np.zeros(len(m)), {}
 
     def search(lanes: np.ndarray) -> None:
-        hi[lanes], lo[lanes], blocks = step, 0.0, _Blocks()
-        r_e, r = _two_user_thresholds(0.0, m[lanes], v, delta, p_dark[lanes], pe_eq, pe_df, blocks)
+        hi[lanes], lo[lanes] = step, 0.0
+        r_e, r = _two_user_thresholds(0.0, m[lanes], v, delta, p_dark[lanes], pe_eq, pe_df)
         for lane in lanes[r >= r_e].tolist():
             errors[lane] = ConvergenceError("threshold search degenerate: crossing at zero photons")
         live, bracket = lanes[r < r_e], np.ones(np.count_nonzero(r < r_e), dtype=bool)
@@ -870,7 +831,7 @@ def _search_lanes(m, p_dark, v, delta, step, alpha2_cap, pe_eq, pe_df):
             mid = np.minimum(np.maximum(low + step * np.rint((h - low) / (2.0 * step)), low + step),
                              h - step)
             x = np.where(bracket, h, mid)
-            r_e, r = _two_user_thresholds(x, m[live], v, delta, p_dark[live], pe_eq, pe_df, blocks)
+            r_e, r = _two_user_thresholds(x, m[live], v, delta, p_dark[live], pe_eq, pe_df)
             ok = r >= r_e
             grow = bracket & ~ok
             full = grow & (r_e == m[live])

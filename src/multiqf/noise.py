@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _UBS, CircuitLayout, _asin_sqrt, _check_stack, _compose
+from .circuits import _UBS, CircuitLayout, _check_stack, _compose
 from .errors import ParameterError, check_int, check_real, check_type
 
 
@@ -180,16 +180,6 @@ def _blocks(omega: np.ndarray, model: NoiseModel, draws: np.ndarray) -> np.ndarr
     first[..., 0] *= np.exp(1j * ph_a)[..., None]
     first[..., 1] *= np.exp(1j * ph_b)[..., None]
     return first @ sym(tau[..., 1])
-
-
-def noisy_block(t: float, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Realistic 2x2 block for an unbalanced beamsplitter of transmittance t,
-    from four standard normals drawn from ``rng`` (see ``_blocks``)."""
-    check_real("t", t, 0.0, 1.0)
-    check_type("model", model, NoiseModel)
-    check_type("rng", rng, np.random.Generator)
-    omega = _asin_sqrt(np.array([t], dtype=float))
-    return _blocks(omega, model, rng.standard_normal((1, 1, 4)))[0, 0]
 
 
 def _realize(layout: CircuitLayout, model: NoiseModel, start: int, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -492,7 +493,7 @@ def _windows(n):
         (250, 262), (255, 256), (200, 1100), (511, 1280),
         (top // 2 - 600, top // 2 + 600),
         # three blocks, from the last k of one to the first of the third;
-        # a run clipped at n; more blocks than a cached run holds
+        # a window clipped at n; a window of eight blocks
         (255, 512), (edge - 257, top), (0, 1800),
     ]
     out = []
@@ -504,8 +505,8 @@ def _windows(n):
 
 
 def clear_log_pmf_caches():
-    """Empty every cache behind ``_log_pmf_array``."""
-    for cache in (b._lgamma_k1_block, b._log_binom_block, b._cached_run):
+    """Empty both caches behind ``_log_pmf_array``."""
+    for cache in (b._lgamma_k1_block, b._log_binom_block):
         cache.cache_clear()
 
 
@@ -534,7 +535,7 @@ class TestLogPmfBlocks:
         for order in (windows, windows[::-1]):
             clear_log_pmf_caches()
             check(order, clear_each=False)  # fills the caches in this order
-            check(order, clear_each=False)  # every block and run warm
+            check(order, clear_each=False)  # every block warm
 
     def test_warm_blocks_shared_across_q(self):
         n = 4.17e6
@@ -544,9 +545,9 @@ class TestLogPmfBlocks:
             log_q, log_1mq = math.log(q), math.log1p(-q)
             got = b._log_pmf_array(ks, n, log_q, log_1mq)
             assert np.array_equal(got, reference_log_pmf_array(ks, n, log_q, log_1mq))
-        # the second q reads the run the first one cached, built from 4 blocks
-        assert b._cached_run.cache_info().hits == 1
-        assert b._log_binom_block.cache_info().misses == 4
+        # the second q reads the 4 blocks the first one built
+        info = b._log_binom_block.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
 
     def test_lgamma_k1_blocks_shared_across_n(self):
         clear_log_pmf_caches()
@@ -559,20 +560,22 @@ class TestLogPmfBlocks:
         assert b._log_binom_block.cache_info().misses == 8
 
     def test_cached_block_is_read_only(self):
-        blk = b._log_binom_block(1000.0, 1)
+        blk = b._log_binom_block(1000.0, 3)  # k = 768 .. 1023: past n from 1001
         assert not blk.flags.writeable
         with pytest.raises(ValueError):
             blk[0] = 0.0
-        assert b._log_binom_block(1000.0, 1) is blk
-        out = b._log_pmf_array(np.arange(256.0, 300.0), 1000.0, math.log(0.3), math.log1p(-0.3))
-        assert out.flags.writeable and not np.shares_memory(out, blk)
-        for cached in (b._lgamma_k1_block(1), *b._cached_run(1000.0, 0, 2)):
+        assert b._log_binom_block(1000.0, 3) is blk
+        assert len(blk) == b._BLOCK and np.all(blk[233:] == -np.inf)
+        assert np.all(np.isfinite(blk[:233]))
+        out = b._log_pmf_array(np.arange(700.0, 1001.0), 1000.0, math.log(0.3), math.log1p(-0.3))
+        assert out.flags.writeable
+        for cached in (blk, b._log_binom_block(1000.0, 2), b._lgamma_k1_block(3)):
             assert not cached.flags.writeable
             assert not np.shares_memory(out, cached)
 
     def test_caches_hold_at_most_1_mib(self, ecc):
-        """Every cache full, after figure 14's 402 searches in N-outer order
-        and after the largest entries each can hold."""
+        """Both caches full, after figure 14's 402 searches in N-outer order
+        and after a block at each of as many distinct n as the cache holds."""
         clear_log_pmf_caches()
         gc.collect()
         tracemalloc.start()
@@ -583,13 +586,12 @@ class TestLogPmfBlocks:
                     b.algorithm_two_user(params_for(2, n, ecc, eta=0.5, p_dark=p_dark), v=0.98)
             after_sweep = tracemalloc.get_traced_memory()[0]
             log_q, log_1mq = math.log(0.3), math.log1p(-0.3)
-            width = b._RUN_BLOCKS * b._BLOCK
-            for i in range(64):  # runs of the most blocks cached, at distinct n and k
-                b._log_pmf_array(range(i * width, (i + 1) * width), 1e9 + i, log_q, log_1mq)
+            for i in range(b._log_binom_block.cache_info().maxsize):  # distinct n and k
+                b._log_pmf_array(range(i * b._BLOCK, (i + 1) * b._BLOCK), 1e9 + i, log_q, log_1mq)
             after_largest = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        for cache in (b._lgamma_k1_block, b._log_binom_block, b._cached_run):
+        for cache in (b._lgamma_k1_block, b._log_binom_block):
             info = cache.cache_info()
             assert info.currsize == info.maxsize
         assert after_sweep - before <= 1 << 20
@@ -1124,6 +1126,30 @@ class TestLockstepSearch:
             reference_two_user(params_for(2, 10, ecc, eta=0.5, p_dark=1e-9), 0.98)
         assert str(err.value) == str(ref.value)
 
+    def test_fields_do_not_depend_on_the_block_cache(self, ecc, monkeypatch):
+        # figure 14's wide grid: searches that cannot cross, and windows that widen
+        params = params_for(2, np.array(log_spaced(10, 1e14, 2)), ecc, eta=0.5,
+                            p_dark=np.array([[1e-9], [1e-11]]))
+        want = b.algorithm_two_user(params, 0.98)
+        monkeypatch.setattr(b, "_log_binom_block",
+                            functools.lru_cache(maxsize=1)(b._log_binom_block.__wrapped__))
+        got = b.algorithm_two_user(params, 0.98)
+        assert not got.feasible.all()
+        for field in ("alpha2", "threshold_r", "q_qubits", "feasible"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+
+    def test_figure_14_builds_each_block_once(self, ecc, monkeypatch):
+        # a group of _LANE_M codeword lengths needs more blocks than a
+        # 64-block cache holds, but all of them fit in the cache
+        builds, body = [], b._log_binom_block.__wrapped__
+        size = b._log_binom_block.cache_info().maxsize
+        monkeypatch.setattr(b, "_log_binom_block", functools.lru_cache(maxsize=size)(
+            lambda n, j: builds.append((n, j)) or body(n, j)))
+        params = params_for(2, np.array(log_spaced(1e4, 1e12, 25)), ecc, eta=0.5,
+                            p_dark=np.array([[1e-9], [1e-11]]))
+        b.algorithm_two_user(params, 0.98)
+        assert len(builds) == len(set(builds)) > size
+
     def test_figure_14_takes_12664_quantile_rows(self, tmp_path, monkeypatch):
         # 402 searches of about 16 threshold pairs; the per-point search took
         # 13,468 quantiles, two more per search to reread the crossing's r_D
@@ -1184,16 +1210,25 @@ class TestInvCdfRows:
         assert b._inv_cdf_rows(p, n, q).tolist() == expect
         assert len(fallbacks) == len(rows)
 
-    def test_widened_windows_come_from_the_blocks(self, monkeypatch):
-        walks = []  # the log-pmf function of each walk
-        walk = b._walk
-        monkeypatch.setattr(b, "_walk", lambda *args, **kw: walks.append(kw.get("log_pmf"))
-                            or walk(*args, **kw))
+    def test_widened_windows_walk_from_the_same_cache(self, monkeypatch):
+        # the rows whose windows widen walk from the blocks the 2-d rows built
+        hits = []  # the block cache's hits during each walk
+        walk, info = b._walk, b._log_binom_block.cache_info
+
+        def spy(*args, **kw):
+            before = info().hits
+            out = walk(*args, **kw)
+            hits.append(info().hits - before)
+            return out
+
+        monkeypatch.setattr(b, "_walk", spy)
         n = 4_170_000_000_000
         rows = [(p, n, 1e5 / n) for p in np.linspace(0.01, 0.99, 20)]
         p, n, q = (np.array(x, dtype=float) for x in zip(*rows))
-        assert b._inv_cdf_rows(p, n, q).tolist() == [b.binomial_inv_cdf(*row) for row in rows]
-        assert sum(log_pmf is not None for log_pmf in walks) >= 10
+        clear_log_pmf_caches()
+        got = b._inv_cdf_rows(p, n, q).tolist()
+        assert len(hits) >= 10 and all(h > 0 for h in hits)
+        assert got == [b.binomial_inv_cdf(*row) for row in rows]
 
     @pytest.mark.parametrize("n, q", _TIE_CASES)
     def test_near_ties_decide_like_the_fsum_walk(self, n, q):

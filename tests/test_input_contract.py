@@ -144,7 +144,6 @@ def valid_calls() -> dict:
         "wilson_upper": (mq.wilson_upper, dict(errors=3, trials=100, z=1.645)),
         # noise
         "NoiseModel": (mq.NoiseModel, dict(sigma_t=0.01, sigma_p=0.01, bs_loss_db=-0.2, seed=0)),
-        "noisy_block": (mq.noisy_block, dict(t=0.5, model=MODEL, rng=np.random.default_rng(0))),
         "realize_batch": (mq.realize_batch, dict(layout=TREE, model=MODEL, n=2, start=0)),
         "realize_circuit": (mq.realize_circuit, dict(layout=TREE, model=MODEL, index=0)),
     }
